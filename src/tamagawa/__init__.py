@@ -8,6 +8,7 @@ parametrized torsion families behind the divisibility statements.
 
 from .arith import Factorization, IncompleteFactorizationError, factor, is_prime, valuation
 from .curves import (
+    CurveAnalysis,
     SingularCurveError,
     Transformation,
     WeierstrassCurve,
@@ -47,6 +48,7 @@ __all__ = [
     "factor",
     "is_prime",
     "valuation",
+    "CurveAnalysis",
     "SingularCurveError",
     "Transformation",
     "WeierstrassCurve",

@@ -187,6 +187,8 @@ def main(argv=None) -> int:
                 ):
                     _emit(r.to_json(), args.pretty)
                 _emit(report.summary(), args.pretty)
+            if report.incomplete:
+                return EXIT_INCOMPLETE
             return EXIT_OK if preset.validate(report) else EXIT_VIOLATION
 
         if args.command == "fixtures":

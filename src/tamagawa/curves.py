@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Optional
 
-from .arith import factor, valuation
+from .arith import Factorization, factor, valuation
 
 
 class SingularCurveError(ValueError):
@@ -149,16 +150,18 @@ def transform_coefficients(
     """Raw coefficient transformation; results may be non-integral.
 
     Kept separate from the public entry point so rational intermediate
-    models never leak past the module boundary.
+    models never leak past the module boundary.  The numerators stay in
+    integer arithmetic when ai, r, s and t are integers; only the final
+    division by a power of u makes them rational.
     """
-    a1, a2, a3, a4, a6 = (Fraction(a) for a in ai)
-    u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-    n1 = (a1 + 2 * s) / u
-    n2 = (a2 - s * a1 + 3 * r - s * s) / u**2
-    n3 = (a3 + r * a1 + 2 * t) / u**3
-    n4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-    n6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-    return (n1, n2, n3, n4, n6)
+    a1, a2, a3, a4, a6 = ai
+    u = Fraction(u)
+    n1 = a1 + 2 * s
+    n2 = a2 - s * a1 + 3 * r - s * s
+    n3 = a3 + r * a1 + 2 * t
+    n4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
+    n6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
+    return (n1 / u, n2 / u**2, n3 / u**3, n4 / u**4, n6 / u**6)
 
 
 def apply_transformation(curve: WeierstrassCurve, tr: Transformation) -> WeierstrassCurve:
@@ -224,24 +227,27 @@ def _valid_c4c6(c4: int, c6: int) -> bool:
         return False
 
 
-def minimal_model(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, Transformation]:
+def minimal_model(
+    curve: WeierstrassCurve, disc: Optional[Factorization] = None
+) -> tuple[WeierstrassCurve, Transformation]:
     """Globally minimal reduced model and the transformation reaching it.
 
     ord_p(disc) is minimal at every prime; the returned transformation T
     satisfies apply_transformation(curve, T) == minimal curve exactly.
+    Given the factored discriminant, the candidates are its primes with
+    exponent >= 12 (u^12 divides it); otherwise gcd(c4, c6) is factored.
     """
-    c4, c6, disc = curve.c4, curve.c6, curve.disc
-    if c4 == 0:
-        candidates = factor(c6).primes()
-    elif c6 == 0:
-        candidates = factor(c4).primes()
+    c4, c6 = curve.c4, curve.c6
+    if disc is None:
+        exponents = [
+            (p, valuation(curve.disc, p)) for p in factor(math.gcd(c4, c6)).primes()
+        ]
     else:
-        g = math.gcd(abs(c4), abs(c6))
-        candidates = factor(g).primes() if g > 1 else ()
+        exponents = [(p, e) for p, e in disc.factors if e >= 12]
 
     u = 1
-    for p in candidates:
-        opts = [valuation(disc, p) // 12]
+    for p, e in exponents:
+        opts = [e // 12]
         if c4:
             opts.append(valuation(c4, p) // 4)
         if c6:
@@ -259,25 +265,67 @@ def minimal_model(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, Transforma
     if minimal == curve:
         return curve, Transformation.identity()
 
-    uf = Fraction(u)
-    s = Fraction(uf * minimal.a1 - curve.a1, 2)
-    r = Fraction(uf**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s, 3)
-    t = Fraction(uf**3 * minimal.a3 - curve.a3 - r * curve.a1, 2)
-    tr = Transformation(uf, r, s, t)
-    check = transform_coefficients(curve.ai(), tr.u, tr.r, tr.s, tr.t)
-    if tuple(int(c) for c in check) != minimal.ai() or any(
-        c.denominator != 1 for c in check
-    ):
+    s = _quotient(u * minimal.a1 - curve.a1, 2)
+    r = _quotient(u**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s, 3)
+    t = _quotient(u**3 * minimal.a3 - curve.a3 - r * curve.a1, 2)
+    if transform_coefficients(curve.ai(), u, r, s, t) != minimal.ai():
         raise RuntimeError(f"minimal-model transformation failed to verify for {curve}")
-    return minimal, tr
+    return minimal, Transformation(u, r, s, t)
 
 
-def minimal_invariants(curve: WeierstrassCurve) -> tuple[int, int]:
-    """(c4, c6) of the global minimal model: the isomorphism-class key over Q."""
-    m, _ = minimal_model(curve)
-    return (m.c4, m.c6)
+def _quotient(n, d: int):
+    """n / d exactly, as an int when d divides n."""
+    q = Fraction(n, d)
+    return q.numerator if q.denominator == 1 else q
 
 
-def global_minimal_discriminant(curve: WeierstrassCurve) -> int:
-    m, _ = minimal_model(curve)
-    return m.disc
+@dataclass(frozen=True)
+class CurveAnalysis:
+    """A curve minimized once, with its discriminant factored once.
+
+    Holds the global minimal model, the transformation reaching it and the
+    factored minimal discriminant, whose exponents are the model's minus
+    12 ord_p(u).  Bad primes, Tate's algorithm, torsion and fixture keys
+    all read this instead of minimizing or factoring again.
+    """
+
+    curve: WeierstrassCurve
+    minimal: WeierstrassCurve
+    transformation: Transformation
+    disc_min: Factorization
+
+    @classmethod
+    def of(
+        cls,
+        curve: WeierstrassCurve,
+        disc: Optional[Factorization] = None,
+        budget: int = 2_000_000,
+    ) -> "CurveAnalysis":
+        """Analysis of curve from a factorization of its discriminant.
+
+        Without one the discriminant is factored within the rho budget; a
+        supplied factorization must multiply out to the discriminant.
+        """
+        if disc is None:
+            disc = factor(curve.disc, budget=budget)
+        elif disc.value != curve.disc:
+            raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
+        minimal, tr = minimal_model(curve, disc)
+        u = int(tr.u)
+        factors = []
+        for p, e in disc.factors:
+            while u % p == 0:
+                u //= p
+                e -= 12
+            if e:
+                factors.append((p, e))
+        return cls(curve, minimal, tr, Factorization(disc.sign, tuple(factors)))
+
+    @property
+    def bad_primes(self) -> tuple[int, ...]:
+        return self.disc_min.primes()
+
+    @property
+    def key(self) -> tuple[int, int]:
+        """(c4, c6) of the minimal model: the isomorphism-class key over Q."""
+        return (self.minimal.c4, self.minimal.c6)

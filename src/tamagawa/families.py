@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import factor, valuation
+from .arith import Factorization, factor, factor_product, valuation
 from .curves import SingularCurveError, WeierstrassCurve
 from .reduction import tate
 
@@ -33,6 +33,11 @@ def four_torsion_curve(s: int, t: int) -> WeierstrassCurve:
     if t == 0 or 16 * s + t == 0:
         raise SingularCurveError(f"parameters (s={s}, t={t}) give a singular curve")
     return WeierstrassCurve(t, -s * t, -s * t * t, 0, 0)
+
+
+def four_torsion_disc(s: int, t: int, budget: int = 2_000_000) -> Factorization:
+    """Factored discriminant s^4 t^7 (16 s + t) of four_torsion_curve(s, t)."""
+    return factor_product(((s, 4), (t, 7), (16 * s + t, 1)), budget)
 
 
 _TWO_SIX_FACTORS = (
@@ -62,6 +67,16 @@ def two_six_curve(t: Rational) -> WeierstrassCurve:
     return WeierstrassCurve(a1, a2, a3, 0, 0)
 
 
+def two_six_disc(t: Rational, budget: int = 2_000_000) -> Factorization:
+    """Factored discriminant of two_six_curve(t): for t = a/b it is
+    a^6 (a-b)^6 (a+b)^6 (3a-b)^2 (3a+b)^2 b^2."""
+    t = Fraction(t)
+    a, b = t.numerator, t.denominator
+    exponents = (6, 6, 6, 2, 2)
+    terms = [(expr(a, b), k) for (_, expr), k in zip(_TWO_SIX_FACTORS, exponents)]
+    return factor_product([(b, 2), *terms], budget)
+
+
 def two_torsion_curve(a: int, b: int) -> WeierstrassCurve:
     """y^2 = x^3 + a x^2 + b x with a, b coprime; (0,0) is 2-torsion."""
     if math.gcd(a, b) != 1:
@@ -69,6 +84,11 @@ def two_torsion_curve(a: int, b: int) -> WeierstrassCurve:
     if b == 0 or a * a == 4 * b:
         raise SingularCurveError(f"(a={a}, b={b}) gives discriminant zero")
     return WeierstrassCurve(0, a, 0, b, 0)
+
+
+def two_torsion_disc(a: int, b: int, budget: int = 2_000_000) -> Factorization:
+    """Factored discriminant 16 b^2 (a^2 - 4 b) of two_torsion_curve(a, b)."""
+    return factor_product(((2, 4), (b, 2), (a * a - 4 * b, 1)), budget)
 
 
 @dataclass(frozen=True)
@@ -102,6 +122,11 @@ class ThreeTorsionNormalForm:
     @property
     def curve(self) -> WeierstrassCurve:
         return WeierstrassCurve(self.a, 0, self.b, 0, 0)
+
+
+def three_torsion_disc(a: int, b: int, budget: int = 2_000_000) -> Factorization:
+    """Factored discriminant b^3 (a^3 - 27 b) of y^2 + a xy + b y = x^3."""
+    return factor_product(((b, 3), (a**3 - 27 * b, 1)), budget)
 
 
 def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .arith import Factorization, factor, is_prime
-from .curves import WeierstrassCurve, minimal_model
+from .curves import CurveAnalysis, WeierstrassCurve
 
 GOOD = "good"
 SPLIT = "split"
@@ -428,8 +428,7 @@ def c_infinity(curve: WeierstrassCurve) -> int:
 
 def bad_primes(curve: WeierstrassCurve, budget: int = 2_000_000) -> list[int]:
     """Primes of bad reduction: primes dividing the minimal discriminant."""
-    m, _ = minimal_model(curve)
-    return list(factor(m.disc, budget=budget).primes())
+    return list(CurveAnalysis.of(curve, budget=budget).bad_primes)
 
 
 def local_data(

@@ -4,7 +4,8 @@ The order is bounded by reduction modulo good primes, candidate points come
 from Lutz-Nagell on the scaled short model Y^2 = X^3 - 27c4 X - 54c6 (where
 every rational torsion point is integral and Y = 0 or Y^2 | 6^12 disc), and
 every claimed generator order is certified by explicit group-law arithmetic.
-No floating point: integer cube roots are found by exact bracketed search.
+No floating point: integer roots of the depressed cubic are found by exact
+monotone search.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import factor
-from .curves import WeierstrassCurve, minimal_model
+from .arith import Factorization
+from .curves import CurveAnalysis, Transformation, WeierstrassCurve
 
 _MAZUR_CYCLIC = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}
 _MAZUR_PRODUCT = {4: 1, 8: 2, 12: 3, 16: 4}  # order -> N for Z/2 x Z/2N
+_SIX_TO_12 = Factorization(1, ((2, 12), (3, 12)))
 
 
 @dataclass(frozen=True)
@@ -173,22 +175,6 @@ def _is_small_prime(n: int) -> bool:
     return True
 
 
-def _integer_cube_root_floor(n: int) -> int:
-    if n < 0:
-        return -_integer_cube_root_ceil(-n)
-    r = round(n ** (1 / 3)) if n < 2**40 else 1 << ((n.bit_length() + 2) // 3)
-    while r**3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
-    return r
-
-
-def _integer_cube_root_ceil(n: int) -> int:
-    r = _integer_cube_root_floor(n)
-    return r if r**3 == n else r + 1
-
-
 def _depressed_cubic_integer_roots(P: int, Q: int) -> list[int]:
     """All integer roots of f(X) = X^3 + P X + Q, by exact monotone search.
 
@@ -277,15 +263,15 @@ def _square_divisors(f) -> list[int]:
     return ys
 
 
-def _torsion_points(curve: WeierstrassCurve, budget: int) -> frozenset[Point]:
-    """All rational torsion points of a minimal model."""
+def _torsion_points(curve: WeierstrassCurve, disc: Factorization) -> frozenset[Point]:
+    """All rational torsion points of a minimal model with factored discriminant."""
     bound = _torsion_bound(curve)
     points = {Point.at_infinity()}
     if bound == 1:
         return frozenset(points)
     c4, c6, b2 = curve.c4, curve.c6, curve.b2
     a1, a3 = curve.a1, curve.a3
-    scaled_disc = factor(6**12) * factor(curve.disc, budget=budget)
+    scaled_disc = _SIX_TO_12 * disc
     y_candidates = {0}
     for yy in _square_divisors(scaled_disc):
         y_candidates.add(yy)
@@ -302,10 +288,26 @@ def _torsion_points(curve: WeierstrassCurve, budget: int) -> frozenset[Point]:
     return frozenset(points)
 
 
-def torsion_subgroup(curve: WeierstrassCurve, budget: int = 2_000_000) -> TorsionStructure:
-    """Certified torsion structure with generators on the given model."""
-    m, tr = minimal_model(curve)
-    pts_min = _torsion_points(m, budget)
+def torsion_subgroup(
+    curve: WeierstrassCurve,
+    budget: int = 2_000_000,
+    analysis: Optional[CurveAnalysis] = None,
+) -> TorsionStructure:
+    """Certified torsion structure with generators on the given model.
+
+    A supplied analysis must be of curve or have curve as its minimal model;
+    without one the curve is analysed here within the factoring budget.
+    """
+    if analysis is None:
+        analysis = CurveAnalysis.of(curve, budget=budget)
+    m = analysis.minimal
+    if curve == analysis.curve:
+        tr = analysis.transformation
+    elif curve == m:
+        tr = Transformation.identity()
+    else:
+        raise ValueError(f"the analysis is of {analysis.curve}, not of {curve}")
+    pts_min = _torsion_points(m, analysis.disc_min)
     order = len(pts_min)
     two_torsion = sum(
         1 for q in pts_min if not q.infinity and point_order(m, q) == 2

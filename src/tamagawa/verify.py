@@ -18,21 +18,25 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .arith import IncompleteFactorizationError, factor, is_prime, valuation
+from .arith import Factorization, IncompleteFactorizationError, factor, is_prime, valuation
 from .curves import (
+    CurveAnalysis,
     SingularCurveError,
     WeierstrassCurve,
-    minimal_model,
     transform_coefficients,
 )
 from .families import (
     ThreeTorsionNormalForm,
     four_torsion_curve,
+    four_torsion_disc,
     hadano_quotient,
     quotient_split_prime,
+    three_torsion_disc,
     three_torsion_normalize,
     two_six_curve,
+    two_six_disc,
     two_torsion_curve,
+    two_torsion_disc,
 )
 from .reduction import (
     ADDITIVE,
@@ -91,13 +95,11 @@ class FixtureTable:
         self.by_key: dict[tuple[int, int], FixtureCurve] = {}
         self.by_label: dict[str, FixtureCurve] = {}
         for rec in self.records:
-            m, _ = minimal_model(rec.curve)
-            self.by_key[(m.c4, m.c6)] = rec
+            self.by_key[CurveAnalysis.of(rec.curve).key] = rec
             self.by_label[rec.label] = rec
 
     def match(self, curve: WeierstrassCurve) -> Optional[FixtureCurve]:
-        m, _ = minimal_model(curve)
-        return self.by_key.get((m.c4, m.c6))
+        return self.by_key.get(CurveAnalysis.of(curve).key)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -246,17 +248,16 @@ def check_divisibility(
     """Exact divisibility verdict for one curve, fixture-matched when possible."""
     report = VerdictReport(params=params)
     try:
-        m, _ = minimal_model(curve)
+        analysis = CurveAnalysis.of(curve, budget=budget)
+        m = analysis.minimal
         report.minimal_ai = m.ai()
-        report.key = (m.c4, m.c6)
-        data = local_data(m, budget=budget)
+        report.key = analysis.key
+        data = local_data(m, primes=analysis.bad_primes)
         report.c_inf = c_infinity(m)
-        c = 1
-        for d in data:
-            c *= d.tamagawa
+        c = math.prod(d.tamagawa for d in data)
         report.tamagawa = c
         report.tamagawa_factors = factor(c).factors
-        tors = torsion_subgroup(m, budget=budget)
+        tors = torsion_subgroup(m, budget=budget, analysis=analysis)
     except IncompleteFactorizationError:
         report.incomplete = True
         return report
@@ -370,15 +371,23 @@ class ScanReport:
     exceptions: dict[tuple[int, int], ExceptionClass] = field(default_factory=dict)
     mismatches: list[dict] = field(default_factory=list)
 
-    def record_exception(self, curve: WeierstrassCurve, witness, fixtures):
-        m, _ = minimal_model(curve)
-        key = (m.c4, m.c6)
-        cls = self.exceptions.get(key)
-        if cls is None:
-            rec = fixtures.by_key.get(key) if fixtures else None
-            cls = ExceptionClass(key, m.ai(), [], rec.label if rec else None)
-            self.exceptions[key] = cls
-        cls.witnesses.append(witness)
+    @property
+    def incomplete(self) -> bool:
+        """Whether the factoring budget ran out on some curve of the scan."""
+        return any(r.incomplete for r in self.reports)
+
+    def add(self, r: VerdictReport, fixtures: Optional[FixtureTable], exception: bool):
+        """Append a curve's report, fixture-labelled; an exception joins its class."""
+        rec = fixtures.by_key.get(r.key) if fixtures and r.key else None
+        if rec:
+            r.label = rec.label
+        self.reports.append(r)
+        if exception:
+            cls = self.exceptions.get(r.key)
+            if cls is None:
+                cls = ExceptionClass(r.key, r.minimal_ai, [], r.label)
+                self.exceptions[r.key] = cls
+            cls.witnesses.append(dict(r.params))
 
     def summary(self) -> dict:
         return {
@@ -400,33 +409,16 @@ def scan_four_torsion(
 ) -> ScanReport:
     """Check 4 | c(E) * c_inf(E) over the order-4 family at the given (s, t)."""
     report = ScanReport("four-torsion")
-    valid = [
-        (s, t)
+    items = [
+        ("four-torsion", {"s": s, "t": t}, budget)
         for s, t in pairs
         if s > 0 and math.gcd(s, t) == 1 and t != 0 and 16 * s + t != 0
     ]
-    results = _parallel_map(_four_torsion_one, [(s, t, budget) for s, t in valid], jobs)
-    for (s, t), (key, minimal_ai, c, cinf) in zip(valid, results):
-        r = VerdictReport(params={"s": s, "t": t})
-        r.minimal_ai, r.key = minimal_ai, key
-        r.c_inf, r.tamagawa = cinf, c
-        r.divides = (c * cinf) % 4 == 0
-        rec = fixtures.by_key.get(key) if fixtures else None
-        if rec:
-            r.label = rec.label
-        report.reports.append(r)
-        if not r.divides:
-            report.record_exception(WeierstrassCurve(*minimal_ai), {"s": s, "t": t}, fixtures)
+    for r in _parallel_map(_family_report, items, jobs):
+        if not r.incomplete:
+            r.divides = (r.tamagawa * r.c_inf) % 4 == 0
+        report.add(r, fixtures, exception=r.divides is False)
     return report
-
-
-def _four_torsion_one(args):
-    s, t, budget = args
-    curve = four_torsion_curve(s, t)
-    m, _ = minimal_model(curve)
-    data = local_data(m, budget=budget)
-    c = math.prod(d.tamagawa for d in data)
-    return (m.c4, m.c6), m.ai(), c, c_infinity(m)
 
 
 def scan_two_six(
@@ -437,35 +429,57 @@ def scan_two_six(
 ) -> ScanReport:
     """Check 12 | c(E) for every nonsingular t = a/b with |a|, b <= bound."""
     report = ScanReport("two-six")
-    params = []
+    items = []
     for b in range(1, bound + 1):
         for a in range(-bound, bound + 1):
             if math.gcd(a, b) != 1:
                 continue
             if a == 0 or a == b or a == -b or 3 * a == b or 3 * a == -b:
                 continue
-            params.append(Fraction(a, b))
-    results = _parallel_map(_two_six_one, [(t, budget) for t in params], jobs)
-    for t, (key, minimal_ai, c, cinf) in zip(params, results):
-        r = VerdictReport(params={"t": str(t)})
-        r.key, r.minimal_ai, r.tamagawa, r.c_inf = key, minimal_ai, c, cinf
-        r.divides = c % 12 == 0
-        rec = fixtures.by_key.get(key) if fixtures else None
-        if rec:
-            r.label = rec.label
-        report.reports.append(r)
-        if not r.divides:
-            report.record_exception(WeierstrassCurve(*minimal_ai), {"t": str(t)}, fixtures)
+            items.append(("two-six", {"t": str(Fraction(a, b))}, budget))
+    for r in _parallel_map(_family_report, items, jobs):
+        if not r.incomplete:
+            r.divides = r.tamagawa % 12 == 0
+        report.add(r, fixtures, exception=r.divides is False)
     return report
 
 
-def _two_six_one(args):
-    t, budget = args
-    curve = two_six_curve(t)
-    m, _ = minimal_model(curve)
-    data = local_data(m, budget=budget)
-    c = math.prod(d.tamagawa for d in data)
-    return (m.c4, m.c6), m.ai(), c, c_infinity(m)
+def _family_curve(family: str, params: dict, budget: int) -> tuple[WeierstrassCurve, Factorization]:
+    """A family curve and its discriminant, factored from the family's parameters."""
+    if family == "four-torsion":
+        s, t = params["s"], params["t"]
+        return four_torsion_curve(s, t), four_torsion_disc(s, t, budget)
+    if family == "two-six":
+        t = Fraction(params["t"])
+        return two_six_curve(t), two_six_disc(t, budget)
+    a, b = params["a"], params["b"]
+    if family == "two-torsion":
+        return two_torsion_curve(a, b), two_torsion_disc(a, b, budget)
+    return ThreeTorsionNormalForm(a, b).curve, three_torsion_disc(a, b, budget)
+
+
+def _family_report(args) -> VerdictReport:
+    """Minimal model, c(E) and c_inf of one family curve, analysed once.
+
+    A curve whose factoring budget runs out comes back marked incomplete
+    with only its parameters; it never aborts the scan.  Two-torsion curves
+    with additive reduction get params["semistable"] = False.
+    """
+    family, params, budget = args
+    report = VerdictReport(params=dict(params))
+    try:
+        analysis = CurveAnalysis.of(*_family_curve(family, params, budget))
+    except IncompleteFactorizationError:
+        report.incomplete = True
+        return report
+    m = analysis.minimal
+    data = local_data(m, primes=analysis.bad_primes)
+    report.minimal_ai, report.key = m.ai(), analysis.key
+    report.tamagawa = math.prod(d.tamagawa for d in data)
+    report.c_inf = c_infinity(m)
+    if family == "two-torsion" and any(d.reduction_class == ADDITIVE for d in data):
+        report.params["semistable"] = False
+    return report
 
 
 def scan_two_torsion(
@@ -487,24 +501,11 @@ def scan_two_torsion(
         for a in (0, 1, -1, 3, -3, 5, -5, 7, -7):
             if a * a - 4 * b >= 0 or math.gcd(a, b) != 1:
                 continue
-            curve = two_torsion_curve(a, b)
-            data = local_data(curve, budget=budget)
-            c = math.prod(d.tamagawa for d in data)
-            cinf = c_infinity(curve)
-            r = VerdictReport(params={"a": a, "b": b})
-            m, _ = minimal_model(curve)
-            r.minimal_ai, r.key = m.ai(), (m.c4, m.c6)
-            r.c_inf, r.tamagawa = cinf, c
-            r.divides = (c * cinf) % 2 == 0
-            semistable = all(d.reduction_class != ADDITIVE for d in data)
-            if not semistable:
-                r.params["semistable"] = False
-            rec = fixtures.by_key.get(r.key) if fixtures else None
-            if rec:
-                r.label = rec.label
-            report.reports.append(r)
-            if semistable and not r.divides:
-                report.record_exception(curve, {"a": a, "b": b}, fixtures)
+            r = _family_report(("two-torsion", {"a": a, "b": b}, budget))
+            if not r.incomplete:
+                r.divides = (r.tamagawa * r.c_inf) % 2 == 0
+            semistable = "semistable" not in r.params
+            report.add(r, fixtures, exception=semistable and r.divides is False)
     rng = random.Random(seed)
     checked = 0
     while checked < random_samples:
@@ -529,15 +530,17 @@ def scan_three_torsion_nonunits(
     for a, b in _normalized_three_torsion_range(a_bound, b_bound):
         if b == 1:
             continue
-        curve = ThreeTorsionNormalForm(a, b).curve
-        data = local_data(curve, budget=budget)
-        c = math.prod(d.tamagawa for d in data)
-        r = VerdictReport(params={"a": a, "b": b})
-        r.tamagawa = c
-        r.divides = c % 3 == 0
+        # only c(E) is reported here, not the minimal model
+        done = _family_report(("three-torsion", {"a": a, "b": b}, budget))
+        r = VerdictReport(params=done.params, tamagawa=done.tamagawa, incomplete=done.incomplete)
         report.reports.append(r)
+        if r.incomplete:
+            continue
+        r.divides = r.tamagawa % 3 == 0
         if not r.divides:
-            report.mismatches.append({"a": a, "b": b, "c": c, "error": "3 does not divide c"})
+            report.mismatches.append(
+                {"a": a, "b": b, "c": r.tamagawa, "error": "3 does not divide c"}
+            )
     return report
 
 
@@ -569,18 +572,22 @@ def reduction_table_cross_check(
     items = [(a, b, budget) for a, b in _normalized_three_torsion_range(a_bound, b_bound)]
     all_mismatches = _parallel_map(_cross_check_one, items, jobs)
     for (a, b, _), mism in zip(items, all_mismatches):
-        report.reports.append(VerdictReport(params={"a": a, "b": b}))
-        report.mismatches.extend(mism)
+        report.reports.append(VerdictReport(params={"a": a, "b": b}, incomplete=mism is None))
+        report.mismatches.extend(mism or [])
     return report
 
 
 def _cross_check_one(args):
+    """Mismatches against the table at every bad prime; None if the budget ran out."""
     a, b, budget = args
     curve = ThreeTorsionNormalForm(a, b).curve
     D = a**3 - 27 * b
     mismatches = []
-    disc = curve.disc
-    for p in factor(disc, budget=budget).primes():
+    try:
+        primes = factor(curve.disc, budget=budget).primes()
+    except IncompleteFactorizationError:
+        return None
+    for p in primes:
         datum = tate(curve, p)
         expected = _expected_row(a, b, D, p)
         if expected is None:
@@ -649,9 +656,13 @@ def scan_dual_curves(
         if a == 3:
             continue
         form = ThreeTorsionNormalForm(a, 1)
-        pair = hadano_quotient(form, budget=budget)
         r = VerdictReport(params={"a": a})
         report.reports.append(r)
+        try:
+            pair = hadano_quotient(form, budget=budget)
+        except IncompleteFactorizationError:
+            r.incomplete = True
+            continue
         # identity checks beyond the constructor's own: recompute from invariants
         if pair.quotient.disc != (a**3 - 27) ** 3 or pair.quotient.c4 != a * (a**3 + 216):
             report.mismatches.append({"a": a, "error": "quotient invariant identity failed"})
@@ -714,8 +725,12 @@ NEGATIVE_T_EXPECTED = frozenset({KEY_15A8, KEY_21A4, KEY_24A4})
 class Preset:
     name: str
     run: Callable
-    validate: Callable[[ScanReport], bool]
+    expected: Callable[[ScanReport], bool]
     description: str
+
+    def validate(self, report: ScanReport) -> bool:
+        """Every curve was analysed and the scan found what the statement expects."""
+        return not report.incomplete and self.expected(report)
 
 
 def _random_four_torsion_pairs(count: int = 1000, limit: int = 200, seed: int = 20260809):

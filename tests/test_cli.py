@@ -138,3 +138,22 @@ def test_pretty_flag_changes_format_not_content():
     pretty = run_cli("dual3", "--a", "2", "--pretty").stdout
     assert json.loads(compact) == json.loads(pretty)
     assert compact != pretty
+
+
+def test_scan_with_incomplete_curve_prints_all_and_exits_3(monkeypatch, capsys):
+    from tamagawa import cli
+    from tamagawa.verify import Preset, scan_four_torsion
+
+    preset = Preset(
+        "tiny-budget",
+        lambda fixtures, budget, jobs, bound: scan_four_torsion(
+            [(1, -3), (6260003, 15)], fixtures, budget=1
+        ),
+        lambda rep: True,
+        "a four-torsion scan whose second curve outruns its rho budget",
+    )
+    monkeypatch.setitem(cli.PRESETS, "prop2.2", preset)
+    assert cli.main(["scan", "--preset", "prop2.2", "--jobs", "1"]) == cli.EXIT_INCOMPLETE
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line.get("incomplete") for line in lines[:2]] == [False, True]
+    assert lines[2]["curves"] == 2

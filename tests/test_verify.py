@@ -236,3 +236,27 @@ def test_presets_registry():
         assert name in PRESETS
     rep = PRESETS["prop2.2"].run(None, 2_000_000, 1, 4)
     assert PRESETS["prop2.2"].validate(rep)
+
+
+def test_scan_marks_budget_exhausted_curve_incomplete():
+    # 16 * 6260003 + 15 = 10007 * 10009 lies past trial division, and one
+    # rho iteration cannot split it
+    rep = scan_four_torsion([(1, -3), (6260003, 15)], budget=1)
+    assert len(rep.reports) == 2
+    done, stuck = rep.reports
+    assert not done.incomplete and done.divides is True
+    assert stuck.incomplete and stuck.params == {"s": 6260003, "t": 15}
+    assert stuck.divides is None and stuck.minimal_ai is None
+    assert rep.incomplete and not rep.exceptions
+    assert set(rep.summary()) == {"scan", "curves", "exception_classes", "mismatches"}
+    # an incomplete scan never validates, even where its exceptions are allowed
+    assert PRESETS["prop2.1-random"].expected(rep)
+    assert not PRESETS["prop2.1-random"].validate(rep)
+
+
+def test_incomplete_curve_survives_the_process_pool():
+    pairs = [(1, -3), (6260003, 15), (1, -5), (2, 1)]
+    pooled = scan_four_torsion(pairs, budget=1, jobs=2)
+    serial = scan_four_torsion(pairs, budget=1)
+    assert [r.to_json() for r in pooled.reports] == [r.to_json() for r in serial.reports]
+    assert [r.incomplete for r in pooled.reports] == [False, True, False, False]
