@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .arith import IncompleteFactorizationError
-from .curves import SingularCurveError, WeierstrassCurve, minimal_model
+from .curves import CurveAnalysis, SingularCurveError, WeierstrassCurve, minimal_model
 from .families import (
     ThreeTorsionNormalForm,
     four_torsion_curve,
@@ -139,10 +139,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "localdata":
             curve = _curve_from_args(args)
-            data = local_data(curve, primes=args.p or None)
+            if args.p:
+                # the named primes need no factored discriminant
+                primes, minimal = args.p, minimal_model(curve)[0]
+            else:
+                analysis = CurveAnalysis.of(curve)
+                primes, minimal = analysis.bad_primes, analysis.minimal
+            data = local_data(curve, primes=primes)
             payload = {
                 "curve": list(curve.ai()),
-                "minimal": list(minimal_model(curve)[0].ai()),
+                "minimal": list(minimal.ai()),
                 "local": [d.to_json() for d in data],
                 "c_inf": c_infinity(curve),
                 "c": 1,

@@ -1,11 +1,16 @@
 """Rational torsion subgroups with certified structure.
 
-The order is bounded by reduction modulo good primes, candidate points come
-from Lutz-Nagell on the scaled short model Y^2 = X^3 - 27c4 X - 54c6 (where
-every rational torsion point is integral and Y = 0 or Y^2 | 6^12 disc), and
-every claimed generator order is certified by explicit group-law arithmetic.
-No floating point: integer roots of the depressed cubic are found by exact
-monotone search.
+Candidate points come from Lutz-Nagell on the scaled short model
+Y^2 = X^3 - 27c4 X - 54c6, where every rational torsion point is integral and
+Y = 0 or Y^2 | 6^12 disc.  A few good primes p >= 5 are reduced once: the
+point counts #E(F_p) bound the torsion order by their gcd B, and since
+reduction mod p is injective on torsion, the Y residue of every rational
+torsion point lies among those of E'(F_p)[B].  Square divisors missing from
+any residue set are dropped before the cubic-root search.  Each surviving
+point's order is computed once by explicit group-law arithmetic (at most 12
+checked additions), and the shape, the generators and the transport check
+all read those orders.  No floating point: integer roots of the depressed
+cubic are found by exact monotone search.
 """
 
 from __future__ import annotations
@@ -15,12 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import Factorization
+from .arith import Factorization, is_prime
 from .curves import CurveAnalysis, Transformation, WeierstrassCurve
 
 _MAZUR_CYCLIC = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}
 _MAZUR_PRODUCT = {4: 1, 8: 2, 12: 3, 16: 4}  # order -> N for Z/2 x Z/2N
 _SIX_TO_12 = Factorization(1, ((2, 12), (3, 12)))
+# good primes reduced per curve: each adds a point count to the bound and a
+# residue set to the sieve; six leave few false candidates on every family
+_SIEVE_PRIMES = 6
 
 
 @dataclass(frozen=True)
@@ -135,44 +143,71 @@ def point_order(curve: WeierstrassCurve, point: Point) -> Union[int, float]:
     return math.inf
 
 
+def _scaled_points_mod_p(c4: int, c6: int, p: int) -> list[tuple[int, int]]:
+    """Affine points of Y^2 = X^3 - 27c4 X - 54c6 over F_p, for p > 3."""
+    a, b = -27 * c4 % p, -54 * c6 % p
+    roots: dict[int, list[int]] = {}
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
+    return [(x, y) for x in range(p) for y in roots.get((x * x * x + a * x + b) % p, ())]
+
+
 def _count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
-    """#E(F_p) for p > 3 by a quadratic character sum on 4x^3+b2x^2+2b4x+b6."""
-    b2, b4, b6 = curve.b2 % p, curve.b4 % p, curve.b6 % p
-    total = p + 1
-    for x in range(p):
-        g = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-        if g:
-            total += 1 if pow(g, (p - 1) // 2, p) == 1 else -1
-    return total
+    """#E(F_p) for a prime p > 3, counted on the scaled model."""
+    return 1 + len(_scaled_points_mod_p(curve.c4, curve.c6, p))
 
 
-def _torsion_bound(curve: WeierstrassCurve) -> int:
-    """gcd of #E(F_p) over good primes > 3; a multiple of the torsion order."""
-    disc = curve.disc
-    bound = 0
-    used = 0
+def _add_mod_p(p1, p2, a: int, p: int):
+    """Sum on Y^2 = X^3 + aX + b over F_p; None is the point at infinity."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _killed_by(n: int, point: tuple[int, int], a: int, p: int) -> bool:
+    """Whether n * point is the point at infinity, by double-and-add over F_p."""
+    result, addend = None, point
+    while n:
+        if n & 1:
+            result = _add_mod_p(result, addend, a, p)
+        addend = _add_mod_p(addend, addend, a, p)
+        n >>= 1
+    return result is None
+
+
+def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, frozenset[int]]]]:
+    """The torsion bound B and, per sieve prime p, the Y residues of E'(F_p)[B].
+
+    B is the gcd of #E(F_p) over the first _SIEVE_PRIMES primes p >= 5 of
+    good reduction, a multiple of the torsion order.  Reduction mod such p
+    maps rational torsion injectively and homomorphically into E'(F_p)[B],
+    so the Y of every affine rational torsion point reduces into each set.
+    """
+    disc, c4, c6 = curve.disc, curve.c4, curve.c6
+    reduced = []
     p = 5
-    while used < 2 or (bound > 16 and used < 6):
-        while disc % p == 0 or not _is_small_prime(p):
-            p += 2
-        bound = math.gcd(bound, _count_points_mod_p(curve, p))
-        used += 1
+    while len(reduced) < _SIEVE_PRIMES:
+        if disc % p and is_prime(p):
+            reduced.append((p, _scaled_points_mod_p(c4, c6, p)))
         p += 2
-    return bound
-
-
-def _is_small_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13):
-        if n % q == 0:
-            return n == q
-    i = 17
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    bound = 0
+    for _, pts in reduced:
+        bound = math.gcd(bound, 1 + len(pts))
+    residues = []
+    for p, pts in reduced:
+        a = -27 * c4 % p
+        residues.append((p, frozenset(y for x, y in pts if _killed_by(bound, (x, y), a, p))))
+    return bound, residues
 
 
 def _depressed_cubic_integer_roots(P: int, Q: int) -> list[int]:
@@ -263,29 +298,29 @@ def _square_divisors(f) -> list[int]:
     return ys
 
 
-def _torsion_points(curve: WeierstrassCurve, disc: Factorization) -> frozenset[Point]:
-    """All rational torsion points of a minimal model with factored discriminant."""
-    bound = _torsion_bound(curve)
-    points = {Point.at_infinity()}
+def _torsion_points(curve: WeierstrassCurve, disc: Factorization) -> dict[Point, int]:
+    """Each rational torsion point of a minimal model, mapped to its order."""
+    bound, residues = _torsion_sieve(curve)
+    orders = {Point.at_infinity(): 1}
     if bound == 1:
-        return frozenset(points)
+        return orders
     c4, c6, b2 = curve.c4, curve.c6, curve.b2
     a1, a3 = curve.a1, curve.a3
-    scaled_disc = _SIX_TO_12 * disc
-    y_candidates = {0}
-    for yy in _square_divisors(scaled_disc):
-        y_candidates.add(yy)
-        y_candidates.add(-yy)
-    for Y in y_candidates:
-        for X in _depressed_cubic_integer_roots(-27 * c4, -54 * c6 - Y * Y):
-            x = Fraction(X - 3 * b2, 36)
-            y = (Fraction(Y, 108) - a1 * x - a3) / 2
-            pt = Point(x, y)
-            if not on_curve(curve, pt):
-                continue
-            if multiply(curve, bound, pt).infinity:
-                points.add(pt)
-    return frozenset(points)
+    for yy in [0] + _square_divisors(_SIX_TO_12 * disc):
+        # each residue set is closed under Y -> -Y, so one test serves both signs
+        if not all(yy % p in ys for p, ys in residues):
+            continue
+        for Y in {yy, -yy}:
+            for X in _depressed_cubic_integer_roots(-27 * c4, -54 * c6 - Y * Y):
+                x = Fraction(X - 3 * b2, 36)
+                y = (Fraction(Y, 108) - a1 * x - a3) / 2
+                pt = Point(x, y)
+                if not on_curve(curve, pt):
+                    continue
+                n = point_order(curve, pt)
+                if n != math.inf:
+                    orders[pt] = n
+    return orders
 
 
 def torsion_subgroup(
@@ -307,11 +342,9 @@ def torsion_subgroup(
         tr = Transformation.identity()
     else:
         raise ValueError(f"the analysis is of {analysis.curve}, not of {curve}")
-    pts_min = _torsion_points(m, analysis.disc_min)
-    order = len(pts_min)
-    two_torsion = sum(
-        1 for q in pts_min if not q.infinity and point_order(m, q) == 2
-    )
+    orders = _torsion_points(m, analysis.disc_min)
+    order = len(orders)
+    two_torsion = sum(1 for n in orders.values() if n == 2)
     if two_torsion == 3 and order in _MAZUR_PRODUCT:
         n2 = _MAZUR_PRODUCT[order]
         shape = f"Z/2xZ/{2 * n2}"
@@ -326,18 +359,14 @@ def torsion_subgroup(
         )
 
     # deterministic generator choice: scan points in coordinate order
-    ordered = sorted(
-        (q for q in pts_min if not q.infinity), key=lambda q: (q.x, q.y)
-    )
+    ordered = sorted((q for q in orders if not q.infinity), key=lambda q: (q.x, q.y))
     generators_min: list[Point] = []
     if order > 1:
-        g1 = next(q for q in ordered if point_order(m, q) == max_order)
+        g1 = next(q for q in ordered if orders[q] == max_order)
         generators_min.append(g1)
         if two_torsion == 3:
             half = multiply(m, max_order // 2, g1)
-            g2 = next(
-                q for q in ordered if point_order(m, q) == 2 and q != half
-            )
+            g2 = next(q for q in ordered if orders[q] == 2 and q != half)
             generators_min.append(g2)
 
     # carry points back to the model that was asked about
@@ -348,9 +377,9 @@ def torsion_subgroup(
         return Point(x, y)
 
     generators = tuple(back(g) for g in generators_min)
-    points = frozenset(back(q) for q in pts_min)
+    points = frozenset(back(q) for q in orders)
     for g, gm in zip(generators, generators_min):
         _require_on_curve(curve, g)
-        if point_order(curve, g) != point_order(m, gm):
+        if point_order(curve, g) != orders[gm]:
             raise RuntimeError("generator order changed under coordinate transport")
     return TorsionStructure(shape, order, generators, points)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .arith import Factorization, IncompleteFactorizationError, factor, is_prime, valuation
+from .arith import Factorization, IncompleteFactorizationError, _int_valuation, factor, is_prime
 from .curves import (
     CurveAnalysis,
     SingularCurveError,
@@ -49,10 +49,11 @@ from .reduction import (
     local_data,
     tate,
 )
-from .torsion import multiply, point_order, torsion_subgroup
+from .torsion import _MAZUR_CYCLIC, _MAZUR_PRODUCT, multiply, point_order, torsion_subgroup
 
-_MAZUR_SHAPES = {f"Z/{n}": n for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)}
-_MAZUR_SHAPES.update({f"Z/2xZ/{2 * n}": 4 * n for n in (1, 2, 3, 4)})
+_MAZUR_SHAPES = frozenset(
+    [f"Z/{n}" for n in _MAZUR_CYCLIC] + [f"Z/2xZ/{2 * n}" for n in _MAZUR_PRODUCT.values()]
+)
 
 DIVISIBLE = "divisible"
 SHA_IMPLIED = "ratio-ge-2-implies-9-divides-sha"
@@ -617,21 +618,25 @@ def _cross_check_one(args):
 
 
 def _expected_row(a: int, b: int, D: int, p: int):
-    """(row name, symbol(s), cp or None, class or None) for the table, or None."""
-    va = valuation(a, p) if a != 0 else math.inf
-    vb = valuation(b, p)
+    """(row name, symbol(s), cp or None, class or None) for the table, or None.
+
+    p is a prime factor of the discriminant, so it is not re-proved prime;
+    b and D are nonzero on a nonsingular normal form.
+    """
+    va = _int_valuation(a, p) if a != 0 else math.inf
+    vb = _int_valuation(b, p)
     if 3 * va <= vb:
         if 3 * va < vb:
             n = 3 * vb
             return ("split-I3vb", f"I{3 * vb}", 3 * vb, SPLIT)
-        vD = valuation(D, p)
+        vD = _int_valuation(D, p)
         if vD > 0:
             return ("I-vD", f"I{vD}", None, None)
         return ("good", "I0", 1, GOOD)
     if vb == 0:
         if p != 3:
             return ("good", "I0", 1, GOOD)
-        vD = valuation(D, 3)
+        vD = _int_valuation(D, 3)
         if vD == 3:
             return ("three-ambiguous", ("II", "III"), None, ADDITIVE)
         if vD == 4:

@@ -157,3 +157,27 @@ def test_scan_with_incomplete_curve_prints_all_and_exits_3(monkeypatch, capsys):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line.get("incomplete") for line in lines[:2]] == [False, True]
     assert lines[2]["curves"] == 2
+
+
+def test_localdata_minimizes_once(monkeypatch, capsys):
+    from tamagawa import cli, curves
+
+    calls = []
+    real = curves.minimal_model
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    # every binding of the name, so that an import into cli is counted too
+    for module in (curves, cli):
+        monkeypatch.setattr(module, "minimal_model", counting, raising=False)
+    assert cli.main(["localdata", "--ai", "1,-3,-3,0,0"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        '{"c":8,"c_inf":2,"curve":[1,-3,-3,0,0],"local":['
+        '{"class":"split","cp":4,"kodaira":"I4","p":"3","vdelta":4},'
+        '{"class":"nonsplit","cp":2,"kodaira":"I2","p":"7","vdelta":2}],'
+        '"minimal":[1,0,0,-4,-1]}\n'
+    )

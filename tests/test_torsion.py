@@ -1,13 +1,33 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tamagawa.curves import Transformation, WeierstrassCurve, apply_transformation
+from tamagawa.arith import is_prime
+from tamagawa.curves import (
+    CurveAnalysis,
+    Transformation,
+    WeierstrassCurve,
+    apply_transformation,
+)
+from tamagawa.families import (
+    ThreeTorsionNormalForm,
+    four_torsion_curve,
+    two_six_curve,
+    two_torsion_curve,
+)
 from tamagawa.torsion import (
+    _SIX_TO_12,
     Point,
     _count_points_mod_p,
+    _depressed_cubic_integer_roots,
+    _square_divisors,
+    _torsion_points,
+    _torsion_sieve,
     group_law_add,
     multiply,
     negate,
@@ -15,6 +35,9 @@ from tamagawa.torsion import (
     point_order,
     torsion_subgroup,
 )
+from tamagawa.verify import ingest_fixtures
+
+FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
 
 E4 = WeierstrassCurve(1, -3, -3, 0, 0)  # order-4 family at lambda = 3
 E3 = WeierstrassCurve(2, 0, 1, 0, 0)  # unit-b three-torsion curve, a = 2
@@ -148,3 +171,152 @@ def test_torsion_json():
     assert j["shape"] == "Z/3" and j["order"] == 3
     assert j["generators"] in ([["0", "0"]], [["0", "-1"]])
     assert Point(0, 0) in t.points
+
+
+def _reference_count_mod_p(curve, p):
+    """#E(F_p) for p > 3 by a quadratic character sum on 4x^3+b2x^2+2b4x+b6."""
+    b2, b4, b6 = curve.b2 % p, curve.b4 % p, curve.b6 % p
+    total = p + 1
+    for x in range(p):
+        g = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
+        if g:
+            total += 1 if pow(g, (p - 1) // 2, p) == 1 else -1
+    return total
+
+
+def _reference_torsion_points(curve, disc):
+    """The unsieved Lutz-Nagell search: every Y = 0 or +-y with y^2 | 6^12 disc,
+    kept when bound * point = O for the gcd bound of point counts."""
+    bound, used, p = 0, 0, 5
+    while used < 2 or (bound > 16 and used < 6):
+        while curve.disc % p == 0 or not is_prime(p):
+            p += 2
+        bound = math.gcd(bound, _reference_count_mod_p(curve, p))
+        used += 1
+        p += 2
+    points = {Point.at_infinity()}
+    if bound == 1:
+        return frozenset(points)
+    c4, c6, b2 = curve.c4, curve.c6, curve.b2
+    y_candidates = {0}
+    for yy in _square_divisors(_SIX_TO_12 * disc):
+        y_candidates.update((yy, -yy))
+    for Y in y_candidates:
+        for X in _depressed_cubic_integer_roots(-27 * c4, -54 * c6 - Y * Y):
+            x = Fraction(X - 3 * b2, 36)
+            pt = Point(x, (Fraction(Y, 108) - curve.a1 * x - curve.a3) / 2)
+            if on_curve(curve, pt) and multiply(curve, bound, pt).infinity:
+                points.add(pt)
+    return frozenset(points)
+
+
+def _assert_sieve_agrees_with_reference(curve):
+    analysis = CurveAnalysis.of(curve)
+    m, disc = analysis.minimal, analysis.disc_min
+    expected = _reference_torsion_points(m, disc)
+    assert frozenset(_torsion_points(m, disc)) == expected, curve.ai()
+    _, residues = _torsion_sieve(m)
+    for p, _ in residues:
+        assert _count_points_mod_p(m, p) == _reference_count_mod_p(m, p)
+    for q in expected:
+        if q.infinity:
+            continue
+        Y = 108 * (2 * q.y + m.a1 * q.x + m.a3)  # the scaled model's Y
+        assert Y.denominator == 1
+        for p, ys in residues:
+            assert Y.numerator % p in ys, (curve.ai(), q, p)
+
+
+def test_sieve_matches_unsieved_search_on_fixtures():
+    for rec in ingest_fixtures(FIXTURES).records:
+        _assert_sieve_agrees_with_reference(rec.curve)
+
+
+def test_sieve_matches_unsieved_search_on_two_six_grid():
+    ts = [
+        Fraction(a, b)
+        for b in range(1, 6)
+        for a in range(-5, 6)
+        if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
+    ]
+    assert len(ts) == 34
+    for t in ts:
+        _assert_sieve_agrees_with_reference(two_six_curve(t))
+
+
+@given(st.integers(-60, 60), st.integers(-60, 60))
+@settings(max_examples=20, deadline=None)
+def test_sieve_matches_unsieved_search_on_two_torsion(a, b):
+    assume(b != 0 and math.gcd(a, b) == 1 and a * a != 4 * b)
+    _assert_sieve_agrees_with_reference(two_torsion_curve(a, b))
+
+
+@given(st.integers(-60, 60), st.integers(1, 60))
+@settings(max_examples=20, deadline=None)
+def test_sieve_matches_unsieved_search_on_three_torsion(a, b):
+    try:
+        form = ThreeTorsionNormalForm(a, b)
+    except ValueError:
+        assume(False)
+    _assert_sieve_agrees_with_reference(form.curve)
+
+
+@given(st.integers(1, 60), st.integers(-60, 60))
+@settings(max_examples=20, deadline=None)
+def test_sieve_matches_unsieved_search_on_four_torsion(s, t):
+    assume(t != 0 and 16 * s + t != 0 and math.gcd(s, t) == 1)
+    _assert_sieve_agrees_with_reference(four_torsion_curve(s, t))
+
+
+def _tate_normal_form(b, c):
+    """y^2 + (1-c)xy - by = x^3 - bx^2, scaled by u to integral coefficients.
+
+    (0, 0) has order N when (b, c) is Kubert's parametrization for N; the
+    scaling (x, y) -> (u^2 x, u^3 y) keeps it at (0, 0).
+    """
+    b, c = Fraction(b), Fraction(c)
+    u = math.lcm(b.denominator, c.denominator)
+    ai = ((1 - c) * u, -b * u**2, -b * u**3, 0, 0)
+    assert all(a.denominator == 1 for a in ai)
+    return WeierstrassCurve(*(int(a) for a in ai))
+
+
+def _kubert(n, t):
+    """Kubert's (b, c) with (0, 0) of order n on the Tate normal form."""
+    t = Fraction(t)
+    if n == 7:
+        return t**3 - t**2, t**2 - t
+    if n == 8:
+        b = (2 * t - 1) * (t - 1)
+        return b, b / t
+    if n == 9:
+        c = t**2 * (t - 1)
+        return c * (t**2 - t + 1), c
+    if n == 10:
+        d = t**2 - 3 * t + 1
+        return t**3 * (t - 1) * (2 * t - 1) / d**2, -t * (t - 1) * (2 * t - 1) / d
+    if n == 12:
+        m = (3 * t * t - 3 * t + 1) * t * (2 * t - 1)
+        return m * (2 * t * t - 2 * t + 1) / (t - 1) ** 4, -m / (t - 1) ** 3
+    raise ValueError(n)
+
+
+@pytest.mark.parametrize(
+    "n, t, shape, order",
+    [
+        (7, 2, "Z/7", 7),
+        (9, 2, "Z/9", 9),
+        (10, 2, "Z/10", 10),
+        (12, 2, "Z/12", 12),
+        # at t = 3 the order-8 form also has full two-torsion
+        (8, 3, "Z/2xZ/8", 16),
+    ],
+)
+def test_kubert_tate_normal_forms_reach_the_remaining_mazur_shapes(n, t, shape, order):
+    E = _tate_normal_form(*_kubert(n, t))
+    assert point_order(E, Point(0, 0)) == n
+    tors = torsion_subgroup(E)
+    assert tors.shape == shape and tors.order == order
+    assert len(tors.points) == order
+    expected_orders = [n, 2] if shape.startswith("Z/2x") else [n]
+    assert [point_order(E, g) for g in tors.generators] == expected_orders
