@@ -301,7 +301,10 @@ def valuation(x: Rational, p: int) -> Union[int, float]:
     return _int_valuation(x, p)
 
 
-def _int_valuation(n: int, p: int) -> int:
+def _int_valuation(n: int, p: int) -> Union[int, float]:
+    """ord_p(n) for an integer n; math.inf for n = 0.  p is not checked prime."""
+    if n == 0:
+        return math.inf
     n = abs(n)
     v = 0
     while n % p == 0:

@@ -1,7 +1,9 @@
 """Integral Weierstrass equations, invariants, coordinate changes, minimal models.
 
 Curves are immutable integer quintuples (a1,a2,a3,a4,a6); the standard
-b-, c-invariants, discriminant and j-invariant are derived exactly.
+b-, c-invariants, discriminant and j-invariant are derived exactly.  The
+formulas live here once: `invariants` and `change_coordinates` act on bare
+coefficient tuples, so Tate's algorithm in `reduction` runs on them too.
 Global minimization follows Laska-Kraus-Connell: shrink (c4,c6) by the
 largest admissible u at every prime, with Kraus's congruences guarding
 2 and 3, then rebuild the unique reduced model from (c4,c6).
@@ -15,16 +17,32 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .arith import Factorization, factor, valuation
+from .arith import Factorization, _int_valuation, factor
 
 
 class SingularCurveError(ValueError):
     """The coefficients define a singular cubic (discriminant zero)."""
 
 
+def invariants(ai) -> tuple[int, int, int, int, int, int, int]:
+    """(b2, b4, b6, b8, c4, c6, disc) of the coefficients ai = (a1, a2, a3, a4, a6)."""
+    a1, a2, a3, a4, a6 = ai
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, c4, c6, disc
+
+
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with integer coefficients."""
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with integer coefficients.
+
+    b2, b4, b6, b8, c4, c6 and disc are set once, from `invariants`.
+    """
 
     a1: int
     a2: int
@@ -37,6 +55,9 @@ class WeierstrassCurve:
             v = getattr(self, name)
             if not isinstance(v, int):
                 raise TypeError(f"{name} must be an integer, got {v!r}")
+        values = invariants(self.ai())
+        for name, v in zip(("b2", "b4", "b6", "b8", "c4", "c6", "disc"), values):
+            object.__setattr__(self, name, v)
         if self.disc == 0:
             raise SingularCurveError(f"discriminant is zero for {self.ai()}")
 
@@ -44,46 +65,8 @@ class WeierstrassCurve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     @cached_property
-    def b2(self) -> int:
-        return self.a1 * self.a1 + 4 * self.a2
-
-    @cached_property
-    def b4(self) -> int:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @cached_property
-    def b6(self) -> int:
-        return self.a3 * self.a3 + 4 * self.a6
-
-    @cached_property
-    def b8(self) -> int:
-        return (
-            self.a1 * self.a1 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3 * self.a3
-            - self.a4 * self.a4
-        )
-
-    @cached_property
-    def c4(self) -> int:
-        return self.b2 * self.b2 - 24 * self.b4
-
-    @cached_property
-    def c6(self) -> int:
-        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
-
-    @cached_property
-    def disc(self) -> int:
-        b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-    @cached_property
     def j(self) -> Fraction:
         return Fraction(self.c4**3, self.disc)
-
-    def invariants(self) -> tuple[int, int, int, int, int, int, int, Fraction]:
-        return (self.b2, self.b4, self.b6, self.b8, self.c4, self.c6, self.disc, self.j)
 
     def __str__(self) -> str:
         return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
@@ -131,17 +114,27 @@ class Transformation:
         u, r, s, t = self.u, self.r, self.s, self.t
         return Transformation(1 / u, -r / u**2, -s / u, (r * s - t) / u**3)
 
-    def map_point(self, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-        """Image on the transformed curve of a point (x, y) on the source."""
-        xp = (x - self.r) / self.u**2
-        yp = (y - self.s * (x - self.r) - self.t) / self.u**3
-        return xp, yp
-
     def unmap_point(self, xp: Fraction, yp: Fraction) -> tuple[Fraction, Fraction]:
         """Point on the source curve from a point on the transformed curve."""
         x = self.u**2 * xp + self.r
         y = self.u**3 * yp + self.s * self.u**2 * xp + self.t
         return x, y
+
+
+def change_coordinates(ai, r, s, t) -> tuple:
+    """Coefficients after x = x' + r, y = y' + s x' + t (the u = 1 change).
+
+    No division: integer inputs give integers, so Tate's algorithm steps with
+    it directly, and transform_coefficients divides it by powers of u.
+    """
+    a1, a2, a3, a4, a6 = ai
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
 
 
 def transform_coefficients(
@@ -154,13 +147,8 @@ def transform_coefficients(
     integer arithmetic when ai, r, s and t are integers; only the final
     division by a power of u makes them rational.
     """
-    a1, a2, a3, a4, a6 = ai
+    n1, n2, n3, n4, n6 = change_coordinates(ai, r, s, t)
     u = Fraction(u)
-    n1 = a1 + 2 * s
-    n2 = a2 - s * a1 + 3 * r - s * s
-    n3 = a3 + r * a1 + 2 * t
-    n4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
-    n6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
     return (n1 / u, n2 / u**2, n3 / u**3, n4 / u**4, n6 / u**6)
 
 
@@ -179,7 +167,7 @@ def _kraus_ok_2(c4: int, c6: int) -> bool:
 
 
 def _kraus_ok_3(c6: int) -> bool:
-    return valuation(c6, 3) != 2 if c6 != 0 else True
+    return _int_valuation(c6, 3) != 2
 
 
 def curve_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
@@ -219,14 +207,6 @@ def curve_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
     return curve
 
 
-def _valid_c4c6(c4: int, c6: int) -> bool:
-    try:
-        curve_from_c4c6(c4, c6)
-        return True
-    except (ValueError, SingularCurveError):
-        return False
-
-
 def minimal_model(
     curve: WeierstrassCurve, disc: Optional[Factorization] = None
 ) -> tuple[WeierstrassCurve, Transformation]:
@@ -240,7 +220,7 @@ def minimal_model(
     c4, c6 = curve.c4, curve.c6
     if disc is None:
         exponents = [
-            (p, valuation(curve.disc, p)) for p in factor(math.gcd(c4, c6)).primes()
+            (p, _int_valuation(curve.disc, p)) for p in factor(math.gcd(c4, c6)).primes()
         ]
     else:
         exponents = [(p, e) for p, e in disc.factors if e >= 12]
@@ -249,9 +229,9 @@ def minimal_model(
     for p, e in exponents:
         opts = [e // 12]
         if c4:
-            opts.append(valuation(c4, p) // 4)
+            opts.append(_int_valuation(c4, p) // 4)
         if c6:
-            opts.append(valuation(c6, p) // 6)
+            opts.append(_int_valuation(c6, p) // 6)
         d = min(opts)
         if p == 2:
             while d > 0 and not _kraus_ok_2(c4 // 2 ** (4 * d), c6 // 2 ** (6 * d)):

@@ -10,16 +10,20 @@ Split versus nonsplit multiplicative reduction is decided by whether the
 tangent-cone quadratic T^2 + a1*T - a2 of the model translated to its
 singular point has a root in F_p (for odd p via the quadratic residue
 test on its discriminant, for p = 2 by exhaustive root search).
+
+The invariants, the coordinate changes and the p-adic valuation are the
+shared ones of `curves.invariants`, `curves.change_coordinates` and
+`arith._int_valuation`; this module keeps no formula of its own for them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .arith import Factorization, factor, is_prime
-from .curves import CurveAnalysis, WeierstrassCurve
+from .arith import Factorization, _int_valuation, factor, is_prime
+from .curves import CurveAnalysis, WeierstrassCurve, change_coordinates, invariants
 
 GOOD = "good"
 SPLIT = "split"
@@ -27,6 +31,8 @@ NONSPLIT = "nonsplit"
 ADDITIVE = "additive"
 
 _KODAIRA_RE = re.compile(r"^(I(\d+)\*?|II\*?|III\*?|IV\*?)$")
+# special-fiber components of the types without an n
+_ADDITIVE_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
 
 
 class UnsupportedDomainError(ValueError):
@@ -42,11 +48,13 @@ class KodairaType:
     """Kodaira symbol: I0, In (n>=1), II, III, IV, In* (n>=0), IV*, III*, II*."""
 
     symbol: str
+    n: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _KODAIRA_RE.match(self.symbol)
         if not m:
             raise ValueError(f"bad Kodaira symbol {self.symbol!r}")
+        object.__setattr__(self, "n", int(m.group(2)) if m.group(2) else None)
 
     @staticmethod
     def multiplicative(n: int) -> "KodairaType":
@@ -61,32 +69,25 @@ class KodairaType:
         return KodairaType(f"I{n}*")
 
     @property
-    def n(self) -> Optional[int]:
-        m = re.match(r"^I(\d+)(\*?)$", self.symbol)
-        return int(m.group(1)) if m else None
-
-    @property
     def is_good(self) -> bool:
         return self.symbol == "I0"
 
     @property
     def is_In(self) -> bool:
-        return bool(re.match(r"^I[1-9]\d*$", self.symbol))
+        return bool(self.n) and self.symbol[-1] != "*"
 
     @property
     def is_In_star(self) -> bool:
-        return bool(re.match(r"^I\d+\*$", self.symbol))
+        return self.n is not None and self.symbol[-1] == "*"
 
     @property
     def components(self) -> int:
         """Irreducible components of the special fiber, counted without multiplicity."""
-        if self.is_good:
-            return 1
-        if self.is_In:
-            return self.n
-        if self.is_In_star:
+        if self.n is None:
+            return _ADDITIVE_COMPONENTS[self.symbol]
+        if self.symbol[-1] == "*":
             return self.n + 5
-        return {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}[self.symbol]
+        return max(self.n, 1)
 
     def __str__(self) -> str:
         return self.symbol
@@ -120,54 +121,6 @@ class RootNumberDatum:
 
 def _inv(a: int, p: int) -> int:
     return pow(a, -1, p)
-
-
-def _translate(ai, r: int, t: int):
-    """x -> x + r, y -> y + t on integer coefficients (u = 1, s = 0)."""
-    a1, a2, a3, a4, a6 = ai
-    return (
-        a1,
-        a2 + 3 * r,
-        a3 + r * a1 + 2 * t,
-        a4 + 2 * r * a2 - t * a1 + 3 * r * r,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
-
-
-def _shear(ai, s: int, t: int):
-    """y -> y + s x + t on integer coefficients (u = 1, r = 0)."""
-    a1, a2, a3, a4, a6 = ai
-    return (
-        a1 + 2 * s,
-        a2 - s * a1 - s * s,
-        a3 + 2 * t,
-        a4 - s * a3 - t * a1 - 2 * s * t,
-        a6 - t * a3 - t * t,
-    )
-
-
-def _b_invariants(ai):
-    a1, a2, a3, a4, a6 = ai
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    return b2, b4, b6, b8
-
-
-def _disc(ai) -> int:
-    b2, b4, b6, b8 = _b_invariants(ai)
-    return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        return 10**9  # effectively infinite within a single Tate run
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _quad_has_root(A: int, B: int, C: int, p: int) -> bool:
@@ -257,10 +210,10 @@ def _cubic_rational_root_count(b: int, c: int, d: int, p: int) -> int:
     return max(_poly_gcd_degree(cubic, frobenius_minus_t, p), 0)
 
 
-def _singular_point_mod_p(ai, p: int, c4: int, c6: int) -> tuple[int, int]:
+def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
     """(r, t) mod p with the reduced curve singular at (r, t)."""
-    a1, a2, a3, a4, a6 = ai
-    b2, b4, b6, _ = _b_invariants(ai)
+    a1, a2, a3, a4, a6 = curve.ai()
+    b2, b4, b6, c4, c6 = curve.b2, curve.b4, curve.b6, curve.c4, curve.c6
     if p == 2:
         if b2 % 2:
             r = a3 % 2
@@ -291,23 +244,18 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    ai = curve.ai()
     while True:
-        b2, b4, b6, b8 = _b_invariants(ai)
-        delta = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        n = _vp(delta, p)
+        n = _int_valuation(curve.disc, p)
         if n == 0:
             return LocalDatum(p, KodairaType("I0"), 1, GOOD, 0)
-        c4 = b2 * b2 - 24 * b4
-        c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
 
-        r, t = _singular_point_mod_p(ai, p, c4, c6)
-        ai = _translate(ai, r, t)
+        r, t = _singular_point_mod_p(curve, p)
+        ai = change_coordinates(curve.ai(), r, 0, t)
         a1, a2, a3, a4, a6 = ai
         if a3 % p or a4 % p or a6 % p:
             raise AlgorithmError(f"singular point translation failed at p={p}")
 
-        if c4 % p:
+        if curve.c4 % p:
             # multiplicative: tangent quadratic T^2 + a1 T - a2
             split = _quad_has_root(1, a1 % p, (-a2) % p, p)
             cp = n if split else (2 if n % 2 == 0 else 1)
@@ -316,13 +264,12 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
             )
 
         # additive from here on
-        if _vp(a6, p) < 2:
+        if _int_valuation(a6, p) < 2:
             return LocalDatum(p, KodairaType("II"), 1, ADDITIVE, n)
-        _, _, _, b8t = _b_invariants(ai)
-        if _vp(b8t, p) < 3:
+        _, _, b6t, b8t, _, _, _ = invariants(ai)
+        if _int_valuation(b8t, p) < 3:
             return LocalDatum(p, KodairaType("III"), 2, ADDITIVE, n)
-        b6t = a3 * a3 + 4 * a6
-        if _vp(b6t, p) < 3:
+        if _int_valuation(b6t, p) < 3:
             cp = 3 if _quad_has_root(1, (a3 // p) % p, (-(a6 // p**2)) % p, p) else 1
             return LocalDatum(p, KodairaType("IV"), cp, ADDITIVE, n)
 
@@ -333,7 +280,7 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
         else:
             s = (-a1 * _inv(2, p)) % p
             t6 = (-a3 * _inv(2, p * p)) % (p * p)
-        ai = _shear(ai, s, t6)
+        ai = change_coordinates(ai, 0, s, t6)
         a1, a2, a3, a4, a6 = ai
         if a1 % p or a2 % p or a3 % p**2 or a4 % p**2 or a6 % p**3:
             raise AlgorithmError(f"step-6 normalization failed at p={p}")
@@ -356,9 +303,9 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
                 t0 = (b * c) % 3
             else:
                 t0 = ((b * c - 9 * d) * _inv(2 * x, p)) % p
-            ai = _translate(ai, p * t0, 0)
+            ai = change_coordinates(ai, p * t0, 0, 0)
             a1, a2, a3, a4, a6 = ai
-            if _vp(a2, p) != 1 or _vp(a3, p) < 2 or _vp(a4, p) < 3 or _vp(a6, p) < 4:
+            if a2 % p or a2 % p**2 == 0 or a3 % p**2 or a4 % p**3 or a6 % p**4:
                 raise AlgorithmError(f"double-root translation failed at p={p}")
             m = 1
             mxe = 2
@@ -373,7 +320,7 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
                         cp = 4 if _quad_has_root(1, B % p, (-C) % p, p) else 2
                         return LocalDatum(p, KodairaType.star(m), cp, ADDITIVE, n)
                     y0 = _quad_double_root(1, B % p, (-C) % p, p)
-                    ai = _translate(ai, 0, p**mye * y0)
+                    ai = change_coordinates(ai, 0, 0, p**mye * y0)
                     a1, a2, a3, a4, a6 = ai
                     mye += 1
                 else:
@@ -384,7 +331,7 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
                         cp = 4 if _quad_has_root(A % p, B % p, C % p, p) else 2
                         return LocalDatum(p, KodairaType.star(m), cp, ADDITIVE, n)
                     x0 = _quad_double_root(A % p, B % p, C % p, p)
-                    ai = _translate(ai, p**mxe * x0, 0)
+                    ai = change_coordinates(ai, p**mxe * x0, 0, 0)
                     a1, a2, a3, a4, a6 = ai
                     mxe += 1
                 m += 1
@@ -396,9 +343,9 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
             t0 = (-d) % 3
         else:
             t0 = (-b * _inv(3, p)) % p
-        ai = _translate(ai, p * t0, 0)
+        ai = change_coordinates(ai, p * t0, 0, 0)
         a1, a2, a3, a4, a6 = ai
-        if _vp(a2, p) < 2 or _vp(a4, p) < 3 or _vp(a6, p) < 4:
+        if a2 % p**2 or a4 % p**3 or a6 % p**4:
             raise AlgorithmError(f"triple-root translation failed at p={p}")
 
         B = a3 // p**2
@@ -407,18 +354,18 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
             cp = 3 if _quad_has_root(1, B % p, (-C) % p, p) else 1
             return LocalDatum(p, KodairaType("IV*"), cp, ADDITIVE, n)
         y0 = _quad_double_root(1, B % p, (-C) % p, p)
-        ai = _translate(ai, 0, p * p * y0)
+        ai = change_coordinates(ai, 0, 0, p * p * y0)
         a1, a2, a3, a4, a6 = ai
 
-        if _vp(a4, p) < 4:
+        if _int_valuation(a4, p) < 4:
             return LocalDatum(p, KodairaType("III*"), 2, ADDITIVE, n)
-        if _vp(a6, p) < 6:
+        if _int_valuation(a6, p) < 6:
             return LocalDatum(p, KodairaType("II*"), 1, ADDITIVE, n)
 
         # model was not minimal at p: shrink and start over
         if a1 % p or a2 % p**2 or a3 % p**3 or a4 % p**4 or a6 % p**6:
             raise AlgorithmError(f"non-minimal rescale failed at p={p}")
-        ai = (a1 // p, a2 // p**2, a3 // p**3, a4 // p**4, a6 // p**6)
+        curve = WeierstrassCurve(a1 // p, a2 // p**2, a3 // p**3, a4 // p**4, a6 // p**6)
 
 
 def c_infinity(curve: WeierstrassCurve) -> int:

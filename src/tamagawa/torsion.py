@@ -101,7 +101,7 @@ def group_law_add(curve: WeierstrassCurve, p1: Point, p2: Point) -> Point:
         return p2
     if p2.infinity:
         return p1
-    a1, a2, a3, a4, a6 = (Fraction(a) for a in curve.ai())
+    a1, a2, a3, a4, a6 = curve.ai()
     x1, y1, x2, y2 = p1.x, p1.y, p2.x, p2.y
     if x1 == x2:
         if y2 == -y1 - a1 * x1 - a3:

@@ -251,12 +251,8 @@ def check_divisibility(
     try:
         analysis = CurveAnalysis.of(curve, budget=budget)
         m = analysis.minimal
-        report.minimal_ai = m.ai()
-        report.key = analysis.key
-        data = local_data(m, primes=analysis.bad_primes)
-        report.c_inf = c_infinity(m)
-        c = math.prod(d.tamagawa for d in data)
-        report.tamagawa = c
+        data = _fill_local_data(report, analysis)
+        c = report.tamagawa
         report.tamagawa_factors = factor(c).factors
         tors = torsion_subgroup(m, budget=budget, analysis=analysis)
     except IncompleteFactorizationError:
@@ -273,8 +269,18 @@ def check_divisibility(
         report.manin = rec.manin
         report.analytic_rank = rec.analytic_rank
     if tors.order % 3 == 0 and m.j not in (0, 1728):
-        report.classification = _classify_three_torsion(m, tors, data, rec, budget)
+        report.classification = _classify_three_torsion(m, tors, data, c, rec, budget)
     return report
+
+
+def _fill_local_data(report: VerdictReport, analysis: CurveAnalysis) -> list[LocalDatum]:
+    """Set the minimal model, key, c and c_inf of report; return the local data."""
+    m = analysis.minimal
+    data = local_data(m, primes=analysis.bad_primes)
+    report.minimal_ai, report.key = m.ai(), analysis.key
+    report.tamagawa = math.prod(d.tamagawa for d in data)
+    report.c_inf = c_infinity(m)
+    return data
 
 
 def classify_three_torsion(
@@ -298,12 +304,10 @@ def _classify_three_torsion(
     m: WeierstrassCurve,
     tors,
     data: list[LocalDatum],
+    c: int,
     fixture: Optional[FixtureCurve],
     budget: int,
 ) -> str:
-    c = 1
-    for d in data:
-        c *= d.tamagawa
     if c % 3 == 0:
         return DIVISIBLE
 
@@ -402,47 +406,13 @@ class ScanReport:
         }
 
 
-def scan_four_torsion(
-    pairs: Iterable[tuple[int, int]],
-    fixtures: Optional[FixtureTable] = None,
-    budget: int = 2_000_000,
-    jobs: int = 1,
-) -> ScanReport:
-    """Check 4 | c(E) * c_inf(E) over the order-4 family at the given (s, t)."""
-    report = ScanReport("four-torsion")
-    items = [
-        ("four-torsion", {"s": s, "t": t}, budget)
-        for s, t in pairs
-        if s > 0 and math.gcd(s, t) == 1 and t != 0 and 16 * s + t != 0
-    ]
-    for r in _parallel_map(_family_report, items, jobs):
-        if not r.incomplete:
-            r.divides = (r.tamagawa * r.c_inf) % 4 == 0
-        report.add(r, fixtures, exception=r.divides is False)
-    return report
-
-
-def scan_two_six(
-    bound: int,
-    fixtures: Optional[FixtureTable] = None,
-    budget: int = 2_000_000,
-    jobs: int = 1,
-) -> ScanReport:
-    """Check 12 | c(E) for every nonsingular t = a/b with |a|, b <= bound."""
-    report = ScanReport("two-six")
-    items = []
-    for b in range(1, bound + 1):
-        for a in range(-bound, bound + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            if a == 0 or a == b or a == -b or 3 * a == b or 3 * a == -b:
-                continue
-            items.append(("two-six", {"t": str(Fraction(a, b))}, budget))
-    for r in _parallel_map(_family_report, items, jobs):
-        if not r.incomplete:
-            r.divides = r.tamagawa % 12 == 0
-        report.add(r, fixtures, exception=r.divides is False)
-    return report
+# family -> (n, whether c_inf counts): the claim n | c (or n | c * c_inf)
+_FAMILY_CLAIMS = {
+    "four-torsion": (4, True),
+    "two-six": (12, False),
+    "two-torsion": (2, True),
+    "three-torsion": (3, False),
+}
 
 
 def _family_curve(family: str, params: dict, budget: int) -> tuple[WeierstrassCurve, Factorization]:
@@ -460,7 +430,7 @@ def _family_curve(family: str, params: dict, budget: int) -> tuple[WeierstrassCu
 
 
 def _family_report(args) -> VerdictReport:
-    """Minimal model, c(E) and c_inf of one family curve, analysed once.
+    """Minimal model, c(E), c_inf and the family's claim of one curve, analysed once.
 
     A curve whose factoring budget runs out comes back marked incomplete
     with only its parameters; it never aborts the scan.  Two-torsion curves
@@ -473,14 +443,59 @@ def _family_report(args) -> VerdictReport:
     except IncompleteFactorizationError:
         report.incomplete = True
         return report
-    m = analysis.minimal
-    data = local_data(m, primes=analysis.bad_primes)
-    report.minimal_ai, report.key = m.ai(), analysis.key
-    report.tamagawa = math.prod(d.tamagawa for d in data)
-    report.c_inf = c_infinity(m)
+    data = _fill_local_data(report, analysis)
+    n, with_c_inf = _FAMILY_CLAIMS[family]
+    report.divides = report.tamagawa * (report.c_inf if with_c_inf else 1) % n == 0
     if family == "two-torsion" and any(d.reduction_class == ADDITIVE for d in data):
         report.params["semistable"] = False
     return report
+
+
+def _scan(
+    name: str,
+    family: str,
+    params: Iterable[dict],
+    fixtures: Optional[FixtureTable],
+    budget: int,
+    jobs: int,
+) -> ScanReport:
+    """One report per parameter set; a semi-stable curve failing the claim is an exception."""
+    report = ScanReport(name)
+    items = [(family, p, budget) for p in params]
+    for r in _parallel_map(_family_report, items, jobs):
+        report.add(r, fixtures, exception=r.divides is False and "semistable" not in r.params)
+    return report
+
+
+def scan_four_torsion(
+    pairs: Iterable[tuple[int, int]],
+    fixtures: Optional[FixtureTable] = None,
+    budget: int = 2_000_000,
+    jobs: int = 1,
+) -> ScanReport:
+    """Check 4 | c(E) * c_inf(E) over the order-4 family at the given (s, t)."""
+    params = [
+        {"s": s, "t": t}
+        for s, t in pairs
+        if s > 0 and math.gcd(s, t) == 1 and t != 0 and 16 * s + t != 0
+    ]
+    return _scan("four-torsion", "four-torsion", params, fixtures, budget, jobs)
+
+
+def scan_two_six(
+    bound: int,
+    fixtures: Optional[FixtureTable] = None,
+    budget: int = 2_000_000,
+    jobs: int = 1,
+) -> ScanReport:
+    """Check 12 | c(E) for every nonsingular t = a/b with |a|, b <= bound."""
+    params = [
+        {"t": str(Fraction(a, b))}
+        for b in range(1, bound + 1)
+        for a in range(-bound, bound + 1)
+        if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
+    ]
+    return _scan("two-six", "two-six", params, fixtures, budget, jobs)
 
 
 def scan_two_torsion(
@@ -497,16 +512,13 @@ def scan_two_torsion(
     exceptions.  A seeded sample of coprime pairs with a^2 - 4b > 0
     double-checks c_inf = 2 on the positive-discriminant side.
     """
-    report = ScanReport("two-torsion")
-    for b in (1, 2, 4, 8, 16):
-        for a in (0, 1, -1, 3, -3, 5, -5, 7, -7):
-            if a * a - 4 * b >= 0 or math.gcd(a, b) != 1:
-                continue
-            r = _family_report(("two-torsion", {"a": a, "b": b}, budget))
-            if not r.incomplete:
-                r.divides = (r.tamagawa * r.c_inf) % 2 == 0
-            semistable = "semistable" not in r.params
-            report.add(r, fixtures, exception=semistable and r.divides is False)
+    params = [
+        {"a": a, "b": b}
+        for b in (1, 2, 4, 8, 16)
+        for a in (0, 1, -1, 3, -3, 5, -5, 7, -7)
+        if a * a - 4 * b < 0 and math.gcd(a, b) == 1
+    ]
+    report = _scan("two-torsion", "two-torsion", params, fixtures, budget, 1)
     rng = random.Random(seed)
     checked = 0
     while checked < random_samples:
@@ -533,12 +545,14 @@ def scan_three_torsion_nonunits(
             continue
         # only c(E) is reported here, not the minimal model
         done = _family_report(("three-torsion", {"a": a, "b": b}, budget))
-        r = VerdictReport(params=done.params, tamagawa=done.tamagawa, incomplete=done.incomplete)
+        r = VerdictReport(
+            params=done.params,
+            tamagawa=done.tamagawa,
+            divides=done.divides,
+            incomplete=done.incomplete,
+        )
         report.reports.append(r)
-        if r.incomplete:
-            continue
-        r.divides = r.tamagawa % 3 == 0
-        if not r.divides:
+        if r.divides is False:
             report.mismatches.append(
                 {"a": a, "b": b, "c": r.tamagawa, "error": "3 does not divide c"}
             )
@@ -581,29 +595,24 @@ def reduction_table_cross_check(
 def _cross_check_one(args):
     """Mismatches against the table at every bad prime; None if the budget ran out."""
     a, b, budget = args
-    curve = ThreeTorsionNormalForm(a, b).curve
     D = a**3 - 27 * b
     mismatches = []
     try:
-        primes = factor(curve.disc, budget=budget).primes()
+        curve, disc = _family_curve("three-torsion", {"a": a, "b": b}, budget)
     except IncompleteFactorizationError:
         return None
-    for p in primes:
+    for p in disc.primes():
         datum = tate(curve, p)
         expected = _expected_row(a, b, D, p)
         if expected is None:
             continue
         kind, symbol, cp, cls = expected
-        ok = True
-        if symbol is not None:
-            if isinstance(symbol, tuple):
-                ok = ok and datum.kodaira.symbol in symbol
-            else:
-                ok = ok and datum.kodaira.symbol == symbol
-        if cp is not None:
-            ok = ok and datum.tamagawa == cp
-        if cls is not None:
-            ok = ok and datum.reduction_class == cls
+        symbols = symbol if isinstance(symbol, tuple) else (symbol,)
+        ok = (
+            (symbol is None or datum.kodaira.symbol in symbols)
+            and (cp is None or datum.tamagawa == cp)
+            and (cls is None or datum.reduction_class == cls)
+        )
         if not ok:
             mismatches.append(
                 {
@@ -623,11 +632,10 @@ def _expected_row(a: int, b: int, D: int, p: int):
     p is a prime factor of the discriminant, so it is not re-proved prime;
     b and D are nonzero on a nonsingular normal form.
     """
-    va = _int_valuation(a, p) if a != 0 else math.inf
+    va = _int_valuation(a, p)
     vb = _int_valuation(b, p)
     if 3 * va <= vb:
         if 3 * va < vb:
-            n = 3 * vb
             return ("split-I3vb", f"I{3 * vb}", 3 * vb, SPLIT)
         vD = _int_valuation(D, p)
         if vD > 0:

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamagawa.arith import Factorization, IncompleteFactorizationError, factor, is_prime, valuation
+from tamagawa.arith import (
+    Factorization,
+    IncompleteFactorizationError,
+    _int_valuation,
+    factor,
+    is_prime,
+    valuation,
+)
 from fractions import Fraction
 
 
@@ -31,6 +38,9 @@ def test_valuation_examples():
     assert valuation(1, 7) == 0
     assert valuation(Fraction(8, 9), 3) == -2
     assert valuation(0, 5) == math.inf
+    # the unchecked valuation of Tate's algorithm and minimal_model agrees
+    assert _int_valuation(0, 5) == math.inf
+    assert _int_valuation(-3969, 3) == 4
 
 
 def test_valuation_rejects_composite():

@@ -283,6 +283,23 @@ def test_kodaira_type_validation():
     assert KodairaType("I12").n == 12
     assert KodairaType("I0*").components == 5
     assert KodairaType("IV*").components == 7
+    # symbol: n, is_good, is_In, is_In_star, components
+    expected = {
+        "I0": (0, True, False, False, 1),
+        "I1": (1, False, True, False, 1),
+        "I7": (7, False, True, False, 7),
+        "II": (None, False, False, False, 1),
+        "III": (None, False, False, False, 2),
+        "IV": (None, False, False, False, 3),
+        "I0*": (0, False, False, True, 5),
+        "I3*": (3, False, False, True, 8),
+        "IV*": (None, False, False, False, 7),
+        "III*": (None, False, False, False, 8),
+        "II*": (None, False, False, False, 9),
+    }
+    for symbol, row in expected.items():
+        k = KodairaType(symbol)
+        assert (k.n, k.is_good, k.is_In, k.is_In_star, k.components) == row, symbol
     with pytest.raises(ValueError):
         KodairaType("V")
     with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Every scan preset's stdout, byte for byte, against committed digests.
 
+The presets that pass --jobs on to a process pool are checked on one and
+on two workers against the same digests.
+
 The digests were taken before the per-curve analysis pipeline replaced the
 repeated minimize-and-factor calls, so a faster scan can never print
 something different.
@@ -31,10 +34,16 @@ def test_every_preset_has_a_digest():
     assert set(GOLDEN_SHA256) == set(cli.PRESETS)
 
 
+# the presets whose scans pass --jobs on to a process pool
+PARALLEL_PRESETS = ("kozuma-table", "prop2.1-random", "prop2.2")
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_scan_stdout_is_byte_identical(name):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["scan", "--preset", name, "--jobs", "1", "--fixtures", str(FIXTURES)])
-    assert code == cli.EXIT_OK
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN_SHA256[name]
+    for jobs in ("1", "2") if name in PARALLEL_PRESETS else ("1",):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["scan", "--preset", name, "--jobs", jobs, "--fixtures", str(FIXTURES)])
+        assert code == cli.EXIT_OK
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == GOLDEN_SHA256[name], f"--jobs {jobs}"
