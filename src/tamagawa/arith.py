@@ -3,7 +3,10 @@
 Everything downstream (curve invariants, Tate's algorithm, the scans) is
 built on exact integers and `fractions.Fraction`; this module supplies
 p-adic valuations, certified integer factorization, and primality testing.
-No floating point is used anywhere.
+Each prime gets the cheapest exact certificate: trial division proves a
+cofactor prime once p^2 exceeds it, and Miller-Rabin uses only as many
+bases as OEIS A014233 needs for the size of n.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -15,10 +18,26 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
-# Largest n for which the fixed Miller-Rabin witness set below is proven
-# deterministic.  Desk-scale discriminants stay far under this.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (bound, first k prime bases) from OEIS A014233: the bound is the least
+# strong pseudoprime to those k bases, so they prove every n below it that
+# has no prime factor among them.  Each row keeps the least k for its bound
+# (A014233 repeats a term for k = 7, 8 and for k = 9, 10, 11).
+_MR_TABLE = tuple(
+    (bound, _MR_BASES[:k])
+    for bound, k in (
+        (2_047, 1),
+        (1_373_653, 2),
+        (25_326_001, 3),
+        (3_215_031_751, 4),
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),
+        (3_825_123_056_546_413_051, 9),
+        (318_665_857_834_031_151_167_461, 12),
+        (3_317_044_064_679_887_385_961_981, 13),
+    )
+)
 
 _TRIAL_BOUND = 10_000
 _SMALL_PRIMES: list[int] = []
@@ -176,18 +195,21 @@ def _lucas_strong_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Exact primality for desk-scale integers.
 
-    Deterministic Miller-Rabin below 3.3e24; BPSW above (no counterexample
-    is known, and the scans never reach that range).
+    Trial division by the primes up to 41, then Miller-Rabin on the first
+    k prime bases, with k the least that OEIS A014233 proves enough for n
+    (4 bases below 3.2e9, all 13 below 3.3e24).  Above 3.3e24, BPSW (no
+    counterexample is known, and the scans never reach that range).
     """
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n < _MR_DETERMINISTIC_BOUND:
-        return _miller_rabin(n, _MR_WITNESSES)
+    for bound, bases in _MR_TABLE:
+        if n < bound:
+            return _miller_rabin(n, bases)
     return _miller_rabin(n, (2,)) and _lucas_strong_probable_prime(n)
 
 
@@ -231,10 +253,12 @@ def _brent_rho(n: int, budget: int) -> tuple[int, int]:
 def factor(n: int, budget: int = 2_000_000) -> Factorization:
     """Complete certified factorization of n != 0.
 
-    Trial division by cached small primes, then Brent's rho on survivors;
-    every reported prime passes is_prime. If the rho budget is exhausted
-    while a composite cofactor remains, IncompleteFactorizationError is
-    raised carrying the partial result.
+    Trial division by cached small primes, then Brent's rho on survivors.
+    Every reported prime is certified: a cofactor left once p^2 exceeds it
+    has no prime factor below its square root, so it is prime; any other
+    passes is_prime.  If the rho budget is exhausted while a composite
+    cofactor remains, IncompleteFactorizationError is raised carrying the
+    partial result.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -243,12 +267,14 @@ def factor(n: int, budget: int = 2_000_000) -> Factorization:
     found: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:
+            if n > 1:
+                found[n] = 1
+                n = 1
             break
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
-    remaining = n
-    stack = [remaining] if remaining > 1 else []
+    stack = [n] if n > 1 else []
     budget_left = budget
     while stack:
         m = stack.pop()

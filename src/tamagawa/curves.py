@@ -248,15 +248,19 @@ def minimal_model(
     s = _quotient(u * minimal.a1 - curve.a1, 2)
     r = _quotient(u**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s, 3)
     t = _quotient(u**3 * minimal.a3 - curve.a3 - r * curve.a1, 2)
-    if transform_coefficients(curve.ai(), u, r, s, t) != minimal.ai():
+    # transform_coefficients(curve.ai(), u, r, s, t) == minimal.ai(), multiplied
+    # through by the powers of u: integer arithmetic when r, s and t are integers
+    a1, a2, a3, a4, a6 = minimal.ai()
+    scaled = (u * a1, u**2 * a2, u**3 * a3, u**4 * a4, u**6 * a6)
+    if change_coordinates(curve.ai(), r, s, t) != scaled:
         raise RuntimeError(f"minimal-model transformation failed to verify for {curve}")
     return minimal, Transformation(u, r, s, t)
 
 
 def _quotient(n, d: int):
     """n / d exactly, as an int when d divides n."""
-    q = Fraction(n, d)
-    return q.numerator if q.denominator == 1 else q
+    q, rem = divmod(n, d)
+    return q if rem == 0 else Fraction(n, d)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ SPLIT = "split"
 NONSPLIT = "nonsplit"
 ADDITIVE = "additive"
 
-_KODAIRA_RE = re.compile(r"^(I(\d+)\*?|II\*?|III\*?|IV\*?)$")
+_KODAIRA_RE = re.compile(r"^(I(0|[1-9]\d*)\*?|II\*?|III\*?|IV\*?)$")
 # special-fiber components of the types without an n
 _ADDITIVE_COMPONENTS = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
 

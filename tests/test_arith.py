@@ -4,15 +4,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamagawa import arith
 from tamagawa.arith import (
+    _MR_BASES,
+    _MR_TABLE,
     Factorization,
     IncompleteFactorizationError,
     _int_valuation,
+    _miller_rabin,
     factor,
     is_prime,
     valuation,
 )
 from fractions import Fraction
+
+# OEIS A014233: the least odd composite that is a strong pseudoprime to each
+# of the first k prime bases, k = 1..13
+A014233 = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def naive_valuation(n, p):
@@ -74,6 +96,57 @@ def test_is_prime_examples():
     assert is_prime(10**9 + 7)
     with pytest.raises(ValueError):
         is_prime(-3)
+
+
+def test_a014233_terms_are_composite():
+    for term in A014233:
+        assert not is_prime(term), term
+
+
+def test_a014233_terms_fool_exactly_their_prefix():
+    # each term is a strong pseudoprime to the first k bases and, where the
+    # next term differs, caught by base k + 1: the table's k are not off by one
+    for k, term in enumerate(A014233, 1):
+        assert _miller_rabin(term, _MR_BASES[:k]), (k, term)
+        if k < len(A014233) and A014233[k] != term:
+            assert not _miller_rabin(term, _MR_BASES[: k + 1]), (k, term)
+    for bound, bases in _MR_TABLE:
+        assert bound == A014233[len(bases) - 1], (bound, bases)
+    assert len(_MR_BASES) == len(A014233)
+
+
+def test_is_prime_matches_sieve():
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # trial division's certificate: every factor it reports is a sieve prime
+    for n in range(2, 20000):
+        assert all(sieve[p] for p in factor(n).primes()), n
+
+
+def test_factor_splits_the_pseudoprime():
+    assert factor(318665857834031151167461).factors == ((399165290221, 1), (798330580441, 1))
+
+
+def test_trial_division_certifies_without_is_prime(monkeypatch):
+    calls = []
+    real = arith.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    # 999983 is left once 1009^2 exceeds it, so no primality test runs
+    assert factor(2 * 999983).factors == ((2, 1), (999983, 1))
+    assert calls == []
+    # a cofactor beyond the trial bound still goes through is_prime
+    assert factor(1000003 * 1000033).factors == ((1000003, 1), (1000033, 1))
+    assert calls
 
 
 def test_factor_examples():

@@ -181,3 +181,26 @@ def test_localdata_minimizes_once(monkeypatch, capsys):
         '{"class":"nonsplit","cp":2,"kodaira":"I2","p":"7","vdelta":2}],'
         '"minimal":[1,0,0,-4,-1]}\n'
     )
+
+
+def test_localdata_splits_the_strong_pseudoprime(monkeypatch, capsys):
+    # a^2 - 4b = 318665857834031151167461 = 399165290221 * 798330580441 is a
+    # strong pseudoprime to the bases 2..37; each factor is its own bad prime
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    args = ["localdata", "--family", "two-torsion", "--a", "1", "--b", "-79666464458507787791865"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == (
+        '{"c":576,"c_inf":2,"curve":[0,1,0,-79666464458507787791865,0],"local":['
+        '{"class":"additive","cp":3,"kodaira":"IV","p":"2","vdelta":4},'
+        '{"class":"split","cp":6,"kodaira":"I6","p":"3","vdelta":6},'
+        '{"class":"split","cp":2,"kodaira":"I2","p":"5","vdelta":2},'
+        '{"class":"split","cp":2,"kodaira":"I2","p":"11","vdelta":2},'
+        '{"class":"split","cp":2,"kodaira":"I2","p":"17","vdelta":2},'
+        '{"class":"split","cp":2,"kodaira":"I2","p":"474349721","vdelta":2},'
+        '{"class":"split","cp":2,"kodaira":"I2","p":"6652754837","vdelta":2},'
+        '{"class":"nonsplit","cp":1,"kodaira":"I1","p":"399165290221","vdelta":1},'
+        '{"class":"split","cp":1,"kodaira":"I1","p":"798330580441","vdelta":1}],'
+        '"minimal":[0,1,0,-79666464458507787791865,0]}\n'
+    )

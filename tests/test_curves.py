@@ -147,11 +147,12 @@ def test_minimal_model_round_trip():
     assert m2 == m and tr2.is_identity()
 
 
-@given(curves(), st.integers(min_value=2, max_value=5))
-@settings(max_examples=30, deadline=None)
-def test_minimal_model_recovers_after_scaling(E, u0):
+@given(curves(), st.integers(min_value=2, max_value=5), small_int, small_int, small_int)
+@settings(max_examples=60, deadline=None)
+def test_minimal_model_recovers_after_scaling(E, u0, r, s, t):
     m0, _ = minimal_model(E)
-    blown = apply_transformation(E, Transformation(Fraction(1, u0), 0, 0, 0))
+    # scaled by u0 and moved by (r, s, t): still integral, no longer reduced
+    blown = apply_transformation(E, Transformation(Fraction(1, u0), r, s, t))
     m1, tr = minimal_model(blown)
     assert (m1.c4, m1.c6) == (m0.c4, m0.c6)
     assert m1.disc == m0.disc

@@ -304,6 +304,10 @@ def test_kodaira_type_validation():
         KodairaType("V")
     with pytest.raises(ValueError):
         KodairaType("I-1")
+    # n is written without leading zeros, as Tate's algorithm prints it
+    for symbol in ("I01", "I00*", "I00", "I007*"):
+        with pytest.raises(ValueError):
+            KodairaType(symbol)
 
 
 def test_local_datum_json():

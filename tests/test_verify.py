@@ -61,6 +61,14 @@ def test_ingest_rejects_singular(tmp_path):
         ingest_fixtures(bad)
 
 
+def test_ingest_rejects_noncanonical_kodaira(tmp_path):
+    bad = tmp_path / "bad.json"
+    local = [{"p": 19, "kodaira": "I01", "cp": 1, "class": "split"}]
+    bad.write_text(json.dumps([{"label": "x", "ai": [0, 1, 1, -9, -15], "local": local}]))
+    with pytest.raises(FixtureValidationError, match="I01"):
+        ingest_fixtures(bad)
+
+
 def test_ingest_empty_file(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
