@@ -10,18 +10,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .arith import IncompleteFactorizationError
 from .curves import CurveAnalysis, SingularCurveError, WeierstrassCurve, minimal_model
-from .families import (
-    ThreeTorsionNormalForm,
-    four_torsion_curve,
-    hadano_quotient,
-    quotient_split_prime,
-    two_six_curve,
-    two_torsion_curve,
-)
+from .families import FAMILIES, ThreeTorsionNormalForm, hadano_quotient, quotient_split_prime
 from .reduction import c_infinity, local_data
 from .torsion import torsion_subgroup
 from .verify import PRESETS, FixtureValidationError, check_divisibility, ingest_fixtures
@@ -51,24 +43,12 @@ def _curve_from_args(args) -> WeierstrassCurve:
         return _parse_ai(args.ai)
     if args.family is None:
         raise ValueError("provide --ai or --family")
-    fam = args.family
-    if fam == "four-torsion":
-        if args.s is None or args.t is None:
-            raise ValueError("--family four-torsion needs --s and --t")
-        return four_torsion_curve(args.s, int(args.t))
-    if fam == "two-six":
-        if args.t is None:
-            raise ValueError("--family two-six needs --t")
-        return two_six_curve(Fraction(args.t))
-    if fam == "two-torsion":
-        if args.a is None or args.b is None:
-            raise ValueError("--family two-torsion needs --a and --b")
-        return two_torsion_curve(args.a, args.b)
-    if fam == "three-torsion":
-        if args.a is None or args.b is None:
-            raise ValueError("--family three-torsion needs --a and --b")
-        return ThreeTorsionNormalForm(args.a, args.b).curve
-    raise ValueError(f"unknown family {fam!r}")
+    family = FAMILIES[args.family]
+    params = {name: getattr(args, name) for name in family.params}
+    if None in params.values():
+        flags = " and ".join(f"--{name}" for name in family.params)
+        raise ValueError(f"--family {args.family} needs {flags}")
+    return family.curve(params)
 
 
 def _fixtures_from_args(args):
@@ -80,10 +60,7 @@ def _fixtures_from_args(args):
 
 def _add_curve_args(sub):
     sub.add_argument("--ai", help="a1,a2,a3,a4,a6")
-    sub.add_argument(
-        "--family",
-        choices=["four-torsion", "two-six", "two-torsion", "three-torsion"],
-    )
+    sub.add_argument("--family", choices=list(FAMILIES))
     sub.add_argument("--s", type=int)
     sub.add_argument("--t", help="integer or rational like 7/3")
     sub.add_argument("--a", type=int)

@@ -2,8 +2,10 @@
 
 Constructors return the exact literature models (not minimal ones) so that
 valuation arguments can be tested verbatim; minimization happens downstream
-in the local analysis.  The 3-isogeny is represented by its source/quotient
-pair and discriminant identities only; the rational maps are never needed.
+in the local analysis.  ``FAMILIES`` holds one ``Family`` record per family,
+read by the scans and the CLI.  The 3-isogeny is represented by its
+source/quotient pair and discriminant identities only; the rational maps are
+never needed.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .arith import Factorization, factor, factor_product, valuation
 from .curves import SingularCurveError, WeierstrassCurve
-from .reduction import tate
+from .reduction import LocalDatum, tate
 
 Rational = Union[int, Fraction]
 
@@ -166,18 +168,73 @@ def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:
 
 
 @dataclass(frozen=True)
+class Family:
+    """One parametrized torsion family and the divisibility the paper claims for it.
+
+    Parameters are a dict keyed by ``params`` (the CLI flags of the same
+    names); a value may be the CLI's string.  The claim (n, with_c_inf) reads
+    n | c(E) * c_inf when with_c_inf, else n | c(E).  With semistable_only the
+    claim covers only semi-stable curves.  The callables look the constructors
+    up by name when called, so a rebinding of the module's names is seen.
+    """
+
+    params: tuple[str, ...]
+    curve: Callable[[dict], WeierstrassCurve]
+    disc: Callable[[dict, int], Factorization]
+    claim: tuple[int, bool]
+    semistable_only: bool = False
+
+
+FAMILIES = {
+    "four-torsion": Family(
+        ("s", "t"),
+        lambda p: four_torsion_curve(p["s"], int(p["t"])),
+        lambda p, budget: four_torsion_disc(p["s"], int(p["t"]), budget),
+        (4, True),
+    ),
+    "two-six": Family(
+        ("t",),
+        lambda p: two_six_curve(p["t"]),
+        lambda p, budget: two_six_disc(p["t"], budget),
+        (12, False),
+    ),
+    "two-torsion": Family(
+        ("a", "b"),
+        lambda p: two_torsion_curve(p["a"], p["b"]),
+        lambda p, budget: two_torsion_disc(p["a"], p["b"], budget),
+        (2, True),
+        semistable_only=True,
+    ),
+    "three-torsion": Family(
+        ("a", "b"),
+        lambda p: ThreeTorsionNormalForm(p["a"], p["b"]).curve,
+        lambda p, budget: three_torsion_disc(p["a"], p["b"], budget),
+        (3, False),
+    ),
+}
+
+
+@dataclass(frozen=True)
 class IsogenyPair:
     """A b = 1 three-torsion curve and its 3-isogeny quotient.
 
     The quotient of y^2 + a xy + y = x^3 by the order-3 subgroup generated
     by (0, 0) is y^2 + (a+6) xy + (a^2+3a+9) y = x^3; its discriminant is
-    (a^3 - 27)^3 and its c4-invariant is a (a^3 + 216).  The ledger lists,
-    for every bad prime, ord_3 of the Tamagawa ratio c_p(quotient)/c_p(source).
+    (a^3 - 27)^3 and its c4-invariant is a (a^3 + 216).  ``local`` holds the
+    (source, quotient) local data at every prime p | a^3 - 27, the bad primes
+    of both; the ledger lists ord_3 of c_p(quotient)/c_p(source) at each.
     """
 
     source: ThreeTorsionNormalForm
     quotient: WeierstrassCurve
-    ledger: tuple[tuple[int, int], ...]
+    local: tuple[tuple[LocalDatum, LocalDatum], ...]
+
+    @property
+    def ledger(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (src.prime, valuation(quo.tamagawa, 3) - valuation(src.tamagawa, 3))
+            for src, quo in self.local
+        )
 
     @property
     def ratio_ord3(self) -> int:
@@ -210,12 +267,8 @@ def hadano_quotient(source: ThreeTorsionNormalForm, budget: int = 2_000_000) -> 
     if quotient.c4 != a * (a**3 + 216):
         raise RuntimeError("quotient c4 identity failed; arithmetic bug")
     primes = factor(a**3 - 27, budget=budget).primes()
-    ledger = []
-    for p in primes:
-        cp_src = tate(source.curve, p).tamagawa
-        cp_quo = tate(quotient, p).tamagawa
-        ledger.append((p, valuation(cp_quo, 3) - valuation(cp_src, 3)))
-    return IsogenyPair(source, quotient, tuple(ledger))
+    local = tuple((tate(source.curve, p), tate(quotient, p)) for p in primes)
+    return IsogenyPair(source, quotient, local)
 
 
 def quotient_split_prime(pair: IsogenyPair) -> Optional[int]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .arith import Factorization, IncompleteFactorizationError, _int_valuation, factor, is_prime
+from .arith import IncompleteFactorizationError, _int_valuation, factor, is_prime
 from .curves import (
     CurveAnalysis,
     SingularCurveError,
@@ -26,17 +26,12 @@ from .curves import (
     transform_coefficients,
 )
 from .families import (
+    FAMILIES,
     ThreeTorsionNormalForm,
-    four_torsion_curve,
-    four_torsion_disc,
     hadano_quotient,
     quotient_split_prime,
-    three_torsion_disc,
     three_torsion_normalize,
-    two_six_curve,
-    two_six_disc,
     two_torsion_curve,
-    two_torsion_disc,
 )
 from .reduction import (
     ADDITIVE,
@@ -89,14 +84,31 @@ class FixtureCurve:
 
 
 class FixtureTable:
-    """Fixture curves keyed by the (c4, c6) of their global minimal model."""
+    """Fixture curves keyed by the (c4, c6) of their global minimal model.
+
+    Each label and each isomorphism class appears once; a second record of
+    either raises FixtureValidationError rather than hiding the first, and
+    so does a record whose discriminant cannot be factored.
+    """
 
     def __init__(self, records: Iterable[FixtureCurve]):
         self.records = list(records)
         self.by_key: dict[tuple[int, int], FixtureCurve] = {}
         self.by_label: dict[str, FixtureCurve] = {}
         for rec in self.records:
-            self.by_key[CurveAnalysis.of(rec.curve).key] = rec
+            if rec.label in self.by_label:
+                raise FixtureValidationError(f"fixture {rec.label!r}: label appears twice")
+            try:
+                key = CurveAnalysis.of(rec.curve).key
+            except IncompleteFactorizationError as e:
+                raise FixtureValidationError(f"fixture {rec.label!r}: {e}") from e
+            other = self.by_key.get(key)
+            if other is not None:
+                raise FixtureValidationError(
+                    f"fixture {rec.label!r}: isomorphic to fixture {other.label!r} "
+                    f"(minimal (c4, c6) = {key})"
+                )
+            self.by_key[key] = rec
             self.by_label[rec.label] = rec
 
     def match(self, curve: WeierstrassCurve) -> Optional[FixtureCurve]:
@@ -112,49 +124,61 @@ def ingest_fixtures(path) -> FixtureTable:
     if not isinstance(raw, list):
         raise FixtureValidationError("fixture file must contain a JSON array")
     records = []
-    for entry in raw:
-        label = entry.get("label", "<missing label>")
+    for index, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise FixtureValidationError(f"fixture record {index} must be a JSON object: {entry!r}")
+        label = entry.get("label")
 
         def bad(msg: str):
             raise FixtureValidationError(f"fixture {label!r}: {msg}")
 
+        if not (isinstance(label, str) and label):
+            bad("'label' must be a non-empty string")
         ai = entry.get("ai")
-        if not (isinstance(ai, list) and len(ai) == 5 and all(isinstance(k, int) for k in ai)):
+        if not (isinstance(ai, list) and len(ai) == 5 and all(_is_int(k) for k in ai)):
             bad("'ai' must be a list of 5 integers")
         try:
             WeierstrassCurve(*ai)
         except SingularCurveError:
             bad("coefficients define a singular curve")
         torsion = entry.get("torsion")
-        if torsion is not None and torsion not in _MAZUR_SHAPES:
+        if torsion is not None and not (isinstance(torsion, str) and torsion in _MAZUR_SHAPES):
             bad(f"torsion shape {torsion!r} is not a possible rational torsion group")
         local = entry.get("local")
         if local is not None:
+            if not (isinstance(local, list) and all(isinstance(item, dict) for item in local)):
+                bad("'local' must be a list of objects")
             for item in local:
                 p = item.get("p")
-                if not (isinstance(p, int) and is_prime(p)):
+                if not (_is_int(p) and p >= 2 and is_prime(p)):
                     bad(f"local entry has non-prime p = {p!r}")
                 try:
                     KodairaType(item.get("kodaira", ""))
-                except ValueError:
+                except (TypeError, ValueError):
                     bad(f"bad Kodaira symbol {item.get('kodaira')!r}")
-                if not (isinstance(item.get("cp"), int) and item["cp"] >= 1):
+                if not (_is_int(item.get("cp")) and item["cp"] >= 1):
                     bad("local entry needs a positive integer 'cp'")
                 if item.get("class") not in (None, GOOD, SPLIT, NONSPLIT, ADDITIVE):
                     bad(f"bad reduction class {item.get('class')!r}")
             local = tuple(dict(item) for item in local)
         c_inf = entry.get("c_inf")
-        if c_inf is not None and c_inf not in (1, 2):
+        if c_inf is not None and not (_is_int(c_inf) and c_inf in (1, 2)):
             bad("'c_inf' must be 1 or 2")
         sha = entry.get("sha")
-        if sha is not None and (not isinstance(sha, int) or sha < 1):
+        if sha is not None and not (_is_int(sha) and sha >= 1):
             bad("'sha' must be a positive integer")
         manin = entry.get("manin")
-        if manin is not None and (not isinstance(manin, int) or manin < 1):
+        if manin is not None and not (_is_int(manin) and manin >= 1):
             bad("'manin' must be a positive integer")
         w3 = entry.get("w3")
-        if w3 not in (None, 1, -1):
+        if w3 is not None and not (_is_int(w3) and w3 in (1, -1)):
             bad("'w3' must be +1 or -1")
+        optimal = entry.get("optimal")
+        if optimal is not None and not isinstance(optimal, bool):
+            bad("'optimal' must be true or false")
+        rank = entry.get("analytic_rank")
+        if rank is not None and not (_is_int(rank) and rank >= 0):
+            bad("'analytic_rank' must be a non-negative integer")
         records.append(
             FixtureCurve(
                 label=label,
@@ -163,14 +187,19 @@ def ingest_fixtures(path) -> FixtureTable:
                 local=local,
                 c_inf=c_inf,
                 sha=sha,
-                optimal=entry.get("optimal"),
+                optimal=optimal,
                 manin=manin,
-                analytic_rank=entry.get("analytic_rank"),
+                analytic_rank=rank,
                 w3=w3,
                 lmfdb=entry.get("lmfdb"),
             )
         )
     return FixtureTable(records)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -406,53 +435,31 @@ class ScanReport:
         }
 
 
-# family -> (n, whether c_inf counts): the claim n | c (or n | c * c_inf)
-_FAMILY_CLAIMS = {
-    "four-torsion": (4, True),
-    "two-six": (12, False),
-    "two-torsion": (2, True),
-    "three-torsion": (3, False),
-}
-
-
-def _family_curve(family: str, params: dict, budget: int) -> tuple[WeierstrassCurve, Factorization]:
-    """A family curve and its discriminant, factored from the family's parameters."""
-    if family == "four-torsion":
-        s, t = params["s"], params["t"]
-        return four_torsion_curve(s, t), four_torsion_disc(s, t, budget)
-    if family == "two-six":
-        t = Fraction(params["t"])
-        return two_six_curve(t), two_six_disc(t, budget)
-    a, b = params["a"], params["b"]
-    if family == "two-torsion":
-        return two_torsion_curve(a, b), two_torsion_disc(a, b, budget)
-    return ThreeTorsionNormalForm(a, b).curve, three_torsion_disc(a, b, budget)
-
-
 def _family_report(args) -> VerdictReport:
     """Minimal model, c(E), c_inf and the family's claim of one curve, analysed once.
 
     A curve whose factoring budget runs out comes back marked incomplete
-    with only its parameters; it never aborts the scan.  Two-torsion curves
-    with additive reduction get params["semistable"] = False.
+    with only its parameters; it never aborts the scan.  In a family whose
+    claim is semistable_only, a curve with additive reduction gets
+    params["semistable"] = False.
     """
-    family, params, budget = args
+    name, params, budget = args
+    family = FAMILIES[name]
     report = VerdictReport(params=dict(params))
     try:
-        analysis = CurveAnalysis.of(*_family_curve(family, params, budget))
+        analysis = CurveAnalysis.of(family.curve(params), family.disc(params, budget))
     except IncompleteFactorizationError:
         report.incomplete = True
         return report
     data = _fill_local_data(report, analysis)
-    n, with_c_inf = _FAMILY_CLAIMS[family]
+    n, with_c_inf = family.claim
     report.divides = report.tamagawa * (report.c_inf if with_c_inf else 1) % n == 0
-    if family == "two-torsion" and any(d.reduction_class == ADDITIVE for d in data):
+    if family.semistable_only and any(d.reduction_class == ADDITIVE for d in data):
         report.params["semistable"] = False
     return report
 
 
 def _scan(
-    name: str,
     family: str,
     params: Iterable[dict],
     fixtures: Optional[FixtureTable],
@@ -460,7 +467,7 @@ def _scan(
     jobs: int,
 ) -> ScanReport:
     """One report per parameter set; a semi-stable curve failing the claim is an exception."""
-    report = ScanReport(name)
+    report = ScanReport(family)
     items = [(family, p, budget) for p in params]
     for r in _parallel_map(_family_report, items, jobs):
         report.add(r, fixtures, exception=r.divides is False and "semistable" not in r.params)
@@ -479,7 +486,7 @@ def scan_four_torsion(
         for s, t in pairs
         if s > 0 and math.gcd(s, t) == 1 and t != 0 and 16 * s + t != 0
     ]
-    return _scan("four-torsion", "four-torsion", params, fixtures, budget, jobs)
+    return _scan("four-torsion", params, fixtures, budget, jobs)
 
 
 def scan_two_six(
@@ -495,7 +502,7 @@ def scan_two_six(
         for a in range(-bound, bound + 1)
         if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
     ]
-    return _scan("two-six", "two-six", params, fixtures, budget, jobs)
+    return _scan("two-six", params, fixtures, budget, jobs)
 
 
 def scan_two_torsion(
@@ -518,7 +525,7 @@ def scan_two_torsion(
         for a in (0, 1, -1, 3, -3, 5, -5, 7, -7)
         if a * a - 4 * b < 0 and math.gcd(a, b) == 1
     ]
-    report = _scan("two-torsion", "two-torsion", params, fixtures, budget, 1)
+    report = _scan("two-torsion", params, fixtures, budget, 1)
     rng = random.Random(seed)
     checked = 0
     while checked < random_samples:
@@ -537,14 +544,17 @@ def scan_three_torsion_nonunits(
     a_bound: int = 40,
     b_bound: int = 40,
     budget: int = 2_000_000,
+    jobs: int = 1,
 ) -> ScanReport:
     """For every normalized (a, b) with b > 1: 3 | c(E). Violations mean bugs."""
     report = ScanReport("three-torsion-nonunit-b")
-    for a, b in _normalized_three_torsion_range(a_bound, b_bound):
-        if b == 1:
-            continue
+    items = [
+        ("three-torsion", {"a": a, "b": b}, budget)
+        for a, b in _normalized_three_torsion_range(a_bound, b_bound)
+        if b != 1
+    ]
+    for done in _parallel_map(_family_report, items, jobs):
         # only c(E) is reported here, not the minimal model
-        done = _family_report(("three-torsion", {"a": a, "b": b}, budget))
         r = VerdictReport(
             params=done.params,
             tamagawa=done.tamagawa,
@@ -554,7 +564,7 @@ def scan_three_torsion_nonunits(
         report.reports.append(r)
         if r.divides is False:
             report.mismatches.append(
-                {"a": a, "b": b, "c": r.tamagawa, "error": "3 does not divide c"}
+                {**r.params, "c": r.tamagawa, "error": "3 does not divide c"}
             )
     return report
 
@@ -597,8 +607,9 @@ def _cross_check_one(args):
     a, b, budget = args
     D = a**3 - 27 * b
     mismatches = []
+    family, params = FAMILIES["three-torsion"], {"a": a, "b": b}
     try:
-        curve, disc = _family_curve("three-torsion", {"a": a, "b": b}, budget)
+        curve, disc = family.curve(params), family.disc(params, budget)
     except IncompleteFactorizationError:
         return None
     for p in disc.primes():
@@ -679,6 +690,8 @@ def scan_dual_curves(
         # identity checks beyond the constructor's own: recompute from invariants
         if pair.quotient.disc != (a**3 - 27) ** 3 or pair.quotient.c4 != a * (a**3 + 216):
             report.mismatches.append({"a": a, "error": "quotient invariant identity failed"})
+        # q divides a^2 + 3a + 9, a factor of a^3 - 27, so pair.local covers it
+        local = {src.prime: (src, quo) for src, quo in pair.local}
         q = quotient_split_prime(pair)
         if a in (0, 3, -3, -6):
             if q is not None:
@@ -687,18 +700,19 @@ def scan_dual_curves(
             if q is None:
                 report.mismatches.append({"a": a, "error": "expected a split prime, got none"})
             else:
-                if tate(pair.quotient, q).reduction_class != SPLIT:
+                src, quo = local[q]
+                if quo.reduction_class != SPLIT:
                     report.mismatches.append(
                         {"a": a, "p": q, "error": "quotient not split multiplicative"}
                     )
-                if tate(form.curve, q).reduction_class != SPLIT:
+                if src.reduction_class != SPLIT:
                     report.mismatches.append(
                         {"a": a, "p": q, "error": "source not split multiplicative"}
                     )
         for p, e in pair.ledger:
             if p == 3:
                 continue
-            cls = tate(form.curve, p).reduction_class
+            cls = local[p][0].reduction_class
             if cls not in (SPLIT, NONSPLIT):
                 report.mismatches.append(
                     {"a": a, "p": p, "error": f"unexpected class {cls} away from 3"}
@@ -772,7 +786,7 @@ def _presets() -> dict[str, Preset]:
         return scan_two_torsion(fixtures, budget)
 
     def nonunit(fixtures, budget, jobs, bound):
-        return scan_three_torsion_nonunits(bound or 40, bound or 40, budget)
+        return scan_three_torsion_nonunits(bound or 40, bound or 40, budget, jobs)
 
     def table(fixtures, budget, jobs, bound):
         return reduction_table_cross_check(bound or 40, bound or 40, budget, jobs)

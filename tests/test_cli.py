@@ -2,7 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from tamagawa.families import (
+    FAMILIES,
+    ThreeTorsionNormalForm,
+    four_torsion_curve,
+    two_six_curve,
+    two_torsion_curve,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "data" / "fixtures.json"
@@ -204,3 +215,54 @@ def test_localdata_splits_the_strong_pseudoprime(monkeypatch, capsys):
         '{"class":"split","cp":1,"kodaira":"I1","p":"798330580441","vdelta":1}],'
         '"minimal":[0,1,0,-79666464458507787791865,0]}\n'
     )
+
+
+# one sample per family: its CLI flags and the curve its constructor builds
+FAMILY_SAMPLES = {
+    "four-torsion": ({"s": "1", "t": "-3"}, lambda: four_torsion_curve(1, -3)),
+    "two-six": ({"t": "7/3"}, lambda: two_six_curve(Fraction(7, 3))),
+    "two-torsion": ({"a": "1", "b": "-2"}, lambda: two_torsion_curve(1, -2)),
+    "three-torsion": ({"a": "2", "b": "4"}, lambda: ThreeTorsionNormalForm(2, 4).curve),
+}
+
+
+def test_every_family_has_a_cli_sample():
+    assert set(FAMILY_SAMPLES) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_flags_give_the_constructor_curve(name, monkeypatch, capsys):
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    flags, build = FAMILY_SAMPLES[name]
+    argv = ["localdata", "--family", name]
+    for param, value in flags.items():
+        argv += [f"--{param}", value]
+    assert cli.main(argv) == cli.EXIT_OK
+    by_family = capsys.readouterr().out
+    ai = ",".join(str(k) for k in build().ai())
+    assert cli.main(["localdata", f"--ai={ai}"]) == cli.EXIT_OK
+    assert by_family == capsys.readouterr().out
+
+    for missing in flags:
+        partial = [arg for p, v in flags.items() if p != missing for arg in (f"--{p}", v)]
+        assert cli.main(["localdata", "--family", name, *partial]) == cli.EXIT_USAGE
+        assert f"--family {name} needs --" in capsys.readouterr().err
+
+
+def test_four_torsion_rejects_a_rational_t(monkeypatch, capsys):
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    args = ["localdata", "--family", "four-torsion", "--s", "1", "--t", "7/3"]
+    assert cli.main(args) == cli.EXIT_USAGE
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_fixtures_rejects_a_non_object_record(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    proc = run_cli("fixtures", "--fixtures", str(bad))
+    assert proc.returncode == 2
+    assert "must be a JSON object" in json.loads(proc.stderr)["error"]

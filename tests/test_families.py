@@ -175,3 +175,11 @@ def test_ledger_example_split_entry():
     pair = hadano_quotient(ThreeTorsionNormalForm(2, 1))
     assert pair.ledger == ((19, 1),)
     assert pair.ratio_ord3 == 1
+
+
+def test_isogeny_pair_keeps_local_data_at_every_bad_prime():
+    pair = hadano_quotient(ThreeTorsionNormalForm(10, 1))
+    assert [src.prime for src, _ in pair.local] == [7, 139]  # 10^3 - 27 = 7 * 139
+    for src, quo in pair.local:
+        assert src == tate(pair.source.curve, src.prime)
+        assert quo == tate(pair.quotient, src.prime)

@@ -35,7 +35,7 @@ def test_every_preset_has_a_digest():
 
 
 # the presets whose scans pass --jobs on to a process pool
-PARALLEL_PRESETS = ("kozuma-table", "prop2.1-random", "prop2.2")
+PARALLEL_PRESETS = ("kozuma-table", "prop2.1-random", "prop2.2", "three-torsion-nonunit-b")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))

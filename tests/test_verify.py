@@ -69,6 +69,82 @@ def test_ingest_rejects_noncanonical_kodaira(tmp_path):
         ingest_fixtures(bad)
 
 
+def test_ingest_rejects_non_object_record(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    with pytest.raises(FixtureValidationError, match="record 0 must be a JSON object"):
+        ingest_fixtures(bad)
+
+
+def test_ingest_rejects_non_list_local(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"label": "x", "ai": [0, 1, 1, -9, -15], "local": 5}]))
+    with pytest.raises(FixtureValidationError, match="'x': 'local' must be a list"):
+        ingest_fixtures(bad)
+
+
+def test_ingest_rejects_isomorphic_records(tmp_path):
+    # 19a1 written twice: as itself and moved by (r, s, t) = (1, 0, 0)
+    bad = tmp_path / "bad.json"
+    records = [{"label": "x", "ai": [0, 1, 1, -9, -15]}, {"label": "y", "ai": [0, 4, 1, -4, -22]}]
+    bad.write_text(json.dumps(records))
+    with pytest.raises(FixtureValidationError, match="'y': isomorphic to fixture 'x'"):
+        ingest_fixtures(bad)
+
+
+def test_ingest_rejects_repeated_label(tmp_path):
+    bad = tmp_path / "bad.json"
+    records = [{"label": "x", "ai": [0, 1, 1, -9, -15]}, {"label": "x", "ai": [1, 0, 1, -19, 26]}]
+    bad.write_text(json.dumps(records))
+    with pytest.raises(FixtureValidationError, match="'x': label appears twice"):
+        ingest_fixtures(bad)
+
+
+def test_ingest_rejects_boolean_coefficient(tmp_path):
+    # JSON true is not an integer, although Python's bool is an int
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"label": "x", "ai": [0, 1, 1, True, -15]}]))
+    with pytest.raises(FixtureValidationError, match="'x': 'ai' must be a list of 5 integers"):
+        ingest_fixtures(bad)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("label", None, "'label' must be a non-empty string"),
+        ("torsion", [1], "torsion shape"),
+        ("local", [{"p": -5, "kodaira": "I1", "cp": 1}], "non-prime p = -5"),
+        ("local", [{"p": 19, "kodaira": 5, "cp": 1}], "bad Kodaira symbol 5"),
+        ("c_inf", True, "'c_inf' must be 1 or 2"),
+        ("w3", True, "'w3' must be"),
+        ("optimal", "yes", "'optimal' must be true or false"),
+        ("analytic_rank", -7, "'analytic_rank' must be a non-negative integer"),
+    ],
+)
+def test_ingest_rejects_ill_typed_field(tmp_path, field, value, match):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"label": "x", "ai": [0, 1, 1, -9, -15], field: value}]))
+    with pytest.raises(FixtureValidationError, match=match):
+        ingest_fixtures(bad)
+
+
+def test_ingest_names_a_fixture_it_cannot_factor(tmp_path, monkeypatch):
+    # with a zero rho budget the semiprime cofactor 12437 * 139177 stays unsplit
+    from tamagawa import arith, curves
+
+    monkeypatch.setattr(curves, "factor", lambda n, budget: arith.factor(n, budget=0))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"label": "x", "ai": [0, -1, 1, -300, 19]}]))
+    with pytest.raises(FixtureValidationError, match="'x': factorization incomplete"):
+        ingest_fixtures(bad)
+
+
+def test_ingest_keeps_one_record_per_label_and_key():
+    raw = json.loads(FIXTURES.read_text())
+    table = ingest_fixtures(FIXTURES)
+    assert len(raw) == len(table) == len(table.by_label) == len(table.by_key)
+
+
 def test_ingest_empty_file(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
