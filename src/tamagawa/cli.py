@@ -38,6 +38,17 @@ def _parse_ai(text: str) -> WeierstrassCurve:
     return WeierstrassCurve(*(int(p.strip()) for p in parts))
 
 
+def _join_ai(argv: list[str]) -> list[str]:
+    """Join "--ai X" into "--ai=X": argparse reads an X with a negative a1 as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--ai" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--ai={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _curve_from_args(args) -> WeierstrassCurve:
     if args.ai is not None:
         return _parse_ai(args.ai)
@@ -105,7 +116,7 @@ def main(argv=None) -> int:
 
     sub.add_parser("fixtures", parents=[common], help="validate and summarize a fixture file")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_ai(sys.argv[1:] if argv is None else list(argv)))
 
     try:
         fixtures = _fixtures_from_args(args)
@@ -160,6 +171,8 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "scan":
+            if args.bound is not None and args.bound < 1:
+                raise ValueError(f"--bound must be a positive integer, got {args.bound}")
             preset = PRESETS[args.preset]
             report = preset.run(fixtures, 2_000_000, args.jobs, args.bound)
             if args.summary:

@@ -273,10 +273,9 @@ def check_divisibility(
     curve: WeierstrassCurve,
     fixtures: Optional[FixtureTable] = None,
     budget: int = 2_000_000,
-    params: Optional[dict] = None,
 ) -> VerdictReport:
     """Exact divisibility verdict for one curve, fixture-matched when possible."""
-    report = VerdictReport(params=params)
+    report = VerdictReport()
     try:
         analysis = CurveAnalysis.of(curve, budget=budget)
         m = analysis.minimal
@@ -410,19 +409,6 @@ class ScanReport:
         """Whether the factoring budget ran out on some curve of the scan."""
         return any(r.incomplete for r in self.reports)
 
-    def add(self, r: VerdictReport, fixtures: Optional[FixtureTable], exception: bool):
-        """Append a curve's report, fixture-labelled; an exception joins its class."""
-        rec = fixtures.by_key.get(r.key) if fixtures and r.key else None
-        if rec:
-            r.label = rec.label
-        self.reports.append(r)
-        if exception:
-            cls = self.exceptions.get(r.key)
-            if cls is None:
-                cls = ExceptionClass(r.key, r.minimal_ai, [], r.label)
-                self.exceptions[r.key] = cls
-            cls.witnesses.append(dict(r.params))
-
     def summary(self) -> dict:
         return {
             "scan": self.name,
@@ -435,13 +421,13 @@ class ScanReport:
         }
 
 
-def _family_report(args) -> VerdictReport:
+def _family_report(args) -> tuple[VerdictReport, bool, list]:
     """Minimal model, c(E), c_inf and the family's claim of one curve, analysed once.
 
     A curve whose factoring budget runs out comes back marked incomplete
     with only its parameters; it never aborts the scan.  In a family whose
     claim is semistable_only, a curve with additive reduction gets
-    params["semistable"] = False.
+    params["semistable"] = False; a semi-stable one failing the claim is an exception.
     """
     name, params, budget = args
     family = FAMILIES[name]
@@ -450,28 +436,47 @@ def _family_report(args) -> VerdictReport:
         analysis = CurveAnalysis.of(family.curve(params), family.disc(params, budget))
     except IncompleteFactorizationError:
         report.incomplete = True
-        return report
+        return report, False, []
     data = _fill_local_data(report, analysis)
     n, with_c_inf = family.claim
     report.divides = report.tamagawa * (report.c_inf if with_c_inf else 1) % n == 0
     if family.semistable_only and any(d.reduction_class == ADDITIVE for d in data):
         report.params["semistable"] = False
-    return report
+    return report, report.divides is False and "semistable" not in report.params, []
 
 
 def _scan(
-    family: str,
-    params: Iterable[dict],
+    name: str,
+    check: Callable,
+    items: list,
     fixtures: Optional[FixtureTable],
-    budget: int,
     jobs: int,
 ) -> ScanReport:
-    """One report per parameter set; a semi-stable curve failing the claim is an exception."""
-    report = ScanReport(family)
-    items = [(family, p, budget) for p in params]
-    for r in _parallel_map(_family_report, items, jobs):
-        report.add(r, fixtures, exception=r.divides is False and "semistable" not in r.params)
-    return report
+    """The one scan loop: check(item) for every item, on up to jobs processes.
+
+    A check is a top-level function returning (report, exception,
+    mismatches) for its item: the curve's report, fixture-labelled here;
+    whether the curve joins the exception class of its minimal (c4, c6);
+    and the mismatches it found.
+    """
+    scan = ScanReport(name)
+    for r, exception, mismatches in _parallel_map(check, items, jobs):
+        rec = fixtures.by_key.get(r.key) if fixtures and r.key else None
+        if rec:
+            r.label = rec.label
+        scan.reports.append(r)
+        scan.mismatches.extend(mismatches)
+        if exception:
+            new = ExceptionClass(r.key, r.minimal_ai, label=r.label)
+            scan.exceptions.setdefault(r.key, new).witnesses.append(dict(r.params))
+    return scan
+
+
+def _parallel_map(fn: Callable, items: list, jobs: int) -> list:
+    if jobs <= 1 or len(items) < 4:
+        return [fn(it) for it in items]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
 def scan_four_torsion(
@@ -481,12 +486,12 @@ def scan_four_torsion(
     jobs: int = 1,
 ) -> ScanReport:
     """Check 4 | c(E) * c_inf(E) over the order-4 family at the given (s, t)."""
-    params = [
-        {"s": s, "t": t}
+    items = [
+        ("four-torsion", {"s": s, "t": t}, budget)
         for s, t in pairs
         if s > 0 and math.gcd(s, t) == 1 and t != 0 and 16 * s + t != 0
     ]
-    return _scan("four-torsion", params, fixtures, budget, jobs)
+    return _scan("four-torsion", _family_report, items, fixtures, jobs)
 
 
 def scan_two_six(
@@ -496,13 +501,13 @@ def scan_two_six(
     jobs: int = 1,
 ) -> ScanReport:
     """Check 12 | c(E) for every nonsingular t = a/b with |a|, b <= bound."""
-    params = [
-        {"t": str(Fraction(a, b))}
+    items = [
+        ("two-six", {"t": str(Fraction(a, b))}, budget)
         for b in range(1, bound + 1)
         for a in range(-bound, bound + 1)
         if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
     ]
-    return _scan("two-six", params, fixtures, budget, jobs)
+    return _scan("two-six", _family_report, items, fixtures, jobs)
 
 
 def scan_two_torsion(
@@ -510,6 +515,7 @@ def scan_two_torsion(
     budget: int = 2_000_000,
     random_samples: int = 200,
     seed: int = 20260809,
+    jobs: int = 1,
 ) -> ScanReport:
     """Enumerate the bounded semi-stable 2-torsion region; 2 | c(E) c_inf expected.
 
@@ -519,13 +525,13 @@ def scan_two_torsion(
     exceptions.  A seeded sample of coprime pairs with a^2 - 4b > 0
     double-checks c_inf = 2 on the positive-discriminant side.
     """
-    params = [
-        {"a": a, "b": b}
+    items = [
+        ("two-torsion", {"a": a, "b": b}, budget)
         for b in (1, 2, 4, 8, 16)
         for a in (0, 1, -1, 3, -3, 5, -5, 7, -7)
         if a * a - 4 * b < 0 and math.gcd(a, b) == 1
     ]
-    report = _scan("two-torsion", params, fixtures, budget, 1)
+    report = _scan("two-torsion", _family_report, items, fixtures, jobs)
     rng = random.Random(seed)
     checked = 0
     while checked < random_samples:
@@ -547,26 +553,35 @@ def scan_three_torsion_nonunits(
     jobs: int = 1,
 ) -> ScanReport:
     """For every normalized (a, b) with b > 1: 3 | c(E). Violations mean bugs."""
-    report = ScanReport("three-torsion-nonunit-b")
     items = [
-        ("three-torsion", {"a": a, "b": b}, budget)
-        for a, b in _normalized_three_torsion_range(a_bound, b_bound)
-        if b != 1
+        (a, b, budget) for a, b in _normalized_three_torsion_range(a_bound, b_bound) if b != 1
     ]
-    for done in _parallel_map(_family_report, items, jobs):
-        # only c(E) is reported here, not the minimal model
-        r = VerdictReport(
-            params=done.params,
-            tamagawa=done.tamagawa,
-            divides=done.divides,
-            incomplete=done.incomplete,
-        )
-        report.reports.append(r)
-        if r.divides is False:
-            report.mismatches.append(
-                {**r.params, "c": r.tamagawa, "error": "3 does not divide c"}
-            )
-    return report
+    return _scan("three-torsion-nonunit-b", _nonunit_one, items, None, jobs)
+
+
+def _nonunit_one(args) -> tuple[VerdictReport, bool, list]:
+    """c(E) of one normal form and the family's claim on it; nothing else is reported."""
+    a, b, budget = args
+    report = VerdictReport(params={"a": a, "b": b})
+    try:
+        data = _three_torsion_local(a, b, budget)
+    except IncompleteFactorizationError:
+        report.incomplete = True
+        return report, False, []
+    report.tamagawa = c = math.prod(d.tamagawa for d in data)
+    report.divides = c % FAMILIES["three-torsion"].claim[0] == 0
+    mismatch = {"a": a, "b": b, "c": c, "error": "3 does not divide c"}
+    return report, False, [] if report.divides else [mismatch]
+
+
+def _three_torsion_local(a: int, b: int, budget: int) -> list[LocalDatum]:
+    """tate on the (a, b) normal form at every prime of its discriminant b^3 (a^3 - 27 b).
+
+    The c_p multiply to c(E): tate minimizes at p itself, and c_p = 1 at a good prime.
+    """
+    family, params = FAMILIES["three-torsion"], {"a": a, "b": b}
+    curve = family.curve(params)
+    return [tate(curve, p) for p in family.disc(params, budget).primes()]
 
 
 def _normalized_three_torsion_range(a_bound: int, b_bound: int):
@@ -593,28 +608,23 @@ def reduction_table_cross_check(
     from (ord_p a, ord_p b, ord_p D); the v(D) = 3 row at p = 3 admits both
     II and III and either is accepted.
     """
-    report = ScanReport("reduction-table")
     items = [(a, b, budget) for a, b in _normalized_three_torsion_range(a_bound, b_bound)]
-    all_mismatches = _parallel_map(_cross_check_one, items, jobs)
-    for (a, b, _), mism in zip(items, all_mismatches):
-        report.reports.append(VerdictReport(params={"a": a, "b": b}, incomplete=mism is None))
-        report.mismatches.extend(mism or [])
-    return report
+    return _scan("reduction-table", _cross_check_one, items, None, jobs)
 
 
-def _cross_check_one(args):
-    """Mismatches against the table at every bad prime; None if the budget ran out."""
+def _cross_check_one(args) -> tuple[VerdictReport, bool, list]:
+    """Mismatches against the table at every prime of the discriminant."""
     a, b, budget = args
+    report = VerdictReport(params={"a": a, "b": b})
+    try:
+        data = _three_torsion_local(a, b, budget)
+    except IncompleteFactorizationError:
+        report.incomplete = True
+        return report, False, []
     D = a**3 - 27 * b
     mismatches = []
-    family, params = FAMILIES["three-torsion"], {"a": a, "b": b}
-    try:
-        curve, disc = family.curve(params), family.disc(params, budget)
-    except IncompleteFactorizationError:
-        return None
-    for p in disc.primes():
-        datum = tate(curve, p)
-        expected = _expected_row(a, b, D, p)
+    for datum in data:
+        expected = _expected_row(a, b, D, datum.prime)
         if expected is None:
             continue
         kind, symbol, cp, cls = expected
@@ -629,12 +639,12 @@ def _cross_check_one(args):
                 {
                     "a": a,
                     "b": b,
-                    "p": p,
+                    "p": datum.prime,
                     "expected": {"row": kind, "kodaira": symbol, "cp": cp, "class": cls},
                     "got": datum.to_json(),
                 }
             )
-    return mismatches
+    return report, False, mismatches
 
 
 def _expected_row(a: int, b: int, D: int, p: int):
@@ -673,62 +683,50 @@ def _expected_row(a: int, b: int, D: int, p: int):
 def scan_dual_curves(
     a_values: Iterable[int],
     budget: int = 2_000_000,
+    jobs: int = 1,
 ) -> ScanReport:
     """Quotient identities, split-prime claim, and ledger rules over a range of a."""
-    report = ScanReport("three-torsion-dual")
-    for a in a_values:
-        if a == 3:
-            continue
-        form = ThreeTorsionNormalForm(a, 1)
-        r = VerdictReport(params={"a": a})
-        report.reports.append(r)
-        try:
-            pair = hadano_quotient(form, budget=budget)
-        except IncompleteFactorizationError:
-            r.incomplete = True
-            continue
-        # identity checks beyond the constructor's own: recompute from invariants
-        if pair.quotient.disc != (a**3 - 27) ** 3 or pair.quotient.c4 != a * (a**3 + 216):
-            report.mismatches.append({"a": a, "error": "quotient invariant identity failed"})
-        # q divides a^2 + 3a + 9, a factor of a^3 - 27, so pair.local covers it
-        local = {src.prime: (src, quo) for src, quo in pair.local}
-        q = quotient_split_prime(pair)
-        if a in (0, 3, -3, -6):
-            if q is not None:
-                report.mismatches.append({"a": a, "error": f"expected no split prime, got {q}"})
+    items = [(a, budget) for a in a_values if a != 3]
+    return _scan("three-torsion-dual", _dual_one, items, None, jobs)
+
+
+def _dual_one(args) -> tuple[VerdictReport, bool, list]:
+    """Mismatches of the b = 1 normal form at a against its 3-isogeny quotient."""
+    a, budget = args
+    report = VerdictReport(params={"a": a})
+    try:
+        pair = hadano_quotient(ThreeTorsionNormalForm(a, 1), budget=budget)
+    except IncompleteFactorizationError:
+        report.incomplete = True
+        return report, False, []
+    mismatches = []
+    # identity checks beyond the constructor's own: recompute from invariants
+    if pair.quotient.disc != (a**3 - 27) ** 3 or pair.quotient.c4 != a * (a**3 + 216):
+        mismatches.append({"a": a, "error": "quotient invariant identity failed"})
+    # q divides a^2 + 3a + 9, a factor of a^3 - 27, so pair.local covers it
+    local = {src.prime: (src, quo) for src, quo in pair.local}
+    q = quotient_split_prime(pair)
+    if a in (0, 3, -3, -6):
+        if q is not None:
+            mismatches.append({"a": a, "error": f"expected no split prime, got {q}"})
+    else:
+        if q is None:
+            mismatches.append({"a": a, "error": "expected a split prime, got none"})
         else:
-            if q is None:
-                report.mismatches.append({"a": a, "error": "expected a split prime, got none"})
-            else:
-                src, quo = local[q]
-                if quo.reduction_class != SPLIT:
-                    report.mismatches.append(
-                        {"a": a, "p": q, "error": "quotient not split multiplicative"}
-                    )
-                if src.reduction_class != SPLIT:
-                    report.mismatches.append(
-                        {"a": a, "p": q, "error": "source not split multiplicative"}
-                    )
-        for p, e in pair.ledger:
-            if p == 3:
-                continue
-            cls = local[p][0].reduction_class
-            if cls not in (SPLIT, NONSPLIT):
-                report.mismatches.append(
-                    {"a": a, "p": p, "error": f"unexpected class {cls} away from 3"}
-                )
-            elif e != (1 if cls == SPLIT else 0):
-                report.mismatches.append(
-                    {"a": a, "p": p, "error": f"ledger entry {e} for class {cls}"}
-                )
-    return report
-
-
-def _parallel_map(fn: Callable, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+            src, quo = local[q]
+            if quo.reduction_class != SPLIT:
+                mismatches.append({"a": a, "p": q, "error": "quotient not split multiplicative"})
+            if src.reduction_class != SPLIT:
+                mismatches.append({"a": a, "p": q, "error": "source not split multiplicative"})
+    for p, e in pair.ledger:
+        if p == 3:
+            continue
+        cls = local[p][0].reduction_class
+        if cls not in (SPLIT, NONSPLIT):
+            mismatches.append({"a": a, "p": p, "error": f"unexpected class {cls} away from 3"})
+        elif e != (1 if cls == SPLIT else 0):
+            mismatches.append({"a": a, "p": p, "error": f"ledger entry {e} for class {cls}"})
+    return report, False, mismatches
 
 
 # --- presets -----------------------------------------------------------------
@@ -774,7 +772,7 @@ def _random_four_torsion_pairs(count: int = 1000, limit: int = 200, seed: int = 
 
 def _presets() -> dict[str, Preset]:
     def negative_t(fixtures, budget, jobs, bound):
-        return scan_four_torsion(((1, t) for t in range(-15, 0)), fixtures, budget)
+        return scan_four_torsion(((1, t) for t in range(-15, 0)), fixtures, budget, jobs)
 
     def random_region(fixtures, budget, jobs, bound):
         return scan_four_torsion(_random_four_torsion_pairs(), fixtures, budget, jobs)
@@ -783,7 +781,7 @@ def _presets() -> dict[str, Preset]:
         return scan_two_six(bound or 30, fixtures, budget, jobs)
 
     def two_tors(fixtures, budget, jobs, bound):
-        return scan_two_torsion(fixtures, budget)
+        return scan_two_torsion(fixtures, budget, jobs=jobs)
 
     def nonunit(fixtures, budget, jobs, bound):
         return scan_three_torsion_nonunits(bound or 40, bound or 40, budget, jobs)
@@ -793,7 +791,7 @@ def _presets() -> dict[str, Preset]:
 
     def dual(fixtures, budget, jobs, bound):
         n = bound or 100
-        return scan_dual_curves(range(-n, n + 1), budget)
+        return scan_dual_curves(range(-n, n + 1), budget, jobs)
 
     return {
         "prop2.1-negative-t": Preset(

@@ -251,6 +251,27 @@ def test_family_flags_give_the_constructor_curve(name, monkeypatch, capsys):
         assert f"--family {name} needs --" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["localdata", "torsion", "check"])
+def test_ai_takes_a_negative_a1_after_a_space(command):
+    # -3,3,-9,0,0 is four_torsion_curve(1, -3); argparse alone reads it as a flag
+    by_family = run_cli(command, "--family", "four-torsion", "--s", "1", "--t", "-3")
+    by_ai = run_cli(command, "--ai", "-3,3,-9,0,0")
+    assert by_family.returncode == by_ai.returncode == 0
+    assert by_ai.stdout == by_family.stdout
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_scan_bound_below_one_is_a_usage_error(bound, monkeypatch, capsys):
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    args = ["scan", "--preset", "prop2.2", "--bound", bound, "--jobs", "1"]
+    assert cli.main(args) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--bound" in json.loads(err)["error"]
+
+
 def test_four_torsion_rejects_a_rational_t(monkeypatch, capsys):
     from tamagawa import cli
 

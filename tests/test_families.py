@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tamagawa.curves import SingularCurveError, WeierstrassCurve, minimal_model, transform_coefficients
 from tamagawa.families import (
@@ -8,11 +11,12 @@ from tamagawa.families import (
     four_torsion_curve,
     hadano_quotient,
     quotient_split_prime,
+    three_torsion_disc,
     three_torsion_normalize,
     two_six_curve,
     two_torsion_curve,
 )
-from tamagawa.reduction import SPLIT, tate
+from tamagawa.reduction import SPLIT, local_data, tate
 from tamagawa.torsion import Point, point_order
 
 
@@ -183,3 +187,16 @@ def test_isogeny_pair_keeps_local_data_at_every_bad_prime():
     for src, quo in pair.local:
         assert src == tate(pair.source.curve, src.prime)
         assert quo == tate(pair.quotient, src.prime)
+
+
+@given(st.integers(-300, 300), st.integers(2, 300))
+@settings(max_examples=60, deadline=None)
+def test_nonunit_b_tamagawa_from_the_family_discriminant(a, b):
+    # the three-torsion-nonunit-b scan reads c(E) this way, without a minimal model
+    try:
+        curve = ThreeTorsionNormalForm(a, b).curve
+    except ValueError:  # not normalized, or singular
+        assume(False)
+    c = math.prod(tate(curve, p).tamagawa for p in three_torsion_disc(a, b).primes())
+    assert c == math.prod(d.tamagawa for d in local_data(curve))
+    assert c % 3 == 0

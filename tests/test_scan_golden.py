@@ -1,7 +1,7 @@
 """Every scan preset's stdout, byte for byte, against committed digests.
 
-The presets that pass --jobs on to a process pool are checked on one and
-on two workers against the same digests.
+Every preset is checked on one and on two workers against the same
+digests.
 
 The digests were taken before the per-curve analysis pipeline replaced the
 repeated minimize-and-factor calls, so a faster scan can never print
@@ -34,13 +34,9 @@ def test_every_preset_has_a_digest():
     assert set(GOLDEN_SHA256) == set(cli.PRESETS)
 
 
-# the presets whose scans pass --jobs on to a process pool
-PARALLEL_PRESETS = ("kozuma-table", "prop2.1-random", "prop2.2", "three-torsion-nonunit-b")
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_scan_stdout_is_byte_identical(name):
-    for jobs in ("1", "2") if name in PARALLEL_PRESETS else ("1",):
+    for jobs in ("1", "2"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(["scan", "--preset", name, "--jobs", jobs, "--fixtures", str(FIXTURES)])
