@@ -7,9 +7,13 @@ point counts #E(F_p) bound the torsion order by their gcd B, and since
 reduction mod p is injective on torsion, the Y residue of every rational
 torsion point lies among those of E'(F_p)[B].  Square divisors missing from
 any residue set are dropped before the cubic-root search.  Each surviving
-point's order is computed once by explicit group-law arithmetic (at most 12
-checked additions), and the shape, the generators and the transport check
-all read those orders.  No floating point: integer roots of the depressed
+point's order is certified once, in integers on the scaled model: its
+multiples come from the chord-tangent law with exact integer slopes (at
+most 12 additions, each addend checked on the curve), and a slope that does
+not divide out proves infinite order, since every multiple of a torsion
+point is torsion and so integral.  The shape, the generators and the
+transport check all read those orders.  on_curve compares integers, with
+denominators cleared.  No floating point: integer roots of the depressed
 cubic are found by exact monotone search.
 """
 
@@ -75,11 +79,12 @@ class TorsionStructure:
 def on_curve(curve: WeierstrassCurve, point: Point) -> bool:
     if point.infinity:
         return True
-    x, y = point.x, point.y
-    return (
-        y * y + curve.a1 * x * y + curve.a3 * y
-        == x**3 + curve.a2 * x * x + curve.a4 * x + curve.a6
-    )
+    # the Weierstrass equation times xd^3 yd^2, for x = xn/xd and y = yn/yd
+    xn, xd = point.x.numerator, point.x.denominator
+    yn, yd = point.y.numerator, point.y.denominator
+    lhs = yn * xd * xd * (yn * xd + (curve.a1 * xn + curve.a3 * xd) * yd)
+    rhs = yd * yd * (((xn + curve.a2 * xd) * xn + curve.a4 * xd * xd) * xn + curve.a6 * xd**3)
+    return lhs == rhs
 
 
 def _require_on_curve(curve: WeierstrassCurve, point: Point):
@@ -140,6 +145,33 @@ def point_order(curve: WeierstrassCurve, point: Point) -> Union[int, float]:
         if current.infinity:
             return k
         current = group_law_add(curve, current, point)
+    return math.inf
+
+
+def _scaled_order(X: int, Y: int, A: int, B: int) -> Union[int, float]:
+    """Order of (X, Y) on Y^2 = X^3 + A X + B, or math.inf, all in integers.
+
+    Every multiple of a torsion point on this integral model is torsion and
+    so integral (Lutz-Nagell), and an integral sum of integral points has an
+    integral slope: a slope that leaves a remainder proves infinite order.
+    So does an affine 12P, as no rational point has finite order above 12.
+    """
+    x, y = X, Y
+    for k in range(2, 13):
+        # (x, y) == (k - 1) * (X, Y), the addend of this step
+        if y * y != (x * x + A) * x + B:
+            raise ValueError(f"({x}, {y}) is not on Y^2 = X^3 + {A} X + {B}")
+        if x == X:
+            if y == -Y:
+                return k
+            num, den = 3 * x * x + A, 2 * y
+        else:
+            num, den = y - Y, x - X
+        lam, rem = divmod(num, den)
+        if rem:
+            return math.inf
+        x3 = lam * lam - x - X
+        x, y = x3, lam * (x - x3) - y
     return math.inf
 
 
@@ -304,20 +336,20 @@ def _torsion_points(curve: WeierstrassCurve, disc: Factorization) -> dict[Point,
     orders = {Point.at_infinity(): 1}
     if bound == 1:
         return orders
-    c4, c6, b2 = curve.c4, curve.c6, curve.b2
+    A, B, b2 = -27 * curve.c4, -54 * curve.c6, curve.b2
     a1, a3 = curve.a1, curve.a3
     for yy in [0] + _square_divisors(_SIX_TO_12 * disc):
         # each residue set is closed under Y -> -Y, so one test serves both signs
         if not all(yy % p in ys for p, ys in residues):
             continue
         for Y in {yy, -yy}:
-            for X in _depressed_cubic_integer_roots(-27 * c4, -54 * c6 - Y * Y):
+            for X in _depressed_cubic_integer_roots(A, B - Y * Y):
                 x = Fraction(X - 3 * b2, 36)
                 y = (Fraction(Y, 108) - a1 * x - a3) / 2
                 pt = Point(x, y)
                 if not on_curve(curve, pt):
                     continue
-                n = point_order(curve, pt)
+                n = _scaled_order(X, Y, A, B)
                 if n != math.inf:
                     orders[pt] = n
     return orders

@@ -340,8 +340,9 @@ def _classify_three_torsion(
         return DIVISIBLE
 
     # 3 does not divide c(E): the normal form must have b = 1
-    gen = next(g for g in tors.generators if point_order(m, g) % 3 == 0)
-    p3 = multiply(m, point_order(m, gen) // 3, gen)
+    gen_orders = ((g, point_order(m, g)) for g in tors.generators)
+    gen, n = next((g, n) for g, n in gen_orders if n % 3 == 0)
+    p3 = multiply(m, n // 3, gen)
     form = three_torsion_form_of(m, (p3.x, p3.y))
     if form.b != 1:
         raise RuntimeError(

@@ -25,6 +25,7 @@ from tamagawa.torsion import (
     Point,
     _count_points_mod_p,
     _depressed_cubic_integer_roots,
+    _scaled_order,
     _square_divisors,
     _torsion_points,
     _torsion_sieve,
@@ -225,6 +226,23 @@ def _assert_sieve_agrees_with_reference(curve):
         assert Y.denominator == 1
         for p, ys in residues:
             assert Y.numerator % p in ys, (curve.ai(), q, p)
+    orders = set()
+    for X, Y, pt in _lutz_nagell_candidates(m, disc):
+        n = _scaled_order(X, Y, -27 * m.c4, -54 * m.c6)
+        assert n == point_order(m, pt), (m.ai(), X, Y)
+        orders.add(n)
+    return orders
+
+
+def _lutz_nagell_candidates(m, disc):
+    """Every (X, Y) the unsieved search tries, with its point on the minimal model m."""
+    y_candidates = {0}
+    for yy in _square_divisors(_SIX_TO_12 * disc):
+        y_candidates.update((yy, -yy))
+    for Y in sorted(y_candidates):
+        for X in _depressed_cubic_integer_roots(-27 * m.c4, -54 * m.c6 - Y * Y):
+            x = Fraction(X - 3 * m.b2, 36)
+            yield X, Y, Point(x, (Fraction(Y, 108) - m.a1 * x - m.a3) / 2)
 
 
 def test_sieve_matches_unsieved_search_on_fixtures():
@@ -240,8 +258,10 @@ def test_sieve_matches_unsieved_search_on_two_six_grid():
         if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
     ]
     assert len(ts) == 34
+    orders = set()
     for t in ts:
-        _assert_sieve_agrees_with_reference(two_six_curve(t))
+        orders |= _assert_sieve_agrees_with_reference(two_six_curve(t))
+    assert math.inf in orders  # candidates of infinite order are compared too
 
 
 @given(st.integers(-60, 60), st.integers(-60, 60))
@@ -320,3 +340,81 @@ def test_kubert_tate_normal_forms_reach_the_remaining_mazur_shapes(n, t, shape, 
     assert len(tors.points) == order
     expected_orders = [n, 2] if shape.startswith("Z/2x") else [n]
     assert [point_order(E, g) for g in tors.generators] == expected_orders
+
+
+def _scaled(curve, point):
+    """(X, Y, A, B): point on the scaled model Y^2 = X^3 + A X + B of curve."""
+    X = 36 * point.x + 3 * curve.b2
+    Y = 108 * (2 * point.y + curve.a1 * point.x + curve.a3)
+    return X, Y, -27 * curve.c4, -54 * curve.c6
+
+
+@pytest.mark.parametrize("n, t", [(7, 2), (9, 2), (10, 2), (12, 2), (8, 3)])
+def test_scaled_order_on_kubert_tate_normal_forms(n, t):
+    E = _tate_normal_form(*_kubert(n, t))
+    X, Y, A, B = _scaled(E, Point(0, 0))
+    assert _scaled_order(int(X), int(Y), A, B) == n
+
+
+def test_scaled_order_stops_at_the_first_non_integral_multiple():
+    E = WeierstrassCurve(0, 0, 1, -1, 0)
+    P = Point(0, 0)
+    X, Y, A, B = _scaled(E, P)
+    assert _scaled_order(int(X), int(Y), A, B) == math.inf
+    # 5P = (1/4, -5/8) is already non-integral on E, but on the scaled model
+    # 8P is the first multiple that is not integral
+    for k in range(1, 9):
+        Xk, Yk, _, _ = _scaled(E, multiply(E, k, P))
+        assert (Xk.denominator == Yk.denominator == 1) == (k < 8)
+    with pytest.raises(ValueError):
+        _scaled_order(1, 1, A, B)
+
+
+def _coprime(bound_a, bound_b, ok):
+    pairs = st.tuples(st.integers(*bound_a), st.integers(*bound_b))
+    return pairs.filter(lambda p: math.gcd(*p) == 1 and ok(*p))
+
+
+_ON_CURVE_CURVES = st.one_of(
+    st.sampled_from([rec.curve for rec in ingest_fixtures(FIXTURES).records]),
+    # (-1/4, 1/8) is 2-torsion on the first; the second has rank one
+    st.sampled_from([WeierstrassCurve(1, 0, 0, 4, 1), WeierstrassCurve(0, 0, 1, -1, 0)]),
+    _coprime((-30, 30), (-30, 30), lambda a, b: b != 0 and a * a != 4 * b).map(
+        lambda p: two_torsion_curve(*p)
+    ),
+    _coprime((1, 30), (-30, 30), lambda s, t: t != 0 and 16 * s + t != 0).map(
+        lambda p: four_torsion_curve(*p)
+    ),
+    st.sampled_from([ThreeTorsionNormalForm(a, 1).curve for a in (-5, -2, 1, 2, 4, 7)]),
+)
+
+
+def _fraction_equation(curve, point):
+    a1, a2, a3, a4, a6 = (Fraction(a) for a in curve.ai())
+    x, y = point.x, point.y
+    return y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
+
+
+@given(
+    _ON_CURVE_CURVES,
+    st.data(),
+    st.fractions(max_denominator=12),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_on_curve_matches_the_fraction_equation(curve, data, shift, shift_y):
+    """Lutz-Nagell candidates (torsion or not) and small multiples, carried to
+    the drawn model, are on it; shifting a coordinate by a fraction gives the
+    nearby points, on the curve or off it as the Fraction equation says."""
+    analysis = CurveAnalysis.of(curve)
+    m = analysis.minimal
+    candidates = [pt for _, _, pt in _lutz_nagell_candidates(m, analysis.disc_min)]
+    base = data.draw(st.sampled_from(candidates))
+    k = data.draw(st.integers(1, 3))
+    q = multiply(m, k, base)
+    assume(not q.infinity)
+    if curve != m:
+        q = Point(*analysis.transformation.unmap_point(q.x, q.y))
+    assert on_curve(curve, q) and _fraction_equation(curve, q)
+    near = Point(q.x, q.y + shift) if shift_y else Point(q.x + shift, q.y)
+    assert on_curve(curve, near) == _fraction_equation(curve, near)
