@@ -5,20 +5,26 @@ Y^2 = X^3 - 27c4 X - 54c6, where every rational torsion point is integral and
 Y = 0 or Y^2 | 6^12 disc.  A few good primes p >= 5 are reduced once: the
 point counts #E(F_p) bound the torsion order by their gcd B, and since
 reduction mod p is injective on torsion, the Y residue of every rational
-torsion point lies among those of E'(F_p)[B].  Square divisors missing from
-any residue set are dropped before the cubic-root search.  Each surviving
+torsion point lies among those of E'(F_p)[B].  A point count and a residue
+set depend only on (-27c4 mod p, -54c6 mod p, p) and B, so each is computed
+once per process.  Square divisors missing from any residue set are dropped,
+one filter pass per prime, before the cubic-root search.  Each surviving
 point's order is certified once, in integers on the scaled model: its
 multiples come from the chord-tangent law with exact integer slopes (at
 most 12 additions, each addend checked on the curve), and a slope that does
 not divide out proves infinite order, since every multiple of a torsion
-point is torsion and so integral.  The shape, the generators and the
-transport check all read those orders.  on_curve compares integers, with
-denominators cleared.  No floating point: integer roots of the depressed
-cubic are found by exact monotone search.
+point is torsion and so integral.  The shape and the generators read those
+orders, and the transport check re-certifies each generator the same way on
+the scaled model of the model that was asked about; points are carried back
+only when that model is not the minimal one.  on_curve compares integers,
+with denominators cleared.  No floating point: integer roots of the
+depressed cubic are found by exact monotone search within a bound of about
+twice max(sqrt|P|, cbrt|Q|).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,18 +181,34 @@ def _scaled_order(X: int, Y: int, A: int, B: int) -> Union[int, float]:
     return math.inf
 
 
-def _scaled_points_mod_p(c4: int, c6: int, p: int) -> list[tuple[int, int]]:
-    """Affine points of Y^2 = X^3 - 27c4 X - 54c6 over F_p, for p > 3."""
-    a, b = -27 * c4 % p, -54 * c6 % p
+def _integer_order(curve: WeierstrassCurve, point: Point) -> Union[int, float]:
+    """point_order of a point on curve, certified in integers on curve's scaled model.
+
+    The image (36x + 3b2, 108(2y + a1 x + a3)) lies on Y^2 = X^3 - 27c4 X - 54c6,
+    an integral model, where every torsion point is integral: a non-integral
+    image has infinite order.
+    """
+    if point.infinity:
+        return 1
+    X = 36 * point.x + 3 * curve.b2
+    Y = 108 * (2 * point.y + curve.a1 * point.x + curve.a3)
+    if X.denominator != 1 or Y.denominator != 1:
+        return math.inf
+    return _scaled_order(X.numerator, Y.numerator, -27 * curve.c4, -54 * curve.c6)
+
+
+def _scaled_points_mod_p(a: int, b: int, p: int) -> list[tuple[int, int]]:
+    """Affine points of Y^2 = X^3 + aX + b over F_p, for p > 3."""
     roots: dict[int, list[int]] = {}
     for y in range(p):
         roots.setdefault(y * y % p, []).append(y)
     return [(x, y) for x in range(p) for y in roots.get((x * x * x + a * x + b) % p, ())]
 
 
-def _count_points_mod_p(curve: WeierstrassCurve, p: int) -> int:
-    """#E(F_p) for a prime p > 3, counted on the scaled model."""
-    return 1 + len(_scaled_points_mod_p(curve.c4, curve.c6, p))
+@functools.cache
+def _point_count(a: int, b: int, p: int) -> int:
+    """#E'(F_p) for E': Y^2 = X^3 + aX + b; keys are residues mod a small prime."""
+    return 1 + len(_scaled_points_mod_p(a, b, p))
 
 
 def _add_mod_p(p1, p2, a: int, p: int):
@@ -217,6 +239,12 @@ def _killed_by(n: int, point: tuple[int, int], a: int, p: int) -> bool:
     return result is None
 
 
+@functools.cache
+def _residue_set(a: int, b: int, p: int, bound: int) -> frozenset[int]:
+    """The Y residues of the affine points of E'(F_p)[bound], E' as in _point_count."""
+    return frozenset(y for x, y in _scaled_points_mod_p(a, b, p) if _killed_by(bound, (x, y), a, p))
+
+
 def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, frozenset[int]]]]:
     """The torsion bound B and, per sieve prime p, the Y residues of E'(F_p)[B].
 
@@ -225,21 +253,17 @@ def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, frozen
     maps rational torsion injectively and homomorphically into E'(F_p)[B],
     so the Y of every affine rational torsion point reduces into each set.
     """
-    disc, c4, c6 = curve.disc, curve.c4, curve.c6
+    disc = curve.disc
     reduced = []
     p = 5
     while len(reduced) < _SIEVE_PRIMES:
         if disc % p and is_prime(p):
-            reduced.append((p, _scaled_points_mod_p(c4, c6, p)))
+            reduced.append((-27 * curve.c4 % p, -54 * curve.c6 % p, p))
         p += 2
     bound = 0
-    for _, pts in reduced:
-        bound = math.gcd(bound, 1 + len(pts))
-    residues = []
-    for p, pts in reduced:
-        a = -27 * c4 % p
-        residues.append((p, frozenset(y for x, y in pts if _killed_by(bound, (x, y), a, p))))
-    return bound, residues
+    for key in reduced:
+        bound = math.gcd(bound, _point_count(*key))
+    return bound, [(p, _residue_set(a, b, p, bound)) for a, b, p in reduced]
 
 
 def _depressed_cubic_integer_roots(P: int, Q: int) -> list[int]:
@@ -249,6 +273,11 @@ def _depressed_cubic_integer_roots(P: int, Q: int) -> list[int]:
     d(n) = f(n+1) - f(n) = 3n^2 + 3n + 1 + P is negative, which happens on a
     single integer interval; splitting there gives monotone segments that a
     plain bisection handles exactly.  No floating point.
+
+    Every root lies within 2 + 2 max(2^ceil(bits(P)/2), 2^ceil(bits(Q)/3)),
+    which exceeds 2 max(sqrt|P|, cbrt|Q|) since |P| < 2^bits(P): for
+    |X| > 2 max(sqrt|P|, cbrt|Q|), X^2 > 4|P| and |X|^3 > 8|Q|, so
+    |X|^3 > 2|P X| + 4|Q| >= |P X + Q| (strictly, as X != 0), and f(X) != 0.
     """
 
     def f(x: int) -> int:
@@ -257,7 +286,7 @@ def _depressed_cubic_integer_roots(P: int, Q: int) -> list[int]:
     def d(n: int) -> int:
         return 3 * n * n + 3 * n + 1 + P
 
-    bound = 2 + max(abs(P), abs(Q))
+    bound = 2 + 2 * max(1 << -(-P.bit_length() // 2), 1 << -(-Q.bit_length() // 3))
     segments: list[tuple[int, int, bool]] = []
     disc = -12 * P - 3
     if P >= 0 or disc <= 0:
@@ -338,10 +367,11 @@ def _torsion_points(curve: WeierstrassCurve, disc: Factorization) -> dict[Point,
         return orders
     A, B, b2 = -27 * curve.c4, -54 * curve.c6, curve.b2
     a1, a3 = curve.a1, curve.a3
-    for yy in [0] + _square_divisors(_SIX_TO_12 * disc):
-        # each residue set is closed under Y -> -Y, so one test serves both signs
-        if not all(yy % p in ys for p, ys in residues):
-            continue
+    candidates = [0] + _square_divisors(_SIX_TO_12 * disc)
+    # each residue set is closed under Y -> -Y, so one test serves both signs
+    for p, ys in residues:
+        candidates = [yy for yy in candidates if yy % p in ys]
+    for yy in candidates:
         for Y in {yy, -yy}:
             for X in _depressed_cubic_integer_roots(A, B - Y * Y):
                 x = Fraction(X - 3 * b2, 36)
@@ -402,16 +432,20 @@ def torsion_subgroup(
             generators_min.append(g2)
 
     # carry points back to the model that was asked about
-    def back(q: Point) -> Point:
-        if q.infinity:
-            return q
-        x, y = tr.unmap_point(q.x, q.y)
-        return Point(x, y)
+    if tr.is_identity():
+        generators, points = tuple(generators_min), frozenset(orders)
+    else:
 
-    generators = tuple(back(g) for g in generators_min)
-    points = frozenset(back(q) for q in orders)
+        def back(q: Point) -> Point:
+            if q.infinity:
+                return q
+            x, y = tr.unmap_point(q.x, q.y)
+            return Point(x, y)
+
+        generators = tuple(back(g) for g in generators_min)
+        points = frozenset(back(q) for q in orders)
     for g, gm in zip(generators, generators_min):
         _require_on_curve(curve, g)
-        if point_order(curve, g) != orders[gm]:
+        if _integer_order(curve, g) != orders[gm]:
             raise RuntimeError("generator order changed under coordinate transport")
     return TorsionStructure(shape, order, generators, points)

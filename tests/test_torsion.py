@@ -23,8 +23,10 @@ from tamagawa.families import (
 from tamagawa.torsion import (
     _SIX_TO_12,
     Point,
-    _count_points_mod_p,
     _depressed_cubic_integer_roots,
+    _integer_order,
+    _point_count,
+    _residue_set,
     _scaled_order,
     _square_divisors,
     _torsion_points,
@@ -131,7 +133,7 @@ def test_torsion_order_divides_reduction_counts():
         p = 5
         while checked < 2:
             if disc % p != 0:
-                assert _count_points_mod_p(E, p) % t.order == 0
+                assert _count(E, p) % t.order == 0
                 checked += 1
             p += 2
             while any(p % q == 0 for q in (2, 3, 5, 7) if q < p):
@@ -172,6 +174,11 @@ def test_torsion_json():
     assert j["shape"] == "Z/3" and j["order"] == 3
     assert j["generators"] in ([["0", "0"]], [["0", "-1"]])
     assert Point(0, 0) in t.points
+
+
+def _count(curve, p):
+    """#E(F_p), counted on the scaled model."""
+    return _point_count(-27 * curve.c4 % p, -54 * curve.c6 % p, p)
 
 
 def _reference_count_mod_p(curve, p):
@@ -218,7 +225,7 @@ def _assert_sieve_agrees_with_reference(curve):
     assert frozenset(_torsion_points(m, disc)) == expected, curve.ai()
     _, residues = _torsion_sieve(m)
     for p, _ in residues:
-        assert _count_points_mod_p(m, p) == _reference_count_mod_p(m, p)
+        assert _count(m, p) == _reference_count_mod_p(m, p)
     for q in expected:
         if q.infinity:
             continue
@@ -250,18 +257,41 @@ def test_sieve_matches_unsieved_search_on_fixtures():
         _assert_sieve_agrees_with_reference(rec.curve)
 
 
+TWO_SIX_GRID = [
+    Fraction(a, b)
+    for b in range(1, 6)
+    for a in range(-5, 6)
+    if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
+]
+
+
 def test_sieve_matches_unsieved_search_on_two_six_grid():
-    ts = [
-        Fraction(a, b)
-        for b in range(1, 6)
-        for a in range(-5, 6)
-        if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
-    ]
-    assert len(ts) == 34
+    assert len(TWO_SIX_GRID) == 34
     orders = set()
-    for t in ts:
+    for t in TWO_SIX_GRID:
         orders |= _assert_sieve_agrees_with_reference(two_six_curve(t))
     assert math.inf in orders  # candidates of infinite order are compared too
+
+
+def test_torsion_sieve_same_on_cold_and_warm_cache():
+    """The memoized point counts and residue sets are keyed by everything they
+    depend on: each curve's sieve, computed alone on cleared caches, comes out
+    the same when the curves share the caches in shuffled order."""
+    curves = [rec.curve for rec in ingest_fixtures(FIXTURES).records]
+    curves += [two_six_curve(t) for t in TWO_SIX_GRID]
+    minimal = [CurveAnalysis.of(c).minimal for c in curves]
+    cold = []
+    for m in minimal:
+        _point_count.cache_clear()
+        _residue_set.cache_clear()
+        cold.append(_torsion_sieve(m))
+    _point_count.cache_clear()
+    _residue_set.cache_clear()
+    order = list(range(len(minimal)))
+    random.Random(10).shuffle(order)
+    for i in order:
+        assert _torsion_sieve(minimal[i]) == cold[i], minimal[i].ai()
+    assert _residue_set.cache_info().hits > 0
 
 
 @given(st.integers(-60, 60), st.integers(-60, 60))
@@ -418,3 +448,153 @@ def test_on_curve_matches_the_fraction_equation(curve, data, shift, shift_y):
     assert on_curve(curve, q) and _fraction_equation(curve, q)
     near = Point(q.x, q.y + shift) if shift_y else Point(q.x + shift, q.y)
     assert on_curve(curve, near) == _fraction_equation(curve, near)
+
+
+def _carry(tr, point):
+    """point on the source curve of tr, carried to the transformed curve."""
+    if point.infinity:
+        return point
+    return Point(*tr.inverse().unmap_point(point.x, point.y))
+
+
+@given(
+    _ON_CURVE_CURVES,
+    st.data(),
+    st.sampled_from([1, 2, 3]),
+    st.tuples(*[st.integers(-8, 8)] * 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_order_matches_point_order_on_integral_models(curve, data, u, rst):
+    """Torsion points, Lutz-Nagell candidates of infinite order and their
+    multiples, carried to an integral model scaled by u: the integer order
+    equals the Fraction one."""
+    analysis = CurveAnalysis.of(curve)
+    m = analysis.minimal
+    points = sorted(torsion_subgroup(m, analysis=analysis).points, key=str)
+    points += [pt for _, _, pt in _lutz_nagell_candidates(m, analysis.disc_min)]
+    point = multiply(m, data.draw(st.integers(1, 3)), data.draw(st.sampled_from(points)))
+    tr = Transformation(Fraction(1, u), *rst)
+    model = apply_transformation(m, tr)
+    q = _carry(tr, point)
+    assert on_curve(model, q)
+    assert _integer_order(model, q) == point_order(model, q)
+
+
+def test_integer_order_of_non_torsion_points():
+    E = WeierstrassCurve(0, 0, 1, -1, 0)  # rank one, trivial torsion
+    for k in range(1, 10):
+        assert _integer_order(E, multiply(E, k, Point(0, 0))) == math.inf
+    assert _integer_order(E, Point.at_infinity()) == 1
+
+
+def test_transport_check_catches_a_wrong_map(monkeypatch):
+    E2 = apply_transformation(E4, Transformation(Fraction(1, 2), 3, -1, 2))
+    analysis = CurveAnalysis.of(E2)
+    assert not analysis.transformation.is_identity()
+    m = analysis.minimal
+    two = next(q for q in torsion_subgroup(m).points if point_order(m, q) == 2)
+    true_unmap = Transformation.unmap_point
+    # every point goes to the image of one point of order 2: on E2, but the
+    # order-4 generator's order changes
+    monkeypatch.setattr(Transformation, "unmap_point", lambda tr, x, y: true_unmap(tr, two.x, two.y))
+    with pytest.raises(RuntimeError, match="generator order changed under coordinate transport"):
+        torsion_subgroup(E2, analysis=analysis)
+
+
+def test_identity_transport_matches_carrying_points_back(monkeypatch):
+    """On minimal models the points are their own images; carrying them through
+    the identity transformation, as for any other model, gives the same structure."""
+    analyses = [CurveAnalysis.of(CurveAnalysis.of(rec.curve).minimal) for rec in ingest_fixtures(FIXTURES).records]
+    assert len(analyses) == 24
+    assert all(a.transformation.is_identity() for a in analyses)
+    direct = [torsion_subgroup(a.curve, analysis=a) for a in analyses]
+    monkeypatch.setattr(Transformation, "is_identity", lambda tr: False)
+    assert [torsion_subgroup(a.curve, analysis=a) for a in analyses] == direct
+
+
+def _reference_cubic_roots(P, Q):
+    """Integer roots of X^3 + P X + Q within the old bound |X| <= 2 + max(|P|, |Q|).
+
+    f is monotone between the integers next to its critical points
+    +-sqrt(-P/3); on each such run a binary search finds the first x with
+    f(x) on the far side of 0, and the roots are the zeros from there on.
+    """
+
+    def f(x):
+        return x**3 + P * x + Q
+
+    bound = 2 + max(abs(P), abs(Q))
+    cuts = {-bound, bound}
+    if P < 0:
+        r = math.isqrt(-P // 3)
+        cuts.update(c for c in (-r - 1, -r, r, r + 1) if -bound < c < bound)
+    cuts = sorted(cuts)
+    roots = set()
+    for lo, hi in zip(cuts, cuts[1:]):
+        sign = 1 if f(hi) >= f(lo) else -1
+        a, b = lo, hi
+        while a < b:
+            mid = (a + b) // 2
+            if sign * f(mid) >= 0:
+                b = mid
+            else:
+                a = mid + 1
+        while a <= hi and f(a) == 0:
+            roots.add(a)
+            a += 1
+    return sorted(roots)
+
+
+def _bit_edges(kmax):
+    edges = [0]
+    for k in range(kmax + 1):
+        edges += [2**k, 2**k - 1, -(2**k), -(2**k - 1)]
+    return sorted(set(edges))
+
+
+def test_cubic_roots_at_bit_length_edges():
+    edges = _bit_edges(20)
+    for P in edges:
+        for Q in edges:
+            assert _depressed_cubic_integer_roots(P, Q) == _reference_cubic_roots(P, Q), (P, Q)
+    for v in _bit_edges(90):
+        for P, Q in ((v, 0), (0, v), (-abs(v), 0), (v, v)):
+            assert _depressed_cubic_integer_roots(P, Q) == _reference_cubic_roots(P, Q), (P, Q)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 1000, 2**20 + 1, 3**40, 10**30, 2**100 - 1])
+def test_cubic_roots_of_chosen_cubics(k):
+    cases = {
+        (-3 * k * k, 2 * k**3): [-2 * k, k],  # roots k, k, -2k
+        (-3 * k * k, -2 * k**3): [-k, 2 * k],  # roots -k, -k, 2k
+        (-k * k, 0): [-k, 0, k],  # roots k, -k, 0
+    }
+    for (P, Q), roots in cases.items():
+        assert _depressed_cubic_integer_roots(P, Q) == roots
+        assert _reference_cubic_roots(P, Q) == roots
+
+
+@pytest.mark.parametrize("j", [8, 20, 41, 64])
+@pytest.mark.parametrize("tenths", [11, 12, 13])
+def test_cubic_roots_with_one_real_root_beyond_both_radicals(j, tenths):
+    """A root r = 1.1 to 1.3 times 2^j with P = -(4^j - 1): r is larger than
+    both 2^ceil(bits(P)/2) and 2^ceil(bits(Q)/3), so the bound needs its factor 2."""
+    r, P = tenths * 2**j // 10, -(4**j - 1)
+    Q = -(r**3 + P * r)
+    assert r > 2 + max(1 << -(-P.bit_length() // 2), 1 << -(-Q.bit_length() // 3))
+    assert _depressed_cubic_integer_roots(P, Q) == [r] == _reference_cubic_roots(P, Q)
+
+
+@given(st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80))
+@settings(max_examples=200, deadline=None)
+def test_cubic_roots_match_reference_on_draws(P, Q):
+    assert _depressed_cubic_integer_roots(P, Q) == _reference_cubic_roots(P, Q)
+
+
+@given(st.integers(-(2**40), 2**40), st.integers(-(2**80), 2**80))
+@settings(max_examples=200, deadline=None)
+def test_cubic_roots_match_reference_with_a_root(r, P):
+    Q = -(r**3 + P * r)
+    roots = _depressed_cubic_integer_roots(P, Q)
+    assert r in roots
+    assert roots == _reference_cubic_roots(P, Q)
