@@ -6,10 +6,12 @@ shortcuts misclassify.  Each step works on exact integers; the model is
 locally minimized by the built-in restart when step 11 detects p^12 | disc
 with all coefficient valuations high enough.
 
-Split versus nonsplit multiplicative reduction is decided by whether the
-tangent-cone quadratic T^2 + a1*T - a2 of the model translated to its
-singular point has a root in F_p (for odd p via the quadratic residue
-test on its discriminant, for p = 2 by exhaustive root search).
+At p | disc, p not dividing c4, the model is p-minimal of type I_n, split iff
+T^2 + a1*T - a2 has a root in F_p after moving the node to (0, 0); there the
+discriminant is b2 and c6 = -b2^3 (mod p), so at odd p: split iff -c6 is a
+nonzero square mod p.  At p = 2 a1 is odd, the node has x = a3 and the move
+gives a2 + 3*a3: split iff a2 + a3 is even; `tate` moves no node (Silverman,
+Advanced Topics, IV.9; Cremona, Algorithms for Modular Elliptic Curves, 3.2).
 
 The invariants, the coordinate changes and the p-adic valuation are the
 shared ones of `curves.invariants`, `curves.change_coordinates` and
@@ -18,6 +20,7 @@ shared ones of `curves.invariants`, `curves.change_coordinates` and
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
@@ -57,12 +60,14 @@ class KodairaType:
         object.__setattr__(self, "n", int(m.group(2)) if m.group(2) else None)
 
     @staticmethod
+    @functools.lru_cache(maxsize=None, typed=True)  # typed: 1.0 and True stay invalid
     def multiplicative(n: int) -> "KodairaType":
         if n < 0:
             raise ValueError("In needs n >= 0")
         return KodairaType(f"I{n}")
 
     @staticmethod
+    @functools.lru_cache(maxsize=None, typed=True)  # typed: 1.0 and True stay invalid
     def star(n: int) -> "KodairaType":
         if n < 0:
             raise ValueError("In* needs n >= 0")
@@ -91,6 +96,10 @@ class KodairaType:
 
     def __str__(self) -> str:
         return self.symbol
+
+
+_I0, _II, _III, _IV = (KodairaType(k) for k in ("I0", "II", "III", "IV"))
+_IV_STAR, _III_STAR, _II_STAR = (KodairaType(k) for k in ("IV*", "III*", "II*"))
 
 
 @dataclass(frozen=True)
@@ -211,27 +220,16 @@ def _cubic_rational_root_count(b: int, c: int, d: int, p: int) -> int:
 
 
 def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
-    """(r, t) mod p with the reduced curve singular at (r, t)."""
+    """(r, t) mod p with the reduced curve singular at (r, t); called only at a cusp (p | c4)."""
     a1, a2, a3, a4, a6 = curve.ai()
-    b2, b4, b6, c4, c6 = curve.b2, curve.b4, curve.b6, curve.c4, curve.c6
     if p == 2:
-        if b2 % 2:
-            r = a3 % 2
-            t = (r + a4) % 2
-        else:
-            r = a4 % 2
-            t = (r * (1 + a2 + a4) + a6) % 2
+        r = a4 % 2
+        t = (r * (1 + a2 + a4) + a6) % 2
     elif p == 3:
-        if b2 % 3:
-            r = (-b2 * b4) % 3
-        else:
-            r = (-b6) % 3
+        r = (-curve.b6) % 3
         t = (a1 * r + a3) % 3
     else:
-        if c4 % p:
-            r = (-(c6 + b2 * c4) * _inv(12 * c4 % p, p)) % p
-        else:
-            r = (-b2 * _inv(12, p)) % p
+        r = (-curve.b2 * _inv(12, p)) % p
         t = (-(a1 * r + a3) * _inv(2, p)) % p
     return r, t
 
@@ -247,31 +245,33 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
     while True:
         n = _int_valuation(curve.disc, p)
         if n == 0:
-            return LocalDatum(p, KodairaType("I0"), 1, GOOD, 0)
+            return LocalDatum(p, _I0, 1, GOOD, 0)
 
+        if curve.c4 % p:
+            # multiplicative I_n, split or not without moving the node (module docstring)
+            if p == 2:
+                split = (curve.a2 + curve.a3) % 2 == 0
+            elif curve.c6 % p == 0:
+                raise AlgorithmError(f"node with p | c6 at p={p}")
+            else:
+                split = pow(-curve.c6 % p, (p - 1) // 2, p) == 1
+            cp, cls = (n, SPLIT) if split else (2 if n % 2 == 0 else 1, NONSPLIT)
+            return LocalDatum(p, KodairaType.multiplicative(n), cp, cls, n)
+
+        # additive from here on: move the cusp to (0, 0)
         r, t = _singular_point_mod_p(curve, p)
         ai = change_coordinates(curve.ai(), r, 0, t)
         a1, a2, a3, a4, a6 = ai
         if a3 % p or a4 % p or a6 % p:
             raise AlgorithmError(f"singular point translation failed at p={p}")
-
-        if curve.c4 % p:
-            # multiplicative: tangent quadratic T^2 + a1 T - a2
-            split = _quad_has_root(1, a1 % p, (-a2) % p, p)
-            cp = n if split else (2 if n % 2 == 0 else 1)
-            return LocalDatum(
-                p, KodairaType.multiplicative(n), cp, SPLIT if split else NONSPLIT, n
-            )
-
-        # additive from here on
         if _int_valuation(a6, p) < 2:
-            return LocalDatum(p, KodairaType("II"), 1, ADDITIVE, n)
+            return LocalDatum(p, _II, 1, ADDITIVE, n)
         _, _, b6t, b8t, _, _, _ = invariants(ai)
         if _int_valuation(b8t, p) < 3:
-            return LocalDatum(p, KodairaType("III"), 2, ADDITIVE, n)
+            return LocalDatum(p, _III, 2, ADDITIVE, n)
         if _int_valuation(b6t, p) < 3:
             cp = 3 if _quad_has_root(1, (a3 // p) % p, (-(a6 // p**2)) % p, p) else 1
-            return LocalDatum(p, KodairaType("IV"), cp, ADDITIVE, n)
+            return LocalDatum(p, _IV, cp, ADDITIVE, n)
 
         # normalize: p | a1, a2; p^2 | a3, a4; p^3 | a6
         if p == 2:
@@ -352,15 +352,15 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
         C = a6 // p**4
         if _quad_separable(1, B % p, (-C) % p, p):
             cp = 3 if _quad_has_root(1, B % p, (-C) % p, p) else 1
-            return LocalDatum(p, KodairaType("IV*"), cp, ADDITIVE, n)
+            return LocalDatum(p, _IV_STAR, cp, ADDITIVE, n)
         y0 = _quad_double_root(1, B % p, (-C) % p, p)
         ai = change_coordinates(ai, 0, 0, p * p * y0)
         a1, a2, a3, a4, a6 = ai
 
         if _int_valuation(a4, p) < 4:
-            return LocalDatum(p, KodairaType("III*"), 2, ADDITIVE, n)
+            return LocalDatum(p, _III_STAR, 2, ADDITIVE, n)
         if _int_valuation(a6, p) < 6:
-            return LocalDatum(p, KodairaType("II*"), 1, ADDITIVE, n)
+            return LocalDatum(p, _II_STAR, 1, ADDITIVE, n)
 
         # model was not minimal at p: shrink and start over
         if a1 % p or a2 % p**2 or a3 % p**3 or a4 % p**4 or a6 % p**6:

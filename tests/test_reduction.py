@@ -2,9 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tamagawa.arith import valuation
-from tamagawa.curves import Transformation, WeierstrassCurve, apply_transformation
+from tamagawa.curves import (
+    SingularCurveError,
+    Transformation,
+    WeierstrassCurve,
+    apply_transformation,
+    change_coordinates,
+)
 from tamagawa.families import ThreeTorsionNormalForm, two_six_curve
 from tamagawa.reduction import (
     ADDITIVE,
@@ -333,3 +341,144 @@ def test_tate_minimizes_internally():
     # scaling by a good prime leaves it good
     blown2 = apply_transformation(E, Transformation(Fraction(1, 7), 0, 0, 0))
     assert tate(blown2, 7).reduction_class == GOOD
+
+
+def _reference_node_split(curve, p):
+    """Split multiplicative reduction at p, decided by moving the node.
+
+    The way `tate` decided it before it read -c6: translate the node of the
+    reduction to (0, 0), then look for a root in F_p of the tangent quadratic
+    T^2 + a1 T - a2 (by search below 100, by Euler's criterion on its
+    discriminant above).  Needs p | disc and p not dividing c4.
+    """
+    a1, a2, a3, a4, a6 = curve.ai()
+    b2, b4, c4, c6 = curve.b2, curve.b4, curve.c4, curve.c6
+    if p == 2:
+        r, t = a3 % 2, (a3 + a4) % 2
+    elif p == 3:
+        r = (-b2 * b4) % 3
+        t = (a1 * r + a3) % 3
+    else:
+        r = (-(c6 + b2 * c4) * pow(12 * c4, -1, p)) % p
+        t = (-(a1 * r + a3) * pow(2, -1, p)) % p
+    a1, a2, a3, a4, a6 = change_coordinates(curve.ai(), r, 0, t)
+    assert a3 % p == a4 % p == a6 % p == 0, "the node is not at (0, 0)"
+    if p < 100:
+        return any((T * T + a1 * T - a2) % p == 0 for T in range(p))
+    d = (a1 * a1 + 4 * a2) % p
+    assert d, "the tangent quadratic at a node is separable"
+    return pow(d, (p - 1) // 2, p) == 1
+
+
+def _reference_multiplicative(curve, p):
+    """(symbol, c_p, class, v(disc)) of a model that is multiplicative at p."""
+    n = valuation(curve.disc, p)
+    if _reference_node_split(curve, p):
+        return f"I{n}", n, SPLIT, n
+    return f"I{n}", 2 if n % 2 == 0 else 1, NONSPLIT, n
+
+
+def _summary(datum):
+    return datum.kodaira.symbol, datum.tamagawa, datum.reduction_class, datum.v_delta_min
+
+
+def _scaled(ai, u):
+    """The model with coefficients a_i u^i: the same curve, not minimal at u's primes."""
+    return WeierstrassCurve(*(a * u**e for a, e in zip(ai, (1, 2, 3, 4, 6))))
+
+
+_small = st.integers(-40, 40)
+_large_primes = st.sampled_from([1000003, 2**31 - 1, 2**61 - 1])
+
+
+@given(_small, _small, _small, _small, _small, st.sampled_from([2, 3, 5, 7]), _small, _small, _small)
+@settings(max_examples=400, deadline=None)
+def test_split_matches_moved_node_on_moved_curves(a1, a2, a3, a4, a6, p, r, s, t):
+    try:
+        E = WeierstrassCurve(*change_coordinates((a1, a2, a3, a4, a6), r, s, t))
+    except SingularCurveError:
+        return
+    d = tate(E, p)
+    if E.disc % p == 0 and E.c4 % p:
+        assert _summary(d) == _reference_multiplicative(E, p), (E.ai(), p, d)
+    else:
+        assert d.reduction_class in (GOOD, ADDITIVE), (E.ai(), p, d)
+
+
+@given(
+    _small, _small, _small, _small, _small,
+    st.one_of(st.sampled_from([2, 3, 5, 7]), _large_primes),
+    _small, _small, _small,
+)
+@settings(max_examples=400, deadline=None)
+def test_split_matches_moved_node_at_built_nodes(a1, a2, x3, x4, x6, p, r, s, t):
+    """A node at (0, 0) mod p (p | a3, a4, a6 and p not dividing c4), moved by (r, s, t)."""
+    assume((a1 * a1 + 4 * a2) % p)  # c4 = b2^2 (mod p) when p | a3, a4, a6
+    try:
+        E = WeierstrassCurve(*change_coordinates((a1, a2, p * x3, p * x4, p * x6), r, s, t))
+    except SingularCurveError:
+        return
+    assert E.disc % p == 0 and E.c4 % p
+    assert _summary(tate(E, p)) == _reference_multiplicative(E, p), (E.ai(), p)
+
+
+@given(
+    _small, _small, _small, _small, _small,
+    st.one_of(st.sampled_from([2, 3, 5, 7]), _large_primes),
+    st.integers(1, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_split_matches_moved_node_after_restart(a1, a2, x3, x4, x6, p, k):
+    """Scaled by u = p^k the model is not minimal and p | c4: the I_n shortcut
+    is reached only after the restart of step 11."""
+    assume((a1 * a1 + 4 * a2) % p)
+    try:
+        E = WeierstrassCurve(a1, a2, p * x3, p * x4, p * x6)
+    except SingularCurveError:
+        return
+    blown = _scaled(E.ai(), p**k)
+    assert blown.c4 % p == 0
+    assert _summary(tate(blown, p)) == _reference_multiplicative(E, p), (E.ai(), p, k)
+
+
+def test_split_at_a_node_decided_by_both_signs_of_c6():
+    # 3, 7, 11 and 1000003 are 3 mod 4, where -1 is not a square: reading +c6
+    # would swap split and nonsplit there
+    for p in (3, 7, 11, 1000003):
+        seen = set()
+        for a2 in range(p if p < 100 else 4):
+            E = WeierstrassCurve(1, a2, 0, 0, p)
+            if E.c4 % p:
+                d = tate(E, p)
+                assert _summary(d) == _reference_multiplicative(E, p), (a2, p)
+                seen.add(d.reduction_class)
+        assert seen == {SPLIT, NONSPLIT}, p
+    # at 2 (a1 odd) the parity of a2 + a3 decides: split, nonsplit, split, nonsplit
+    cases = [(1, 0, 0, 0, 2), (1, 1, 0, 0, 2), (3, 1, 1, 0, 3), (3, 0, 1, 1, 2)]
+    for ai, cls in zip(cases, [SPLIT, NONSPLIT] * 2):
+        E = WeierstrassCurve(*ai)
+        d = tate(E, 2)
+        assert _summary(d) == _reference_multiplicative(E, 2), ai
+        assert d.reduction_class == cls, ai
+
+
+def test_kodaira_type_constructors_build_each_type_once():
+    assert KodairaType.multiplicative(5) is KodairaType.multiplicative(5)
+    assert KodairaType.multiplicative(5) == KodairaType("I5")
+    assert KodairaType.star(3) is KodairaType.star(3)
+    assert KodairaType.star(3) == KodairaType("I3*")
+    assert tate(WeierstrassCurve(1, -3, -3, 0, 0), 3).kodaira is KodairaType.multiplicative(4)
+    # a failed call is not remembered: n < 0 raises every time
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            KodairaType.multiplicative(-1)
+        with pytest.raises(ValueError):
+            KodairaType.star(-2)
+    # nor does a cached I1 answer for an argument that only compares equal to 1
+    KodairaType.multiplicative(1)
+    KodairaType.star(1)
+    for bad in (1.0, True):
+        with pytest.raises(ValueError):
+            KodairaType.multiplicative(bad)
+        with pytest.raises(ValueError):
+            KodairaType.star(bad)

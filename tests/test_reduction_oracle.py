@@ -7,10 +7,17 @@ reduction; the tame conductor exponent at p >= 5 must be exactly 2 for
 additive and 1 for multiplicative reduction.
 """
 
+import math
 import random
+from collections import Counter
 
 from tamagawa.curves import WeierstrassCurve, minimal_model
-from tamagawa.families import ThreeTorsionNormalForm, four_torsion_curve, two_six_curve
+from tamagawa.families import (
+    ThreeTorsionNormalForm,
+    four_torsion_curve,
+    two_six_curve,
+    two_torsion_curve,
+)
 from tamagawa.reduction import (
     ADDITIVE,
     GOOD,
@@ -86,6 +93,47 @@ def test_reduction_class_point_count_oracle_random():
             if p <= 500:
                 assert_class_matches_count(E, p)
         checked += 1
+
+
+def _torsion_family_grid():
+    """Two-, three- and four-torsion family curves on small parameter grids.
+
+    Most are multiplicative at 2 or 3; b = 16k gives two-torsion curves
+    that are multiplicative at 2 (the other small b are additive there).
+    """
+    for a in range(-20, 21):
+        for b in sorted({*range(-20, 21), *range(-320, 321, 16)}):
+            if b and math.gcd(a, b) == 1 and a * a != 4 * b:
+                yield two_torsion_curve(a, b)
+    for a in range(-20, 21):
+        for b in range(1, 21):
+            try:
+                form = ThreeTorsionNormalForm(a, b)
+            except ValueError:  # singular, or not in normal form
+                continue
+            yield form.curve
+    for s in range(1, 21):
+        for t in range(-20, 21):
+            if t and math.gcd(s, t) == 1 and 16 * s + t:
+                yield four_torsion_curve(s, t)
+
+
+def test_reduction_class_point_count_oracle_torsion_families_at_2_and_3():
+    # p - 1 smooth points for split I_n, p + 1 for nonsplit, at the hard primes
+    seen = Counter()
+    for E in _torsion_family_grid():
+        m, _ = minimal_model(E)
+        for p in (2, 3):
+            d = tate(m, p)
+            smooth = point_count(m, p) - 1
+            if d.reduction_class == SPLIT:
+                assert smooth == p - 1, (E.ai(), p, d, smooth)
+            elif d.reduction_class == NONSPLIT:
+                assert smooth == p + 1, (E.ai(), p, d, smooth)
+            seen[p, d.reduction_class] += 1
+    for p in (2, 3):
+        for cls in (SPLIT, NONSPLIT):
+            assert seen[p, cls] >= 200, (p, cls, seen)
 
 
 def test_tame_conductor_exponent():
