@@ -13,6 +13,15 @@ nonzero square mod p.  At p = 2 a1 is odd, the node has x = a3 and the move
 gives a2 + 3*a3: split iff a2 + a3 is even; `tate` moves no node (Silverman,
 Advanced Topics, IV.9; Cremona, Algorithms for Modular Elliptic Curves, 3.2).
 
+At I0*, c_p is 1 plus the number of F_p-roots of the separable cubic
+T^3 + b T^2 + c T + d.  Below p = 100 (the only way at p = 2) the roots are
+counted one by one.  Above, Stickelberger's theorem decides: at odd p a
+separable cubic with r irreducible factors has a discriminant whose
+Legendre symbol is (-1)^(3 - r), so a non-square discriminant means exactly
+one root, and a square one means 3 roots when T^p = T modulo the cubic and
+none otherwise (L. Stickelberger, 1897; see R. G. Swan, Factorization of
+polynomials over finite fields, Pacific J. Math. 12 (1962)).
+
 The invariants, the coordinate changes and the p-adic valuation are the
 shared ones of `curves.invariants`, `curves.change_coordinates` and
 `arith._int_valuation`; this module keeps no formula of its own for them.
@@ -156,39 +165,14 @@ def _quad_double_root(A: int, B: int, C: int, p: int) -> int:
     return (-B * _inv(2 * A, p)) % p
 
 
-def _poly_strip(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_rem(f: list[int], g: list[int], p: int) -> list[int]:
-    """f mod g over F_p; g must be nonzero. Coefficients low to high."""
-    f = _poly_strip([c % p for c in f])
-    inv_lead = _inv(g[-1], p)
-    while len(f) >= len(g):
-        coef = f[-1] * inv_lead % p
-        shift = len(f) - len(g)
-        for i, gi in enumerate(g):
-            f[shift + i] = (f[shift + i] - coef * gi) % p
-        _poly_strip(f)
-    return f
-
-
-def _poly_gcd_degree(f: list[int], g: list[int], p: int) -> int:
-    f = _poly_strip([c % p for c in f])
-    g = _poly_strip([c % p for c in g])
-    while g:
-        f, g = g, _poly_rem(f, g, p)
-    return len(f) - 1
-
-
-def _cubic_rational_root_count(b: int, c: int, d: int, p: int) -> int:
-    """Number of F_p-roots of the separable cubic T^3 + b T^2 + c T + d."""
+def _cubic_rational_root_count(b: int, c: int, d: int, disc: int, p: int) -> int:
+    """Number of F_p-roots of the separable cubic T^3 + b T^2 + c T + d of discriminant disc."""
     if p < 100:
         return sum(1 for t in range(p) if (((t + b) * t + c) * t + d) % p == 0)
-    # deg gcd(T^p - T, P) counts distinct rational roots; T^p computed by
-    # square-and-multiply in F_p[T]/(P)
+    # Stickelberger (module docstring): one root for a non-square disc, else
+    # 3 or none, 3 exactly when T^p = T in F_p[T]/(cubic) by square-and-multiply
+    if pow(disc % p, (p - 1) // 2, p) != 1:
+        return 1
     b, c, d = b % p, c % p, d % p
 
     def mulmod(f: list[int], g: list[int]) -> list[int]:
@@ -214,9 +198,7 @@ def _cubic_rational_root_count(b: int, c: int, d: int, p: int) -> int:
             result = mulmod(result, base)
         base = mulmod(base, base)
         e >>= 1
-    frobenius_minus_t = [result[0], (result[1] - 1) % p, result[2]]
-    cubic = [d, c, b, 1]
-    return max(_poly_gcd_degree(cubic, frobenius_minus_t, p), 0)
+    return 3 if result == [0, 1, 0] else 0
 
 
 def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
@@ -287,12 +269,13 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
 
         # cubic P(T) = T^3 + b T^2 + c T + d over F_p
         b, c, d = (a2 // p) % p, (a4 // p**2) % p, (a6 // p**3) % p
+        # w is minus the cubic's discriminant
         w = (27 * d * d - b * b * c * c + 4 * b**3 * d - 18 * b * c * d + 4 * c**3) % p
         x = (3 * c - b * b) % p
 
         if w:
             # distinct roots: I0*
-            cp = 1 + _cubic_rational_root_count(b, c, d, p)
+            cp = 1 + _cubic_rational_root_count(b, c, d, -w, p)
             return LocalDatum(p, KodairaType.star(0), cp, ADDITIVE, n)
 
         if x:

@@ -8,18 +8,21 @@ reduction mod p is injective on torsion, the Y residue of every rational
 torsion point lies among those of E'(F_p)[B].  A point count and a residue
 set depend only on (-27c4 mod p, -54c6 mod p, p) and B, so each is computed
 once per process.  Square divisors missing from any residue set are dropped,
-one filter pass per prime, before the cubic-root search.  Each surviving
-point's order is certified once, in integers on the scaled model: its
-multiples come from the chord-tangent law with exact integer slopes (at
-most 12 additions, each addend checked on the curve), and a slope that does
-not divide out proves infinite order, since every multiple of a torsion
-point is torsion and so integral.  The shape and the generators read those
-orders, and the transport check re-certifies each generator the same way on
-the scaled model of the model that was asked about; points are carried back
-only when that model is not the minimal one.  on_curve compares integers,
-with denominators cleared.  No floating point: integer roots of the
-depressed cubic are found by exact monotone search within a bound of about
-twice max(sqrt|P|, cbrt|Q|).
+one filter pass per prime, before the cubic-root search.
+
+One integer group law serves orders, generators and multiples: the
+chord-tangent law on the scaled model with exact integer slopes
+(_scaled_multiples, at most 12 additions, each addend checked on the curve).
+A slope that does not divide out proves infinite order, since every multiple
+of a torsion point is torsion and so integral.  Each surviving point's
+multiples are computed once; its order is their count plus one, and the
+point of order 2 under a generator of Z/2 x Z/2N is one of them.  Generators
+are the first points of their order in (X, Y) order, which is (x, y) order
+on the minimal model.  Rational points are built only for the result, and
+point_order re-certifies each generator on the model that was asked about.
+on_curve compares integers, with denominators cleared.  No floating point:
+integer roots of the depressed cubic are found by exact monotone search
+within a bound of about twice max(sqrt|P|, cbrt|Q|).
 """
 
 from __future__ import annotations
@@ -98,12 +101,6 @@ def _require_on_curve(curve: WeierstrassCurve, point: Point):
         raise ValueError(f"point {point} is not on {curve}")
 
 
-def negate(curve: WeierstrassCurve, point: Point) -> Point:
-    if point.infinity:
-        return point
-    return Point(point.x, -point.y - curve.a1 * point.x - curve.a3)
-
-
 def group_law_add(curve: WeierstrassCurve, p1: Point, p2: Point) -> Point:
     """Chord-tangent sum with exact rational coordinates."""
     _require_on_curve(curve, p1)
@@ -127,74 +124,74 @@ def group_law_add(curve: WeierstrassCurve, p1: Point, p2: Point) -> Point:
     return Point(x3, y3)
 
 
-def multiply(curve: WeierstrassCurve, n: int, point: Point) -> Point:
-    if n < 0:
-        return multiply(curve, -n, negate(curve, point))
-    result = Point.at_infinity()
-    addend = point
-    while n:
-        if n & 1:
-            result = group_law_add(curve, result, addend)
-        addend = group_law_add(curve, addend, addend)
-        n >>= 1
-    return result
-
-
-def point_order(curve: WeierstrassCurve, point: Point) -> Union[int, float]:
-    """Exact order (at most 12 over Q) or math.inf for non-torsion points."""
-    _require_on_curve(curve, point)
-    if point.infinity:
-        return 1
-    current = point
-    for k in range(1, 13):
-        # current == k * point at this check
-        if current.infinity:
-            return k
-        current = group_law_add(curve, current, point)
-    return math.inf
-
-
-def _scaled_order(X: int, Y: int, A: int, B: int) -> Union[int, float]:
-    """Order of (X, Y) on Y^2 = X^3 + A X + B, or math.inf, all in integers.
+def _scaled_multiples(X: int, Y: int, A: int, B: int) -> Optional[list[tuple[int, int]]]:
+    """[P, 2P, ..., (n-1)P] for P = (X, Y) of order n on Y^2 = X^3 + A X + B,
+    or None when P has infinite order, all in integers.
 
     Every multiple of a torsion point on this integral model is torsion and
     so integral (Lutz-Nagell), and an integral sum of integral points has an
     integral slope: a slope that leaves a remainder proves infinite order.
     So does an affine 12P, as no rational point has finite order above 12.
     """
+    multiples = [(X, Y)]
     x, y = X, Y
-    for k in range(2, 13):
-        # (x, y) == (k - 1) * (X, Y), the addend of this step
+    for _ in range(11):
+        # (x, y) == multiples[-1], the addend of this step
         if y * y != (x * x + A) * x + B:
             raise ValueError(f"({x}, {y}) is not on Y^2 = X^3 + {A} X + {B}")
         if x == X:
             if y == -Y:
-                return k
+                return multiples
             num, den = 3 * x * x + A, 2 * y
         else:
             num, den = y - Y, x - X
         lam, rem = divmod(num, den)
         if rem:
-            return math.inf
+            return None
         x3 = lam * lam - x - X
         x, y = x3, lam * (x - x3) - y
-    return math.inf
+        multiples.append((x, y))
+    return None
 
 
-def _integer_order(curve: WeierstrassCurve, point: Point) -> Union[int, float]:
-    """point_order of a point on curve, certified in integers on curve's scaled model.
+def _unscaled(curve: WeierstrassCurve, X: int, Y: int) -> Point:
+    """The point of curve whose image on the scaled model is (X, Y)."""
+    x = Fraction(X - 3 * curve.b2, 36)
+    return Point(x, (Fraction(Y, 108) - curve.a1 * x - curve.a3) / 2)
 
-    The image (36x + 3b2, 108(2y + a1 x + a3)) lies on Y^2 = X^3 - 27c4 X - 54c6,
-    an integral model, where every torsion point is integral: a non-integral
-    image has infinite order.
-    """
-    if point.infinity:
-        return 1
+
+def _multiples(curve: WeierstrassCurve, point: Point) -> Optional[list[tuple[int, int]]]:
+    """_scaled_multiples of an affine point's image (36x + 3b2, 108(2y + a1 x + a3))
+    on curve's scaled model Y^2 = X^3 - 27c4 X - 54c6, or None when that image
+    is not integral, which proves infinite order."""
     X = 36 * point.x + 3 * curve.b2
     Y = 108 * (2 * point.y + curve.a1 * point.x + curve.a3)
     if X.denominator != 1 or Y.denominator != 1:
-        return math.inf
-    return _scaled_order(X.numerator, Y.numerator, -27 * curve.c4, -54 * curve.c6)
+        return None
+    return _scaled_multiples(X.numerator, Y.numerator, -27 * curve.c4, -54 * curve.c6)
+
+
+def point_order(curve: WeierstrassCurve, point: Point) -> Union[int, float]:
+    """Exact order (at most 12 over Q) or math.inf for non-torsion points.
+
+    Certified in integers on curve's scaled model Y^2 = X^3 - 27c4 X - 54c6,
+    an integral model where every torsion point and all its multiples are
+    integral: a non-integral image, or a multiple with a non-integral slope,
+    proves infinite order.
+    """
+    _require_on_curve(curve, point)
+    if point.infinity:
+        return 1
+    multiples = _multiples(curve, point)
+    return math.inf if multiples is None else len(multiples) + 1
+
+
+def _point_of_order(curve: WeierstrassCurve, point: Point, d: int) -> Point:
+    """(n/d) * point, a point of order d, for an affine point of finite order n with d | n."""
+    multiples = _multiples(curve, point)
+    if multiples is None or (len(multiples) + 1) % d:
+        raise ValueError(f"{point} has no multiple of order {d} on {curve}")
+    return _unscaled(curve, *multiples[(len(multiples) + 1) // d - 1])
 
 
 def _scaled_points_mod_p(a: int, b: int, p: int) -> list[tuple[int, int]]:
@@ -241,8 +238,16 @@ def _killed_by(n: int, point: tuple[int, int], a: int, p: int) -> bool:
 
 @functools.cache
 def _residue_set(a: int, b: int, p: int, bound: int) -> frozenset[int]:
-    """The Y residues of the affine points of E'(F_p)[bound], E' as in _point_count."""
-    return frozenset(y for x, y in _scaled_points_mod_p(a, b, p) if _killed_by(bound, (x, y), a, p))
+    """The Y residues of the affine points of E'(F_p)[bound], E' as in _point_count.
+
+    bound kills (x, y) exactly when it kills its negative (x, -y), so one of
+    each pair is tested.
+    """
+    ys: set[int] = set()
+    for x, y in _scaled_points_mod_p(a, b, p):
+        if y <= p - y and _killed_by(bound, (x, y), a, p):
+            ys.update((y, -y % p))
+    return frozenset(ys)
 
 
 def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, frozenset[int]]]]:
@@ -359,14 +364,16 @@ def _square_divisors(f) -> list[int]:
     return ys
 
 
-def _torsion_points(curve: WeierstrassCurve, disc: Factorization) -> dict[Point, int]:
-    """Each rational torsion point of a minimal model, mapped to its order."""
+def _torsion_points(
+    curve: WeierstrassCurve, disc: Factorization
+) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Each affine rational torsion point of a minimal model, as (X, Y) on its
+    scaled model, mapped to its _scaled_multiples."""
     bound, residues = _torsion_sieve(curve)
-    orders = {Point.at_infinity(): 1}
+    found: dict[tuple[int, int], list[tuple[int, int]]] = {}
     if bound == 1:
-        return orders
-    A, B, b2 = -27 * curve.c4, -54 * curve.c6, curve.b2
-    a1, a3 = curve.a1, curve.a3
+        return found
+    A, B = -27 * curve.c4, -54 * curve.c6
     candidates = [0] + _square_divisors(_SIX_TO_12 * disc)
     # each residue set is closed under Y -> -Y, so one test serves both signs
     for p, ys in residues:
@@ -374,15 +381,10 @@ def _torsion_points(curve: WeierstrassCurve, disc: Factorization) -> dict[Point,
     for yy in candidates:
         for Y in {yy, -yy}:
             for X in _depressed_cubic_integer_roots(A, B - Y * Y):
-                x = Fraction(X - 3 * b2, 36)
-                y = (Fraction(Y, 108) - a1 * x - a3) / 2
-                pt = Point(x, y)
-                if not on_curve(curve, pt):
-                    continue
-                n = _scaled_order(X, Y, A, B)
-                if n != math.inf:
-                    orders[pt] = n
-    return orders
+                multiples = _scaled_multiples(X, Y, A, B)
+                if multiples is not None:
+                    found[X, Y] = multiples
+    return found
 
 
 def torsion_subgroup(
@@ -404,9 +406,9 @@ def torsion_subgroup(
         tr = Transformation.identity()
     else:
         raise ValueError(f"the analysis is of {analysis.curve}, not of {curve}")
-    orders = _torsion_points(m, analysis.disc_min)
-    order = len(orders)
-    two_torsion = sum(1 for n in orders.values() if n == 2)
+    found = _torsion_points(m, analysis.disc_min)
+    order = len(found) + 1
+    two_torsion = sum(1 for multiples in found.values() if len(multiples) == 1)
     if two_torsion == 3 and order in _MAZUR_PRODUCT:
         n2 = _MAZUR_PRODUCT[order]
         shape = f"Z/2xZ/{2 * n2}"
@@ -420,32 +422,27 @@ def torsion_subgroup(
             "the possible rational group shapes; arithmetic bug"
         )
 
-    # deterministic generator choice: scan points in coordinate order
-    ordered = sorted((q for q in orders if not q.infinity), key=lambda q: (q.x, q.y))
-    generators_min: list[Point] = []
+    # deterministic generator choice: scan points in (X, Y) order, which is
+    # (x, y) order, as x grows with X and, at one x, y grows with Y
+    ordered = sorted(found)
+    generators_min: list[tuple[int, int]] = []
     if order > 1:
-        g1 = next(q for q in ordered if orders[q] == max_order)
+        g1 = next(q for q in ordered if len(found[q]) + 1 == max_order)
         generators_min.append(g1)
         if two_torsion == 3:
-            half = multiply(m, max_order // 2, g1)
-            g2 = next(q for q in ordered if orders[q] == 2 and q != half)
-            generators_min.append(g2)
+            half = found[g1][max_order // 2 - 1]
+            generators_min.append(next(q for q in ordered if len(found[q]) == 1 and q != half))
 
-    # carry points back to the model that was asked about
-    if tr.is_identity():
-        generators, points = tuple(generators_min), frozenset(orders)
-    else:
-
-        def back(q: Point) -> Point:
-            if q.infinity:
-                return q
-            x, y = tr.unmap_point(q.x, q.y)
-            return Point(x, y)
-
-        generators = tuple(back(g) for g in generators_min)
-        points = frozenset(back(q) for q in orders)
-    for g, gm in zip(generators, generators_min):
-        _require_on_curve(curve, g)
-        if _integer_order(curve, g) != orders[gm]:
+    # build the points of the minimal model and carry them back to the model
+    # that was asked about
+    identity = tr.is_identity()
+    points: dict[tuple[int, int], Point] = {}
+    for q in found:
+        pt = _unscaled(m, *q)
+        _require_on_curve(m, pt)
+        points[q] = pt if identity else Point(*tr.unmap_point(pt.x, pt.y))
+    generators = tuple(points[q] for q in generators_min)
+    for g, q in zip(generators, generators_min):
+        if point_order(curve, g) != len(found[q]) + 1:
             raise RuntimeError("generator order changed under coordinate transport")
-    return TorsionStructure(shape, order, generators, points)
+    return TorsionStructure(shape, order, generators, frozenset([Point.at_infinity(), *points.values()]))

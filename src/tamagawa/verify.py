@@ -44,7 +44,7 @@ from .reduction import (
     local_data,
     tate,
 )
-from .torsion import _MAZUR_CYCLIC, _MAZUR_PRODUCT, _integer_order, multiply, torsion_subgroup
+from .torsion import _MAZUR_CYCLIC, _MAZUR_PRODUCT, _point_of_order, torsion_subgroup
 
 _MAZUR_SHAPES = frozenset(
     [f"Z/{n}" for n in _MAZUR_CYCLIC] + [f"Z/2xZ/{2 * n}" for n in _MAZUR_PRODUCT.values()]
@@ -339,10 +339,9 @@ def _classify_three_torsion(
     if c % 3 == 0:
         return DIVISIBLE
 
-    # 3 does not divide c(E): the normal form must have b = 1
-    gen_orders = ((g, _integer_order(m, g)) for g in tors.generators)
-    gen, n = next((g, n) for g, n in gen_orders if n % 3 == 0)
-    p3 = multiply(m, n // 3, gen)
+    # 3 does not divide c(E): the normal form must have b = 1.  The first
+    # generator has the largest order, which 3 divides; the second, if any, has order 2
+    p3 = _point_of_order(m, tors.generators[0], 3)
     form = three_torsion_form_of(m, (p3.x, p3.y))
     if form.b != 1:
         raise RuntimeError(

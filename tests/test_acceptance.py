@@ -27,7 +27,7 @@ from tamagawa.families import (
     two_torsion_curve,
 )
 from tamagawa.reduction import SPLIT, c_infinity, local_data, tate
-from tamagawa.torsion import multiply, point_order, torsion_subgroup
+from tamagawa.torsion import point_order, torsion_subgroup
 from tamagawa.verify import (
     FOUR_TORSION_EXCEPTIONS,
     KEY_15A7,
@@ -44,6 +44,8 @@ from tamagawa.verify import (
     scan_two_six,
     scan_two_torsion,
 )
+
+from test_torsion import multiply
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa.arith import valuation
+from tamagawa.arith import is_prime, valuation
 from tamagawa.curves import (
     SingularCurveError,
     Transformation,
@@ -22,6 +22,7 @@ from tamagawa.reduction import (
     SPLIT,
     KodairaType,
     UnsupportedDomainError,
+    _cubic_rational_root_count,
     bad_primes,
     c_infinity,
     conductor,
@@ -80,7 +81,7 @@ def test_two_six_small_parameter_primes_give_split_I6m():
     # v_p(t) = m > 0 forces split I_{6m} with c = 6m; likewise for t-1 and t+1
     # at odd p (at p = 2 the factors t-1 and t+1 are even together and the
     # rule does not apply to them)
-    from tamagawa.arith import valuation
+    from tamagawa.arith import is_prime, valuation
 
     for t in (Fraction(2), Fraction(4), Fraction(9, 5), Fraction(25, 4), Fraction(7, 2)):
         E = two_six_curve(t)
@@ -99,7 +100,7 @@ def test_two_six_small_parameter_primes_give_split_I6m():
 
 def test_four_torsion_s_divisors_give_split_I4m():
     # a prime p | s is split multiplicative of type I_{4 v_p(s)}, so 4 | c_p
-    from tamagawa.arith import valuation
+    from tamagawa.arith import is_prime, valuation
     from tamagawa.families import four_torsion_curve
 
     for s, t in [(2, 1), (4, -3), (6, 5), (9, 2), (10, -7)]:
@@ -487,3 +488,43 @@ def test_kodaira_type_constructors_build_each_type_once():
             KodairaType.multiplicative(bad)
         with pytest.raises(ValueError):
             KodairaType.star(bad)
+
+
+def _brute_root_count(b, c, d, p):
+    return sum(1 for t in range(p) if (((t + b) * t + c) * t + d) % p == 0)
+
+
+_PRIMES_101_TO_1000 = [p for p in range(101, 1000) if is_prime(p)]
+
+
+@given(st.sampled_from(_PRIMES_101_TO_1000), st.tuples(*[st.integers(-(10**6), 10**6)] * 3))
+@settings(max_examples=300, deadline=None)
+# at p = 103, 3 mod 4, -1 is a non-square, so only the sign of the
+# discriminant tells one root (T^3 - 6T - 5) from none (T^3 - 6T - 6)
+@example(103, (0, -6, -5))
+@example(103, (0, -6, -6))
+@example(103, (0, -5, -4))
+def test_cubic_root_count_matches_brute_force_above_100(p, bcd):
+    b, c, d = bcd
+    disc = b * b * c * c - 4 * c**3 - 4 * b**3 * d - 27 * d * d + 18 * b * c * d
+    assume(disc % p)
+    assert _cubic_rational_root_count(b, c, d, disc, p) == _brute_root_count(b, c, d, p)
+
+
+@pytest.mark.parametrize(
+    "p, a, b, cp",
+    [
+        (103, -6, -6, 1),
+        (103, -6, -5, 2),
+        (103, -5, -4, 4),
+        (1009, -6, -6, 1),
+        (1009, -6, -3, 2),
+        (1009, -6, -5, 4),
+    ],
+)
+def test_tate_counts_I0_star_components_above_100(p, a, b, cp):
+    """y^2 = x^3 + p^2 a x + p^3 b is I0* at p, with c_p one more than the
+    number of roots of T^3 + a T + b mod p."""
+    d = tate(WeierstrassCurve(0, 0, 0, p * p * a, p**3 * b), p)
+    assert (d.kodaira.symbol, d.tamagawa, d.v_delta_min) == ("I0*", cp, 6)
+    assert cp == 1 + _brute_root_count(0, a, b, p)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tamagawa import torsion
 from tamagawa.arith import is_prime
 from tamagawa.curves import (
     CurveAnalysis,
@@ -24,26 +25,70 @@ from tamagawa.torsion import (
     _SIX_TO_12,
     Point,
     _depressed_cubic_integer_roots,
-    _integer_order,
+    _killed_by,
     _point_count,
     _residue_set,
-    _scaled_order,
+    _scaled_multiples,
+    _scaled_points_mod_p,
     _square_divisors,
     _torsion_points,
     _torsion_sieve,
+    _unscaled,
     group_law_add,
-    multiply,
-    negate,
     on_curve,
     point_order,
     torsion_subgroup,
 )
-from tamagawa.verify import ingest_fixtures
+from tamagawa.verify import check_divisibility, ingest_fixtures
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
 
 E4 = WeierstrassCurve(1, -3, -3, 0, 0)  # order-4 family at lambda = 3
 E3 = WeierstrassCurve(2, 0, 1, 0, 0)  # unit-b three-torsion curve, a = 2
+
+
+# The Fraction group law, kept here as the reference the integer one in
+# tamagawa.torsion is compared against.
+
+
+def negate(curve, point):
+    if point.infinity:
+        return point
+    return Point(point.x, -point.y - curve.a1 * point.x - curve.a3)
+
+
+def multiply(curve, n, point):
+    if n < 0:
+        return multiply(curve, -n, negate(curve, point))
+    result = Point.at_infinity()
+    addend = point
+    while n:
+        if n & 1:
+            result = group_law_add(curve, result, addend)
+        addend = group_law_add(curve, addend, addend)
+        n >>= 1
+    return result
+
+
+def _reference_point_order(curve, point):
+    """Order (at most 12 over Q) or math.inf, by repeated Fraction addition."""
+    if not on_curve(curve, point):
+        raise ValueError(f"point {point} is not on {curve}")
+    if point.infinity:
+        return 1
+    current = point
+    for k in range(1, 13):
+        # current == k * point at this check
+        if current.infinity:
+            return k
+        current = group_law_add(curve, current, point)
+    return math.inf
+
+
+def _scaled_order(X, Y, A, B):
+    """The order _scaled_multiples certifies for (X, Y), or math.inf."""
+    multiples = _scaled_multiples(X, Y, A, B)
+    return math.inf if multiples is None else len(multiples) + 1
 
 
 def test_identity_and_inverse():
@@ -222,10 +267,13 @@ def _assert_sieve_agrees_with_reference(curve):
     analysis = CurveAnalysis.of(curve)
     m, disc = analysis.minimal, analysis.disc_min
     expected = _reference_torsion_points(m, disc)
-    assert frozenset(_torsion_points(m, disc)) == expected, curve.ai()
-    _, residues = _torsion_sieve(m)
-    for p, _ in residues:
+    found = _torsion_points(m, disc)
+    assert frozenset([Point.at_infinity()] + [_unscaled(m, *q) for q in found]) == expected, curve.ai()
+    bound, residues = _torsion_sieve(m)
+    for p, ys in residues:
         assert _count(m, p) == _reference_count_mod_p(m, p)
+        a, b = -27 * m.c4 % p, -54 * m.c6 % p
+        assert ys == {y for x, y in _scaled_points_mod_p(a, b, p) if _killed_by(bound, (x, y), a, p)}
     for q in expected:
         if q.infinity:
             continue
@@ -236,7 +284,7 @@ def _assert_sieve_agrees_with_reference(curve):
     orders = set()
     for X, Y, pt in _lutz_nagell_candidates(m, disc):
         n = _scaled_order(X, Y, -27 * m.c4, -54 * m.c6)
-        assert n == point_order(m, pt), (m.ai(), X, Y)
+        assert n == _reference_point_order(m, pt), (m.ai(), X, Y)
         orders.add(n)
     return orders
 
@@ -477,14 +525,89 @@ def test_integer_order_matches_point_order_on_integral_models(curve, data, u, rs
     model = apply_transformation(m, tr)
     q = _carry(tr, point)
     assert on_curve(model, q)
-    assert _integer_order(model, q) == point_order(model, q)
+    assert point_order(model, q) == _reference_point_order(model, q)
 
 
 def test_integer_order_of_non_torsion_points():
     E = WeierstrassCurve(0, 0, 1, -1, 0)  # rank one, trivial torsion
     for k in range(1, 10):
-        assert _integer_order(E, multiply(E, k, Point(0, 0))) == math.inf
-    assert _integer_order(E, Point.at_infinity()) == 1
+        assert point_order(E, multiply(E, k, Point(0, 0))) == math.inf
+    assert point_order(E, Point.at_infinity()) == 1
+
+
+@given(_ON_CURVE_CURVES, st.data())
+@settings(max_examples=60, deadline=None)
+def test_scaled_multiples_match_the_fraction_law(curve, data):
+    """For torsion points and Lutz-Nagell candidates of the minimal model, the
+    k-th integer multiple, mapped back, is k * P by the Fraction law for every
+    k below the order, and the order is the Fraction one."""
+    analysis = CurveAnalysis.of(curve)
+    m = analysis.minimal
+    points = sorted((q for q in torsion_subgroup(m, analysis=analysis).points if not q.infinity), key=str)
+    points += [pt for _, _, pt in _lutz_nagell_candidates(m, analysis.disc_min)]
+    P = data.draw(st.sampled_from(points))
+    X, Y, A, B = _scaled(m, P)
+    multiples = _scaled_multiples(int(X), int(Y), A, B)
+    n = _reference_point_order(m, P)
+    assert (multiples is None) == (n == math.inf)
+    if multiples is not None:
+        assert len(multiples) == n - 1
+        for k, q in enumerate(multiples, 1):
+            assert _unscaled(m, *q) == multiply(m, k, P)
+
+
+def _fixture_and_two_six_curves():
+    curves = [rec.curve for rec in ingest_fixtures(FIXTURES).records]
+    return curves + [two_six_curve(t) for t in TWO_SIX_GRID]
+
+
+def test_scaled_coordinate_order_is_rational_coordinate_order():
+    """Generators are the first points of their order in (X, Y) order; that is
+    the (x, y) order of the points on the minimal model."""
+    for curve in _fixture_and_two_six_curves():
+        analysis = CurveAnalysis.of(curve)
+        m = analysis.minimal
+        keys = set(_torsion_points(m, analysis.disc_min))
+        keys |= {(X, Y) for X, Y, _ in _lutz_nagell_candidates(m, analysis.disc_min)}
+        pts = [_unscaled(m, *q) for q in sorted(keys)]
+        assert pts == sorted(pts, key=lambda q: (q.x, q.y)), m.ai()
+
+
+@pytest.mark.parametrize(
+    "E",
+    [
+        WeierstrassCurve(1, 1, 1, -5, 2),
+        WeierstrassCurve(1, 0, 1, -19, 26),
+        WeierstrassCurve(1, -1, 1, -3002, 63929),
+        _tate_normal_form(*_kubert(8, 3)),
+    ],
+    ids=["15a3", "30a2", "90c6", "kubert-8-3"],
+)
+def test_second_generator_is_not_in_the_first_ones_group(E):
+    """On Z/2 x Z/4, Z/2 x Z/6 and Z/2 x Z/8, g2 is not N * g1, and the
+    generators give every torsion point, all by the Fraction law."""
+    tors = torsion_subgroup(E)
+    assert tors.shape.startswith("Z/2xZ/")
+    g1, g2 = tors.generators
+    n1 = _reference_point_order(E, g1)
+    assert (n1, _reference_point_order(E, g2)) == (tors.order // 2, 2)
+    assert multiply(E, n1 // 2, g1) != g2
+    span = {group_law_add(E, multiply(E, i, g1), multiply(E, j, g2)) for i in range(n1) for j in range(2)}
+    assert span == tors.points
+
+
+def test_no_fraction_group_law_in_checks(monkeypatch):
+    """Orders, generators and multiples all come from the integer law: with
+    group_law_add raising, every check gives the same report."""
+    fixtures = ingest_fixtures(FIXTURES)
+    curves = _fixture_and_two_six_curves()
+    expected = [check_divisibility(c, fixtures=fixtures).to_json() for c in curves]
+
+    def refuse(*args):
+        raise AssertionError("the Fraction group law was called")
+
+    monkeypatch.setattr(torsion, "group_law_add", refuse)
+    assert [check_divisibility(c, fixtures=fixtures).to_json() for c in curves] == expected
 
 
 def test_transport_check_catches_a_wrong_map(monkeypatch):
