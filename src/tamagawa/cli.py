@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     p_scan = sub.add_parser("scan", parents=[common], help="family scans")
     p_scan.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p_scan.add_argument("--bound", type=int)
-    p_scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_scan.add_argument("--jobs", type=int, default=1)
     p_scan.add_argument("--summary", action="store_true", help="aggregate counts only")
 
     sub.add_parser("fixtures", parents=[common], help="validate and summarize a fixture file")

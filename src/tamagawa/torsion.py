@@ -21,8 +21,10 @@ are the first points of their order in (X, Y) order, which is (x, y) order
 on the minimal model.  Rational points are built only for the result, and
 point_order re-certifies each generator on the model that was asked about.
 on_curve compares integers, with denominators cleared.  No floating point:
-integer roots of the depressed cubic are found by exact monotone search
-within a bound of about twice max(sqrt|P|, cbrt|Q|).
+the integer roots of the depressed cubic X^3 + A X + B - Y^2 are found by
+bisection on its at most three strictly monotone runs, split at
+isqrt(-A // 3) + 1 and bounded by about twice max(sqrt|A|, cbrt|B - Y^2|),
+and the cubic is solved once per |Y|, as Y and -Y share it.
 """
 
 from __future__ import annotations
@@ -272,88 +274,44 @@ def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, frozen
 
 
 def _depressed_cubic_integer_roots(P: int, Q: int) -> list[int]:
-    """All integer roots of f(X) = X^3 + P X + Q, by exact monotone search.
+    """All integer roots of f(X) = X^3 + P X + Q in ascending order, by exact
+    bisection on at most three strictly monotone runs.  No floating point.
 
-    The integer sequence f(n) is nondecreasing except where the difference
-    d(n) = f(n+1) - f(n) = 3n^2 + 3n + 1 + P is negative, which happens on a
-    single integer interval; splitting there gives monotone segments that a
-    plain bisection handles exactly.  No floating point.
+    f'(X) = 3X^2 + P is negative between +-sqrt(-P/3) and positive off that
+    interval.  For P >= 0 that leaves one increasing run.  For P < 0, m = isqrt(-P // 3) + 1 has
+    m > sqrt(-P/3) >= m - 1, as -P/3 < floor(-P/3) + 1 <= m^2, so f increases
+    on [-bound, -m] and [m, bound] and decreases on [1 - m, m - 1].  Each run
+    is strictly monotone on the integers and so holds at most one root.
 
-    Every root lies within 2 + 2 max(2^ceil(bits(P)/2), 2^ceil(bits(Q)/3)),
+    Every root lies within bound = 2 + 2 max(2^ceil(bits(P)/2), 2^ceil(bits(Q)/3)),
     which exceeds 2 max(sqrt|P|, cbrt|Q|) since |P| < 2^bits(P): for
     |X| > 2 max(sqrt|P|, cbrt|Q|), X^2 > 4|P| and |X|^3 > 8|Q|, so
     |X|^3 > 2|P X| + 4|Q| >= |P X + Q| (strictly, as X != 0), and f(X) != 0.
     """
 
     def f(x: int) -> int:
-        return x**3 + P * x + Q
-
-    def d(n: int) -> int:
-        return 3 * n * n + 3 * n + 1 + P
+        return (x * x + P) * x + Q
 
     bound = 2 + 2 * max(1 << -(-P.bit_length() // 2), 1 << -(-Q.bit_length() // 3))
-    segments: list[tuple[int, int, bool]] = []
-    disc = -12 * P - 3
-    if P >= 0 or disc <= 0:
-        segments.append((-bound, bound, True))
+    if P >= 0:
+        runs = [(-bound, bound, 1)]
     else:
-        sq = math.isqrt(disc)
-        k = (-3 - sq) // 6
-        while d(k) < 0:
-            k -= 1
-        window = (-3 + sq) // 6 + 3
-        while d(k) >= 0 and k <= window:
-            k += 1
-        if d(k) >= 0:
-            segments.append((-bound, bound, True))
-        else:
-            nlo = k
-            k = (-3 + sq) // 6 + 1
-            while d(k) < 0:
-                k += 1
-            while d(k) >= 0 and k >= nlo:
-                k -= 1
-            nhi = k
-            segments.append((-bound, nlo, True))
-            segments.append((nlo, nhi + 1, False))
-            segments.append((nhi + 1, bound, True))
-
-    roots: set[int] = set()
-
-    def note(x: int):
-        if f(x) == 0:
-            roots.add(x)
-            step = 1
-            while f(x + step) == 0:
-                roots.add(x + step)
-                step += 1
-            step = -1
-            while f(x + step) == 0:
-                roots.add(x + step)
-                step -= 1
-
-    for lo, hi, inc in segments:
-        lo, hi = max(lo, -bound), min(hi, bound)
-        if lo > hi:
+        m = math.isqrt(-P // 3) + 1
+        runs = [(-bound, -m, 1), (1 - m, m - 1, -1), (m, bound, 1)]
+    roots = []
+    for lo, hi, sign in runs:
+        if sign * f(lo) > 0 or sign * f(hi) < 0:
             continue
-        note(lo)
-        note(hi)
-        flo, fhi = f(lo), f(hi)
-        small, large = (flo, fhi) if inc else (fhi, flo)
-        if small > 0 or large < 0:
-            continue
-        a, b = lo, hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            v = f(mid)
-            if v == 0:
-                note(mid)
-                break
-            if (v < 0) == inc:
-                a = mid
+        # the first x of the run with sign * f(x) >= 0 is its only possible root
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) >= 0:
+                hi = mid
             else:
-                b = mid
-    return sorted(roots)
+                lo = mid + 1
+        if f(lo) == 0:
+            roots.append(lo)
+    return roots
 
 
 def _square_divisors(f) -> list[int]:
@@ -378,9 +336,10 @@ def _torsion_points(
     # each residue set is closed under Y -> -Y, so one test serves both signs
     for p, ys in residues:
         candidates = [yy for yy in candidates if yy % p in ys]
+    # Y and -Y share the cubic X^3 + A X + B - Y^2, so it is solved once per |Y|
     for yy in candidates:
-        for Y in {yy, -yy}:
-            for X in _depressed_cubic_integer_roots(A, B - Y * Y):
+        for X in _depressed_cubic_integer_roots(A, B - yy * yy):
+            for Y in {yy, -yy}:
                 multiples = _scaled_multiples(X, Y, A, B)
                 if multiples is not None:
                     found[X, Y] = multiples

@@ -9,6 +9,7 @@ mathematical content.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -421,46 +422,55 @@ class ScanReport:
         }
 
 
-def _family_report(args) -> tuple[VerdictReport, bool, list]:
-    """Minimal model, c(E), c_inf and the family's claim of one curve, analysed once.
+def _scan_item(item: tuple[Callable, dict]) -> tuple[VerdictReport, bool, list]:
+    """check(report) on a fresh report of one item's params.
 
-    A curve whose factoring budget runs out comes back marked incomplete
-    with only its parameters; it never aborts the scan.  In a family whose
-    claim is semistable_only, a curve with additive reduction gets
-    params["semistable"] = False; a semi-stable one failing the claim is an exception.
+    The check fills the report and returns (exception, mismatches).  A curve
+    whose factoring budget runs out comes back marked incomplete with only
+    its parameters; it never aborts the scan.
     """
-    name, params, budget = args
-    family = FAMILIES[name]
+    check, params = item
     report = VerdictReport(params=dict(params))
     try:
-        analysis = CurveAnalysis.of(family.curve(params), family.disc(params, budget))
+        exception, mismatches = check(report)
     except IncompleteFactorizationError:
-        report.incomplete = True
-        return report, False, []
+        return VerdictReport(params=dict(params), incomplete=True), False, []
+    return report, exception, mismatches
+
+
+def _family_check(name: str, budget: int, report: VerdictReport) -> tuple[bool, list]:
+    """Minimal model, c(E), c_inf and the family's claim of one curve, analysed once.
+
+    In a family whose claim is semistable_only, a curve with additive
+    reduction gets params["semistable"] = False; a semi-stable one failing
+    the claim is an exception.
+    """
+    family, params = FAMILIES[name], report.params
+    analysis = CurveAnalysis.of(family.curve(params), family.disc(params, budget))
     data = _fill_local_data(report, analysis)
     n, with_c_inf = family.claim
     report.divides = report.tamagawa * (report.c_inf if with_c_inf else 1) % n == 0
     if family.semistable_only and any(d.reduction_class == ADDITIVE for d in data):
-        report.params["semistable"] = False
-    return report, report.divides is False and "semistable" not in report.params, []
+        params["semistable"] = False
+    return report.divides is False and "semistable" not in params, []
 
 
 def _scan(
     name: str,
     check: Callable,
-    items: list,
+    params: list[dict],
     fixtures: Optional[FixtureTable],
     jobs: int,
 ) -> ScanReport:
-    """The one scan loop: check(item) for every item, on up to jobs processes.
+    """The one scan loop: _scan_item((check, p)) for every params p, on up to jobs processes.
 
-    A check is a top-level function returning (report, exception,
-    mismatches) for its item: the curve's report, fixture-labelled here;
-    whether the curve joins the exception class of its minimal (c4, c6);
-    and the mismatches it found.
+    A check is a top-level function bound with functools.partial, so that it
+    pickles.  It fills one curve's report, fixture-labelled here, and returns
+    whether the curve joins the exception class of its minimal (c4, c6) and
+    the mismatches it found.
     """
     scan = ScanReport(name)
-    for r, exception, mismatches in _parallel_map(check, items, jobs):
+    for r, exception, mismatches in _parallel_map(_scan_item, [(check, p) for p in params], jobs):
         rec = fixtures.by_key.get(r.key) if fixtures and r.key else None
         if rec:
             r.label = rec.label
@@ -473,7 +483,7 @@ def _scan(
 
 
 def _parallel_map(fn: Callable, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) < 4:
+    if jobs <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
@@ -486,12 +496,13 @@ def scan_four_torsion(
     jobs: int = 1,
 ) -> ScanReport:
     """Check 4 | c(E) * c_inf(E) over the order-4 family at the given (s, t)."""
-    items = [
-        ("four-torsion", {"s": s, "t": t}, budget)
+    params = [
+        {"s": s, "t": t}
         for s, t in pairs
         if s > 0 and math.gcd(s, t) == 1 and t != 0 and 16 * s + t != 0
     ]
-    return _scan("four-torsion", _family_report, items, fixtures, jobs)
+    check = functools.partial(_family_check, "four-torsion", budget)
+    return _scan("four-torsion", check, params, fixtures, jobs)
 
 
 def scan_two_six(
@@ -501,13 +512,14 @@ def scan_two_six(
     jobs: int = 1,
 ) -> ScanReport:
     """Check 12 | c(E) for every nonsingular t = a/b with |a|, b <= bound."""
-    items = [
-        ("two-six", {"t": str(Fraction(a, b))}, budget)
+    params = [
+        {"t": str(Fraction(a, b))}
         for b in range(1, bound + 1)
         for a in range(-bound, bound + 1)
         if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
     ]
-    return _scan("two-six", _family_report, items, fixtures, jobs)
+    check = functools.partial(_family_check, "two-six", budget)
+    return _scan("two-six", check, params, fixtures, jobs)
 
 
 def scan_two_torsion(
@@ -525,13 +537,14 @@ def scan_two_torsion(
     exceptions.  A seeded sample of coprime pairs with a^2 - 4b > 0
     double-checks c_inf = 2 on the positive-discriminant side.
     """
-    items = [
-        ("two-torsion", {"a": a, "b": b}, budget)
+    params = [
+        {"a": a, "b": b}
         for b in (1, 2, 4, 8, 16)
         for a in (0, 1, -1, 3, -3, 5, -5, 7, -7)
         if a * a - 4 * b < 0 and math.gcd(a, b) == 1
     ]
-    report = _scan("two-torsion", _family_report, items, fixtures, jobs)
+    check = functools.partial(_family_check, "two-torsion", budget)
+    report = _scan("two-torsion", check, params, fixtures, jobs)
     rng = random.Random(seed)
     checked = 0
     while checked < random_samples:
@@ -553,33 +566,29 @@ def scan_three_torsion_nonunits(
     jobs: int = 1,
 ) -> ScanReport:
     """For every normalized (a, b) with b > 1: 3 | c(E). Violations mean bugs."""
-    items = [
-        (a, b, budget) for a, b in _normalized_three_torsion_range(a_bound, b_bound) if b != 1
+    params = [
+        {"a": a, "b": b} for a, b in _normalized_three_torsion_range(a_bound, b_bound) if b != 1
     ]
-    return _scan("three-torsion-nonunit-b", _nonunit_one, items, None, jobs)
+    check = functools.partial(_nonunit_check, budget)
+    return _scan("three-torsion-nonunit-b", check, params, None, jobs)
 
 
-def _nonunit_one(args) -> tuple[VerdictReport, bool, list]:
+def _nonunit_check(budget: int, report: VerdictReport) -> tuple[bool, list]:
     """c(E) of one normal form and the family's claim on it; nothing else is reported."""
-    a, b, budget = args
-    report = VerdictReport(params={"a": a, "b": b})
-    try:
-        data = _three_torsion_local(a, b, budget)
-    except IncompleteFactorizationError:
-        report.incomplete = True
-        return report, False, []
+    a, b = report.params["a"], report.params["b"]
+    data = _three_torsion_local(report.params, budget)
     report.tamagawa = c = math.prod(d.tamagawa for d in data)
     report.divides = c % FAMILIES["three-torsion"].claim[0] == 0
     mismatch = {"a": a, "b": b, "c": c, "error": "3 does not divide c"}
-    return report, False, [] if report.divides else [mismatch]
+    return False, [] if report.divides else [mismatch]
 
 
-def _three_torsion_local(a: int, b: int, budget: int) -> list[LocalDatum]:
+def _three_torsion_local(params: dict, budget: int) -> list[LocalDatum]:
     """tate on the (a, b) normal form at every prime of its discriminant b^3 (a^3 - 27 b).
 
     The c_p multiply to c(E): tate minimizes at p itself, and c_p = 1 at a good prime.
     """
-    family, params = FAMILIES["three-torsion"], {"a": a, "b": b}
+    family = FAMILIES["three-torsion"]
     curve = family.curve(params)
     return [tate(curve, p) for p in family.disc(params, budget).primes()]
 
@@ -608,19 +617,14 @@ def reduction_table_cross_check(
     from (ord_p a, ord_p b, ord_p D); the v(D) = 3 row at p = 3 admits both
     II and III and either is accepted.
     """
-    items = [(a, b, budget) for a, b in _normalized_three_torsion_range(a_bound, b_bound)]
-    return _scan("reduction-table", _cross_check_one, items, None, jobs)
+    params = [{"a": a, "b": b} for a, b in _normalized_three_torsion_range(a_bound, b_bound)]
+    return _scan("reduction-table", functools.partial(_cross_check, budget), params, None, jobs)
 
 
-def _cross_check_one(args) -> tuple[VerdictReport, bool, list]:
+def _cross_check(budget: int, report: VerdictReport) -> tuple[bool, list]:
     """Mismatches against the table at every prime of the discriminant."""
-    a, b, budget = args
-    report = VerdictReport(params={"a": a, "b": b})
-    try:
-        data = _three_torsion_local(a, b, budget)
-    except IncompleteFactorizationError:
-        report.incomplete = True
-        return report, False, []
+    a, b = report.params["a"], report.params["b"]
+    data = _three_torsion_local(report.params, budget)
     D = a**3 - 27 * b
     mismatches = []
     for datum in data:
@@ -644,7 +648,7 @@ def _cross_check_one(args) -> tuple[VerdictReport, bool, list]:
                     "got": datum.to_json(),
                 }
             )
-    return report, False, mismatches
+    return False, mismatches
 
 
 def _expected_row(a: int, b: int, D: int, p: int):
@@ -686,19 +690,14 @@ def scan_dual_curves(
     jobs: int = 1,
 ) -> ScanReport:
     """Quotient identities, split-prime claim, and ledger rules over a range of a."""
-    items = [(a, budget) for a in a_values if a != 3]
-    return _scan("three-torsion-dual", _dual_one, items, None, jobs)
+    params = [{"a": a} for a in a_values if a != 3]
+    return _scan("three-torsion-dual", functools.partial(_dual_check, budget), params, None, jobs)
 
 
-def _dual_one(args) -> tuple[VerdictReport, bool, list]:
+def _dual_check(budget: int, report: VerdictReport) -> tuple[bool, list]:
     """Mismatches of the b = 1 normal form at a against its 3-isogeny quotient."""
-    a, budget = args
-    report = VerdictReport(params={"a": a})
-    try:
-        pair = hadano_quotient(ThreeTorsionNormalForm(a, 1), budget=budget)
-    except IncompleteFactorizationError:
-        report.incomplete = True
-        return report, False, []
+    a = report.params["a"]
+    pair = hadano_quotient(ThreeTorsionNormalForm(a, 1), budget=budget)
     mismatches = []
     # identity checks beyond the constructor's own: recompute from invariants
     if pair.quotient.disc != (a**3 - 27) ** 3 or pair.quotient.c4 != a * (a**3 + 216):
@@ -726,7 +725,7 @@ def _dual_one(args) -> tuple[VerdictReport, bool, list]:
             mismatches.append({"a": a, "p": p, "error": f"unexpected class {cls} away from 3"})
         elif e != (1 if cls == SPLIT else 0):
             mismatches.append({"a": a, "p": p, "error": f"ledger entry {e} for class {cls}"})
-    return report, False, mismatches
+    return False, mismatches
 
 
 # --- presets -----------------------------------------------------------------

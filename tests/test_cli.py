@@ -151,6 +151,17 @@ def test_pretty_flag_changes_format_not_content():
     assert compact != pretty
 
 
+def test_scan_runs_in_one_process_without_jobs(monkeypatch, capsys):
+    from tamagawa import cli, verify
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a scan without --jobs started a process pool")
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    assert cli.main(["scan", "--preset", "prop2.1-negative-t", "--summary"]) == 0
+
+
 def test_scan_with_incomplete_curve_prints_all_and_exits_3(monkeypatch, capsys):
     from tamagawa import cli
     from tamagawa.verify import Preset, scan_four_torsion

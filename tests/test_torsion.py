@@ -561,6 +561,25 @@ def _fixture_and_two_six_curves():
     return curves + [two_six_curve(t) for t in TWO_SIX_GRID]
 
 
+def test_torsion_points_solve_each_cubic_once(monkeypatch):
+    """Y and -Y share the cubic X^3 + A X + B - Y^2, so no (P, Q) repeats in one call."""
+    search, calls = torsion._depressed_cubic_integer_roots, []
+
+    def counted(P, Q):
+        calls.append((P, Q))
+        return search(P, Q)
+
+    monkeypatch.setattr(torsion, "_depressed_cubic_integer_roots", counted)
+    searched = 0
+    for curve in _fixture_and_two_six_curves():
+        analysis = CurveAnalysis.of(curve)
+        calls.clear()
+        _torsion_points(analysis.minimal, analysis.disc_min)
+        assert len(calls) == len(set(calls)), curve.ai()
+        searched += sum(1 for _, Q in calls if Q != -54 * analysis.minimal.c6)
+    assert searched > 0  # some Y != 0 reached the search
+
+
 def test_scaled_coordinate_order_is_rational_coordinate_order():
     """Generators are the first points of their order in (X, Y) order; that is
     the (x, y) order of the points on the minimal model."""
@@ -721,3 +740,17 @@ def test_cubic_roots_match_reference_with_a_root(r, P):
     roots = _depressed_cubic_integer_roots(P, Q)
     assert r in roots
     assert roots == _reference_cubic_roots(P, Q)
+
+
+def test_cubic_roots_match_a_scan_of_every_integer():
+    """Every |P|, |Q| <= 100 against a plain scan of every X with |X| <= 101,
+    Cauchy's bound 1 + max(|P|, |Q|) on the roots: an oracle that shares
+    neither the search's cut at the critical points nor its root bound."""
+    for P in range(-100, 101):
+        expected = {Q: [] for Q in range(-100, 101)}
+        for X in range(-101, 102):
+            Q = -(X**3 + P * X)
+            if Q in expected:
+                expected[Q].append(X)
+        for Q, roots in expected.items():
+            assert _depressed_cubic_integer_roots(P, Q) == roots, (P, Q)

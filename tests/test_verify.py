@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from tamagawa.arith import IncompleteFactorizationError
 from tamagawa.curves import WeierstrassCurve
 from tamagawa.verify import (
     EXCEPTION_A,
@@ -16,6 +17,7 @@ from tamagawa.verify import (
     NEGATIVE_T_EXPECTED,
     TWO_TORSION_EXCEPTIONS,
     FixtureValidationError,
+    VerdictReport,
     PRESETS,
     check_divisibility,
     classify_three_torsion,
@@ -27,6 +29,7 @@ from tamagawa.verify import (
     scan_two_six,
     scan_two_torsion,
     three_torsion_form_of,
+    _scan_item,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
@@ -336,6 +339,19 @@ def test_scan_marks_budget_exhausted_curve_incomplete():
     # an incomplete scan never validates, even where its exceptions are allowed
     assert PRESETS["prop2.1-random"].expected(rep)
     assert not PRESETS["prop2.1-random"].validate(rep)
+
+
+def test_scan_item_returns_a_fresh_report_when_the_budget_runs_out():
+    """A check stopped by its budget leaves nothing it filled in the report."""
+
+    def stuck(report):
+        report.tamagawa = 3
+        report.params["semistable"] = False
+        raise IncompleteFactorizationError(1, [(2, 1)], 10403)
+
+    report, exception, mismatches = _scan_item((stuck, {"a": 1, "b": 2}))
+    assert report == VerdictReport(params={"a": 1, "b": 2}, incomplete=True)
+    assert (exception, mismatches) == (False, [])
 
 
 def test_incomplete_curve_survives_the_process_pool():
