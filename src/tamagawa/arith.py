@@ -296,7 +296,7 @@ def factor(n: int, budget: int = 2_000_000) -> Factorization:
     return Factorization(sign, tuple(sorted(found.items())))
 
 
-def factor_product(terms, budget: int = 2_000_000) -> Factorization:
+def factor_product(terms) -> Factorization:
     """Factorization of prod(n^k) over the (n, k) terms, factoring each n alone.
 
     Cheaper than factoring the product when the n are small: a polynomial
@@ -305,7 +305,7 @@ def factor_product(terms, budget: int = 2_000_000) -> Factorization:
     sign = 1
     exps: dict[int, int] = {}
     for n, k in terms:
-        f = factor(n, budget)
+        f = factor(n)
         sign *= f.sign**k
         for p, e in f.factors:
             exps[p] = exps.get(p, 0) + e * k

@@ -174,7 +174,7 @@ def main(argv=None) -> int:
             if args.bound is not None and args.bound < 1:
                 raise ValueError(f"--bound must be a positive integer, got {args.bound}")
             preset = PRESETS[args.preset]
-            report = preset.run(fixtures, 2_000_000, args.jobs, args.bound)
+            report = preset.run(fixtures, args.jobs, args.bound)
             if args.summary:
                 _emit(report.summary(), args.pretty)
             else:

@@ -279,19 +279,15 @@ class CurveAnalysis:
     disc_min: Factorization
 
     @classmethod
-    def of(
-        cls,
-        curve: WeierstrassCurve,
-        disc: Optional[Factorization] = None,
-        budget: int = 2_000_000,
-    ) -> "CurveAnalysis":
+    def of(cls, curve: WeierstrassCurve, disc: Optional[Factorization] = None) -> "CurveAnalysis":
         """Analysis of curve from a factorization of its discriminant.
 
-        Without one the discriminant is factored within the rho budget; a
+        Without one the discriminant is factored at factor's default rho
+        budget; another budget is passed as factor(curve.disc, budget).  A
         supplied factorization must multiply out to the discriminant.
         """
         if disc is None:
-            disc = factor(curve.disc, budget=budget)
+            disc = factor(curve.disc)
         elif disc.value != curve.disc:
             raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
         minimal, tr = minimal_model(curve, disc)

@@ -37,9 +37,9 @@ def four_torsion_curve(s: int, t: int) -> WeierstrassCurve:
     return WeierstrassCurve(t, -s * t, -s * t * t, 0, 0)
 
 
-def four_torsion_disc(s: int, t: int, budget: int = 2_000_000) -> Factorization:
+def four_torsion_disc(s: int, t: int) -> Factorization:
     """Factored discriminant s^4 t^7 (16 s + t) of four_torsion_curve(s, t)."""
-    return factor_product(((s, 4), (t, 7), (16 * s + t, 1)), budget)
+    return factor_product(((s, 4), (t, 7), (16 * s + t, 1)))
 
 
 _TWO_SIX_FACTORS = (
@@ -69,14 +69,14 @@ def two_six_curve(t: Rational) -> WeierstrassCurve:
     return WeierstrassCurve(a1, a2, a3, 0, 0)
 
 
-def two_six_disc(t: Rational, budget: int = 2_000_000) -> Factorization:
+def two_six_disc(t: Rational) -> Factorization:
     """Factored discriminant of two_six_curve(t): for t = a/b it is
     a^6 (a-b)^6 (a+b)^6 (3a-b)^2 (3a+b)^2 b^2."""
     t = Fraction(t)
     a, b = t.numerator, t.denominator
     exponents = (6, 6, 6, 2, 2)
     terms = [(expr(a, b), k) for (_, expr), k in zip(_TWO_SIX_FACTORS, exponents)]
-    return factor_product([(b, 2), *terms], budget)
+    return factor_product([(b, 2), *terms])
 
 
 def two_torsion_curve(a: int, b: int) -> WeierstrassCurve:
@@ -88,9 +88,9 @@ def two_torsion_curve(a: int, b: int) -> WeierstrassCurve:
     return WeierstrassCurve(0, a, 0, b, 0)
 
 
-def two_torsion_disc(a: int, b: int, budget: int = 2_000_000) -> Factorization:
+def two_torsion_disc(a: int, b: int) -> Factorization:
     """Factored discriminant 16 b^2 (a^2 - 4 b) of two_torsion_curve(a, b)."""
-    return factor_product(((2, 4), (b, 2), (a * a - 4 * b, 1)), budget)
+    return factor_product(((2, 4), (b, 2), (a * a - 4 * b, 1)))
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,9 @@ class ThreeTorsionNormalForm:
         return WeierstrassCurve(self.a, 0, self.b, 0, 0)
 
 
-def three_torsion_disc(a: int, b: int, budget: int = 2_000_000) -> Factorization:
+def three_torsion_disc(a: int, b: int) -> Factorization:
     """Factored discriminant b^3 (a^3 - 27 b) of y^2 + a xy + b y = x^3."""
-    return factor_product(((b, 3), (a**3 - 27 * b, 1)), budget)
+    return factor_product(((b, 3), (a**3 - 27 * b, 1)))
 
 
 def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:
@@ -174,13 +174,15 @@ class Family:
     Parameters are a dict keyed by ``params`` (the CLI flags of the same
     names); a value may be the CLI's string.  The claim (n, with_c_inf) reads
     n | c(E) * c_inf when with_c_inf, else n | c(E).  With semistable_only the
-    claim covers only semi-stable curves.  The callables look the constructors
-    up by name when called, so a rebinding of the module's names is seen.
+    claim covers only semi-stable curves.  ``curve`` builds the model and
+    ``disc`` factors its discriminant from the same dict, at factor's default
+    budget.  The callables look the constructors up by name when called, so a
+    rebinding of the module's names is seen.
     """
 
     params: tuple[str, ...]
     curve: Callable[[dict], WeierstrassCurve]
-    disc: Callable[[dict, int], Factorization]
+    disc: Callable[[dict], Factorization]
     claim: tuple[int, bool]
     semistable_only: bool = False
 
@@ -189,26 +191,26 @@ FAMILIES = {
     "four-torsion": Family(
         ("s", "t"),
         lambda p: four_torsion_curve(p["s"], int(p["t"])),
-        lambda p, budget: four_torsion_disc(p["s"], int(p["t"]), budget),
+        lambda p: four_torsion_disc(p["s"], int(p["t"])),
         (4, True),
     ),
     "two-six": Family(
         ("t",),
         lambda p: two_six_curve(p["t"]),
-        lambda p, budget: two_six_disc(p["t"], budget),
+        lambda p: two_six_disc(p["t"]),
         (12, False),
     ),
     "two-torsion": Family(
         ("a", "b"),
         lambda p: two_torsion_curve(p["a"], p["b"]),
-        lambda p, budget: two_torsion_disc(p["a"], p["b"], budget),
+        lambda p: two_torsion_disc(p["a"], p["b"]),
         (2, True),
         semistable_only=True,
     ),
     "three-torsion": Family(
         ("a", "b"),
         lambda p: ThreeTorsionNormalForm(p["a"], p["b"]).curve,
-        lambda p, budget: three_torsion_disc(p["a"], p["b"], budget),
+        lambda p: three_torsion_disc(p["a"], p["b"]),
         (3, False),
     ),
 }
@@ -249,7 +251,7 @@ class IsogenyPair:
         }
 
 
-def hadano_quotient(source: ThreeTorsionNormalForm, budget: int = 2_000_000) -> IsogenyPair:
+def hadano_quotient(source: ThreeTorsionNormalForm) -> IsogenyPair:
     """Quotient curve and Tamagawa-ratio ledger for a b = 1 normal form.
 
     The closed-form quotient is only available for b = 1 (any prime dividing
@@ -266,7 +268,7 @@ def hadano_quotient(source: ThreeTorsionNormalForm, budget: int = 2_000_000) -> 
         raise RuntimeError("quotient discriminant identity failed; arithmetic bug")
     if quotient.c4 != a * (a**3 + 216):
         raise RuntimeError("quotient c4 identity failed; arithmetic bug")
-    primes = factor(a**3 - 27, budget=budget).primes()
+    primes = factor(a**3 - 27).primes()
     local = tuple((tate(source.curve, p), tate(quotient, p)) for p in primes)
     return IsogenyPair(source, quotient, local)
 

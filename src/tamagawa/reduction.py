@@ -356,25 +356,21 @@ def c_infinity(curve: WeierstrassCurve) -> int:
     return 2 if curve.disc > 0 else 1
 
 
-def bad_primes(curve: WeierstrassCurve, budget: int = 2_000_000) -> list[int]:
+def bad_primes(curve: WeierstrassCurve) -> list[int]:
     """Primes of bad reduction: primes dividing the minimal discriminant."""
-    return list(CurveAnalysis.of(curve, budget=budget).bad_primes)
+    return list(CurveAnalysis.of(curve).bad_primes)
 
 
-def local_data(
-    curve: WeierstrassCurve,
-    primes: Optional[Iterable[int]] = None,
-    budget: int = 2_000_000,
-) -> list[LocalDatum]:
+def local_data(curve: WeierstrassCurve, primes: Optional[Iterable[int]] = None) -> list[LocalDatum]:
     """LocalDatum at the given primes, or at every bad prime when omitted."""
-    ps = sorted(set(primes)) if primes is not None else bad_primes(curve, budget)
+    ps = sorted(set(primes)) if primes is not None else bad_primes(curve)
     return [tate(curve, p) for p in ps]
 
 
-def global_tamagawa(curve: WeierstrassCurve, budget: int = 2_000_000) -> Factorization:
+def global_tamagawa(curve: WeierstrassCurve) -> Factorization:
     """c(E) = prod of c_p over bad primes, returned in factored form."""
     c = 1
-    for datum in local_data(curve, budget=budget):
+    for datum in local_data(curve):
         c *= datum.tamagawa
     return factor(c)
 
@@ -386,9 +382,9 @@ def conductor_exponent(datum: LocalDatum) -> int:
     return datum.v_delta_min + 1 - datum.kodaira.components
 
 
-def conductor(curve: WeierstrassCurve, budget: int = 2_000_000) -> int:
+def conductor(curve: WeierstrassCurve) -> int:
     n = 1
-    for datum in local_data(curve, budget=budget):
+    for datum in local_data(curve):
         n *= datum.prime ** conductor_exponent(datum)
     return n
 
@@ -412,12 +408,12 @@ def local_root_number(curve: WeierstrassCurve, place) -> RootNumberDatum:
     return RootNumberDatum(p, "unsupported")
 
 
-def global_root_number_semistable(curve: WeierstrassCurve, budget: int = 2_000_000) -> int:
+def global_root_number_semistable(curve: WeierstrassCurve) -> int:
     """Product of local root numbers; defined here only for semi-stable curves."""
     if curve.j == 0 or curve.j == 1728:
         raise UnsupportedDomainError("root numbers here require j not in {0, 1728}")
     w = -1  # the infinite place
-    for datum in local_data(curve, budget=budget):
+    for datum in local_data(curve):
         if datum.reduction_class == ADDITIVE:
             raise UnsupportedDomainError(
                 f"curve has additive reduction at {datum.prime}; global root "

@@ -347,17 +347,15 @@ def _torsion_points(
 
 
 def torsion_subgroup(
-    curve: WeierstrassCurve,
-    budget: int = 2_000_000,
-    analysis: Optional[CurveAnalysis] = None,
+    curve: WeierstrassCurve, analysis: Optional[CurveAnalysis] = None
 ) -> TorsionStructure:
     """Certified torsion structure with generators on the given model.
 
     A supplied analysis must be of curve or have curve as its minimal model;
-    without one the curve is analysed here within the factoring budget.
+    without one the curve is analysed here by CurveAnalysis.of(curve).
     """
     if analysis is None:
-        analysis = CurveAnalysis.of(curve, budget=budget)
+        analysis = CurveAnalysis.of(curve)
     m = analysis.minimal
     if curve == analysis.curve:
         tr = analysis.transformation

@@ -58,6 +58,9 @@ EXCEPTION_B = "exception-b"
 EXCEPTION_A_CANDIDATE = "exception-a-candidate-w3-unknown"
 RANK_VIOLATED = "rank-hypothesis-violated"
 
+# seed of the random samples: scan_two_torsion's pairs and prop2.1-random's (s, t)
+SEED = 20260809
+
 
 class FixtureValidationError(ValueError):
     pass
@@ -271,19 +274,17 @@ def three_torsion_form_of(
 
 
 def check_divisibility(
-    curve: WeierstrassCurve,
-    fixtures: Optional[FixtureTable] = None,
-    budget: int = 2_000_000,
+    curve: WeierstrassCurve, fixtures: Optional[FixtureTable] = None
 ) -> VerdictReport:
     """Exact divisibility verdict for one curve, fixture-matched when possible."""
     report = VerdictReport()
     try:
-        analysis = CurveAnalysis.of(curve, budget=budget)
+        analysis = CurveAnalysis.of(curve)
         m = analysis.minimal
         data = _fill_local_data(report, analysis)
         c = report.tamagawa
         report.tamagawa_factors = factor(c).factors
-        tors = torsion_subgroup(m, budget=budget, analysis=analysis)
+        tors = torsion_subgroup(m, analysis=analysis)
     except IncompleteFactorizationError:
         report.incomplete = True
         return report
@@ -298,7 +299,7 @@ def check_divisibility(
         report.manin = rec.manin
         report.analytic_rank = rec.analytic_rank
     if tors.order % 3 == 0 and m.j not in (0, 1728):
-        report.classification = _classify_three_torsion(m, tors, data, c, rec, budget)
+        report.classification = _classify_three_torsion(m, tors, data, c, rec)
     return report
 
 
@@ -313,12 +314,10 @@ def _fill_local_data(report: VerdictReport, analysis: CurveAnalysis) -> list[Loc
 
 
 def classify_three_torsion(
-    curve: WeierstrassCurve,
-    fixtures: Optional[FixtureTable] = None,
-    budget: int = 2_000_000,
+    curve: WeierstrassCurve, fixtures: Optional[FixtureTable] = None
 ) -> VerdictReport:
     """Divisibility verdict and exception-family classification for a 3-torsion curve."""
-    report = check_divisibility(curve, fixtures=fixtures, budget=budget)
+    report = check_divisibility(curve, fixtures=fixtures)
     if report.incomplete:
         return report
     if report.torsion_order is None or report.torsion_order % 3 != 0:
@@ -335,7 +334,6 @@ def _classify_three_torsion(
     data: list[LocalDatum],
     c: int,
     fixture: Optional[FixtureCurve],
-    budget: int,
 ) -> str:
     if c % 3 == 0:
         return DIVISIBLE
@@ -349,7 +347,7 @@ def _classify_three_torsion(
             f"b = {form.b} > 1 with 3 not dividing c(E) = {c}: contradicts the "
             "unit-b reduction; arithmetic bug"
         )
-    pair = hadano_quotient(form, budget=budget)
+    pair = hadano_quotient(form)
     for d in data:
         if d.prime != 3 and d.reduction_class == ADDITIVE:
             raise RuntimeError("unit-b curve additive away from 3; arithmetic bug")
@@ -438,7 +436,7 @@ def _scan_item(item: tuple[Callable, dict]) -> tuple[VerdictReport, bool, list]:
     return report, exception, mismatches
 
 
-def _family_check(name: str, budget: int, report: VerdictReport) -> tuple[bool, list]:
+def _family_check(name: str, report: VerdictReport) -> tuple[bool, list]:
     """Minimal model, c(E), c_inf and the family's claim of one curve, analysed once.
 
     In a family whose claim is semistable_only, a curve with additive
@@ -446,7 +444,7 @@ def _family_check(name: str, budget: int, report: VerdictReport) -> tuple[bool, 
     the claim is an exception.
     """
     family, params = FAMILIES[name], report.params
-    analysis = CurveAnalysis.of(family.curve(params), family.disc(params, budget))
+    analysis = CurveAnalysis.of(family.curve(params), family.disc(params))
     data = _fill_local_data(report, analysis)
     n, with_c_inf = family.claim
     report.divides = report.tamagawa * (report.c_inf if with_c_inf else 1) % n == 0
@@ -464,10 +462,10 @@ def _scan(
 ) -> ScanReport:
     """The one scan loop: _scan_item((check, p)) for every params p, on up to jobs processes.
 
-    A check is a top-level function bound with functools.partial, so that it
-    pickles.  It fills one curve's report, fixture-labelled here, and returns
-    whether the curve joins the exception class of its minimal (c4, c6) and
-    the mismatches it found.
+    A check is a top-level function, bare or bound with functools.partial, so
+    that it pickles.  It fills one curve's report, fixture-labelled here, and
+    returns whether the curve joins the exception class of its minimal
+    (c4, c6) and the mismatches it found.
     """
     scan = ScanReport(name)
     for r, exception, mismatches in _parallel_map(_scan_item, [(check, p) for p in params], jobs):
@@ -492,7 +490,6 @@ def _parallel_map(fn: Callable, items: list, jobs: int) -> list:
 def scan_four_torsion(
     pairs: Iterable[tuple[int, int]],
     fixtures: Optional[FixtureTable] = None,
-    budget: int = 2_000_000,
     jobs: int = 1,
 ) -> ScanReport:
     """Check 4 | c(E) * c_inf(E) over the order-4 family at the given (s, t)."""
@@ -501,14 +498,13 @@ def scan_four_torsion(
         for s, t in pairs
         if s > 0 and math.gcd(s, t) == 1 and t != 0 and 16 * s + t != 0
     ]
-    check = functools.partial(_family_check, "four-torsion", budget)
+    check = functools.partial(_family_check, "four-torsion")
     return _scan("four-torsion", check, params, fixtures, jobs)
 
 
 def scan_two_six(
     bound: int,
     fixtures: Optional[FixtureTable] = None,
-    budget: int = 2_000_000,
     jobs: int = 1,
 ) -> ScanReport:
     """Check 12 | c(E) for every nonsingular t = a/b with |a|, b <= bound."""
@@ -518,15 +514,13 @@ def scan_two_six(
         for a in range(-bound, bound + 1)
         if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
     ]
-    check = functools.partial(_family_check, "two-six", budget)
+    check = functools.partial(_family_check, "two-six")
     return _scan("two-six", check, params, fixtures, jobs)
 
 
 def scan_two_torsion(
     fixtures: Optional[FixtureTable] = None,
-    budget: int = 2_000_000,
     random_samples: int = 200,
-    seed: int = 20260809,
     jobs: int = 1,
 ) -> ScanReport:
     """Enumerate the bounded semi-stable 2-torsion region; 2 | c(E) c_inf expected.
@@ -543,9 +537,9 @@ def scan_two_torsion(
         for a in (0, 1, -1, 3, -3, 5, -5, 7, -7)
         if a * a - 4 * b < 0 and math.gcd(a, b) == 1
     ]
-    check = functools.partial(_family_check, "two-torsion", budget)
+    check = functools.partial(_family_check, "two-torsion")
     report = _scan("two-torsion", check, params, fixtures, jobs)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     checked = 0
     while checked < random_samples:
         a = rng.randint(-60, 60)
@@ -559,43 +553,38 @@ def scan_two_torsion(
     return report
 
 
-def scan_three_torsion_nonunits(
-    a_bound: int = 40,
-    b_bound: int = 40,
-    budget: int = 2_000_000,
-    jobs: int = 1,
-) -> ScanReport:
-    """For every normalized (a, b) with b > 1: 3 | c(E). Violations mean bugs."""
-    params = [
-        {"a": a, "b": b} for a, b in _normalized_three_torsion_range(a_bound, b_bound) if b != 1
-    ]
-    check = functools.partial(_nonunit_check, budget)
-    return _scan("three-torsion-nonunit-b", check, params, None, jobs)
+def scan_three_torsion_nonunits(bound: int = 40, jobs: int = 1) -> ScanReport:
+    """3 | c(E) for every normalized (a, b) with 1 < b <= bound, |a| <= bound.
+
+    Violations mean bugs.
+    """
+    params = [{"a": a, "b": b} for a, b in _normalized_three_torsion_range(bound) if b != 1]
+    return _scan("three-torsion-nonunit-b", _nonunit_check, params, None, jobs)
 
 
-def _nonunit_check(budget: int, report: VerdictReport) -> tuple[bool, list]:
+def _nonunit_check(report: VerdictReport) -> tuple[bool, list]:
     """c(E) of one normal form and the family's claim on it; nothing else is reported."""
     a, b = report.params["a"], report.params["b"]
-    data = _three_torsion_local(report.params, budget)
+    data = _three_torsion_local(report.params)
     report.tamagawa = c = math.prod(d.tamagawa for d in data)
     report.divides = c % FAMILIES["three-torsion"].claim[0] == 0
     mismatch = {"a": a, "b": b, "c": c, "error": "3 does not divide c"}
     return False, [] if report.divides else [mismatch]
 
 
-def _three_torsion_local(params: dict, budget: int) -> list[LocalDatum]:
+def _three_torsion_local(params: dict) -> list[LocalDatum]:
     """tate on the (a, b) normal form at every prime of its discriminant b^3 (a^3 - 27 b).
 
     The c_p multiply to c(E): tate minimizes at p itself, and c_p = 1 at a good prime.
     """
     family = FAMILIES["three-torsion"]
     curve = family.curve(params)
-    return [tate(curve, p) for p in family.disc(params, budget).primes()]
+    return [tate(curve, p) for p in family.disc(params).primes()]
 
 
-def _normalized_three_torsion_range(a_bound: int, b_bound: int):
-    for a in range(-a_bound, a_bound + 1):
-        for b in range(1, b_bound + 1):
+def _normalized_three_torsion_range(bound: int):
+    for a in range(-bound, bound + 1):
+        for b in range(1, bound + 1):
             if a**3 == 27 * b:
                 continue
             try:
@@ -605,26 +594,21 @@ def _normalized_three_torsion_range(a_bound: int, b_bound: int):
             yield a, b
 
 
-def reduction_table_cross_check(
-    a_bound: int = 40,
-    b_bound: int = 40,
-    budget: int = 2_000_000,
-    jobs: int = 1,
-) -> ScanReport:
+def reduction_table_cross_check(bound: int = 40, jobs: int = 1) -> ScanReport:
     """Compare Tate output against the three-torsion reduction-type table.
 
-    For each normalized (a, b) and each bad prime, the expected row follows
+    For each normalized (a, b) with |a|, b <= bound and each bad prime, the expected row follows
     from (ord_p a, ord_p b, ord_p D); the v(D) = 3 row at p = 3 admits both
     II and III and either is accepted.
     """
-    params = [{"a": a, "b": b} for a, b in _normalized_three_torsion_range(a_bound, b_bound)]
-    return _scan("reduction-table", functools.partial(_cross_check, budget), params, None, jobs)
+    params = [{"a": a, "b": b} for a, b in _normalized_three_torsion_range(bound)]
+    return _scan("reduction-table", _cross_check, params, None, jobs)
 
 
-def _cross_check(budget: int, report: VerdictReport) -> tuple[bool, list]:
+def _cross_check(report: VerdictReport) -> tuple[bool, list]:
     """Mismatches against the table at every prime of the discriminant."""
     a, b = report.params["a"], report.params["b"]
-    data = _three_torsion_local(report.params, budget)
+    data = _three_torsion_local(report.params)
     D = a**3 - 27 * b
     mismatches = []
     for datum in data:
@@ -684,20 +668,16 @@ def _expected_row(a: int, b: int, D: int, p: int):
     return None
 
 
-def scan_dual_curves(
-    a_values: Iterable[int],
-    budget: int = 2_000_000,
-    jobs: int = 1,
-) -> ScanReport:
+def scan_dual_curves(a_values: Iterable[int], jobs: int = 1) -> ScanReport:
     """Quotient identities, split-prime claim, and ledger rules over a range of a."""
     params = [{"a": a} for a in a_values if a != 3]
-    return _scan("three-torsion-dual", functools.partial(_dual_check, budget), params, None, jobs)
+    return _scan("three-torsion-dual", _dual_check, params, None, jobs)
 
 
-def _dual_check(budget: int, report: VerdictReport) -> tuple[bool, list]:
+def _dual_check(report: VerdictReport) -> tuple[bool, list]:
     """Mismatches of the b = 1 normal form at a against its 3-isogeny quotient."""
     a = report.params["a"]
-    pair = hadano_quotient(ThreeTorsionNormalForm(a, 1), budget=budget)
+    pair = hadano_quotient(ThreeTorsionNormalForm(a, 1))
     mismatches = []
     # identity checks beyond the constructor's own: recompute from invariants
     if pair.quotient.disc != (a**3 - 27) ** 3 or pair.quotient.c4 != a * (a**3 + 216):
@@ -747,7 +727,8 @@ NEGATIVE_T_EXPECTED = frozenset({KEY_15A8, KEY_21A4, KEY_24A4})
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
+    """One scan of PRESETS: run(fixtures, jobs, bound) and the verdict it must reach."""
+
     run: Callable
     expected: Callable[[ScanReport], bool]
     description: str
@@ -757,12 +738,17 @@ class Preset:
         return not report.incomplete and self.expected(report)
 
 
-def _random_four_torsion_pairs(count: int = 1000, limit: int = 200, seed: int = 20260809):
-    rng = random.Random(seed)
+RANDOM_PAIRS = 1000
+RANDOM_LIMIT = 200
+
+
+def _random_four_torsion_pairs():
+    """RANDOM_PAIRS seeded coprime (s, t) with 0 < s, |t| <= RANDOM_LIMIT."""
+    rng = random.Random(SEED)
     pairs = []
-    while len(pairs) < count:
-        s = rng.randint(1, limit)
-        t = rng.randint(-limit, limit)
+    while len(pairs) < RANDOM_PAIRS:
+        s = rng.randint(1, RANDOM_LIMIT)
+        t = rng.randint(-RANDOM_LIMIT, RANDOM_LIMIT)
         if t == 0 or 16 * s + t == 0 or math.gcd(s, t) != 1:
             continue
         pairs.append((s, t))
@@ -770,68 +756,61 @@ def _random_four_torsion_pairs(count: int = 1000, limit: int = 200, seed: int = 
 
 
 def _presets() -> dict[str, Preset]:
-    def negative_t(fixtures, budget, jobs, bound):
-        return scan_four_torsion(((1, t) for t in range(-15, 0)), fixtures, budget, jobs)
+    def negative_t(fixtures, jobs, bound):
+        return scan_four_torsion(((1, t) for t in range(-15, 0)), fixtures, jobs)
 
-    def random_region(fixtures, budget, jobs, bound):
-        return scan_four_torsion(_random_four_torsion_pairs(), fixtures, budget, jobs)
+    def random_region(fixtures, jobs, bound):
+        return scan_four_torsion(_random_four_torsion_pairs(), fixtures, jobs)
 
-    def two_six(fixtures, budget, jobs, bound):
-        return scan_two_six(bound or 30, fixtures, budget, jobs)
+    def two_six(fixtures, jobs, bound):
+        return scan_two_six(bound or 30, fixtures, jobs)
 
-    def two_tors(fixtures, budget, jobs, bound):
-        return scan_two_torsion(fixtures, budget, jobs=jobs)
+    def two_tors(fixtures, jobs, bound):
+        return scan_two_torsion(fixtures, jobs=jobs)
 
-    def nonunit(fixtures, budget, jobs, bound):
-        return scan_three_torsion_nonunits(bound or 40, bound or 40, budget, jobs)
+    def nonunit(fixtures, jobs, bound):
+        return scan_three_torsion_nonunits(bound or 40, jobs)
 
-    def table(fixtures, budget, jobs, bound):
-        return reduction_table_cross_check(bound or 40, bound or 40, budget, jobs)
+    def table(fixtures, jobs, bound):
+        return reduction_table_cross_check(bound or 40, jobs)
 
-    def dual(fixtures, budget, jobs, bound):
+    def dual(fixtures, jobs, bound):
         n = bound or 100
-        return scan_dual_curves(range(-n, n + 1), budget, jobs)
+        return scan_dual_curves(range(-n, n + 1), jobs)
 
     return {
         "prop2.1-negative-t": Preset(
-            "prop2.1-negative-t",
             negative_t,
             lambda rep: set(rep.exceptions) == set(NEGATIVE_T_EXPECTED),
             "order-4 family at s=1, t in {-15..-1}",
         ),
         "prop2.1-random": Preset(
-            "prop2.1-random",
             random_region,
             lambda rep: set(rep.exceptions) <= set(FOUR_TORSION_EXCEPTIONS),
             "order-4 family on 1000 seeded coprime (s,t), |s|,|t| <= 200",
         ),
         "prop2.2": Preset(
-            "prop2.2",
             two_six,
             lambda rep: not rep.exceptions,
             "Z/2xZ/6 family, all t = a/b up to the bound",
         ),
         "prop2.4": Preset(
-            "prop2.4",
             two_tors,
             lambda rep: set(rep.exceptions) == set(TWO_TORSION_EXCEPTIONS)
             and not rep.mismatches,
             "semi-stable 2-torsion enumeration region",
         ),
         "three-torsion-nonunit-b": Preset(
-            "three-torsion-nonunit-b",
             nonunit,
             lambda rep: not rep.mismatches,
             "3 | c(E) whenever the normalized cubic has b > 1",
         ),
         "kozuma-table": Preset(
-            "kozuma-table",
             table,
             lambda rep: not rep.mismatches,
             "Tate output versus the three-torsion reduction-type table",
         ),
         "dual-ledger": Preset(
-            "dual-ledger",
             dual,
             lambda rep: not rep.mismatches,
             "quotient identities, split primes, and the Tamagawa-ratio ledger",

@@ -57,7 +57,7 @@ def fixtures():
 
 def test_criterion_1_reduction_table_cross_check():
     start = time.monotonic()
-    report = reduction_table_cross_check(40, 40)
+    report = reduction_table_cross_check(40)
     elapsed = time.monotonic() - start
     assert report.mismatches == [], report.mismatches[:5]
     assert elapsed < 300, f"single-threaded sweep took {elapsed:.1f}s"
@@ -85,7 +85,7 @@ def test_criterion_3_four_torsion_exceptions(fixtures):
     new_labels = {region.exceptions[k].label for k in new}
     assert new_labels == {"21a4", "24a4"}
 
-    sample = scan_four_torsion(_random_four_torsion_pairs(1000, 200), fixtures=fixtures)
+    sample = scan_four_torsion(_random_four_torsion_pairs(), fixtures=fixtures)
     assert set(sample.exceptions) <= set(FOUR_TORSION_EXCEPTIONS), sample.summary()
     print(
         "\nACCEPTANCE 3 PASS: s=1, t in {-15..-1} adds exactly {21a4, 24a4} beyond "
@@ -107,7 +107,7 @@ def test_criterion_4_two_torsion_enumeration(fixtures):
 
 
 def test_criterion_5_nonunit_b_forces_three():
-    report = scan_three_torsion_nonunits(40, 40)
+    report = scan_three_torsion_nonunits(40)
     assert report.mismatches == []
     checked = sum(1 for r in report.reports)
     print(

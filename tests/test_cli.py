@@ -162,19 +162,17 @@ def test_scan_runs_in_one_process_without_jobs(monkeypatch, capsys):
     assert cli.main(["scan", "--preset", "prop2.1-negative-t", "--summary"]) == 0
 
 
-def test_scan_with_incomplete_curve_prints_all_and_exits_3(monkeypatch, capsys):
+def test_scan_with_incomplete_curve_prints_all_and_exits_3(monkeypatch, capsys, cap_rho):
     from tamagawa import cli
     from tamagawa.verify import Preset, scan_four_torsion
 
     preset = Preset(
-        "tiny-budget",
-        lambda fixtures, budget, jobs, bound: scan_four_torsion(
-            [(1, -3), (6260003, 15)], fixtures, budget=1
-        ),
+        lambda fixtures, jobs, bound: scan_four_torsion([(1, -3), (6260003, 15)], fixtures),
         lambda rep: True,
         "a four-torsion scan whose second curve outruns its rho budget",
     )
     monkeypatch.setitem(cli.PRESETS, "prop2.2", preset)
+    cap_rho(1)
     assert cli.main(["scan", "--preset", "prop2.2", "--jobs", "1"]) == cli.EXIT_INCOMPLETE
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line.get("incomplete") for line in lines[:2]] == [False, True]

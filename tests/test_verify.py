@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from pathlib import Path
@@ -29,6 +30,8 @@ from tamagawa.verify import (
     scan_two_six,
     scan_two_torsion,
     three_torsion_form_of,
+    _cross_check,
+    _nonunit_check,
     _scan_item,
 )
 
@@ -135,7 +138,7 @@ def test_ingest_names_a_fixture_it_cannot_factor(tmp_path, monkeypatch):
     # with a zero rho budget the semiprime cofactor 12437 * 139177 stays unsplit
     from tamagawa import arith, curves
 
-    monkeypatch.setattr(curves, "factor", lambda n, budget: arith.factor(n, budget=0))
+    monkeypatch.setattr(curves, "factor", lambda n: arith.factor(n, budget=0))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([{"label": "x", "ai": [0, -1, 1, -300, 19]}]))
     with pytest.raises(FixtureValidationError, match="'x': factorization incomplete"):
@@ -194,11 +197,13 @@ def test_classify_exception_families(fixtures):
     assert r2.classification == SHA_IMPLIED
 
 
-def test_check_divisibility_incomplete_budget():
+def test_check_divisibility_incomplete_budget(cap_rho, monkeypatch):
     # disc has a semiprime cofactor (12437 * 139177) that a zero budget cannot split
     E = WeierstrassCurve(0, -1, 1, -300, 19)
-    r = check_divisibility(E, budget=0)
+    cap_rho(0)
+    r = check_divisibility(E)
     assert r.incomplete and r.divides is None
+    monkeypatch.undo()
     r2 = check_divisibility(E)
     assert not r2.incomplete and r2.divides is not None
 
@@ -246,12 +251,12 @@ def test_scan_two_six_small():
 
 
 def test_scan_three_torsion_nonunits_small():
-    rep = scan_three_torsion_nonunits(12, 12)
+    rep = scan_three_torsion_nonunits(12)
     assert not rep.mismatches
 
 
 def test_reduction_table_cross_check_small():
-    rep = reduction_table_cross_check(12, 12)
+    rep = reduction_table_cross_check(12)
     assert rep.mismatches == []
 
 
@@ -321,14 +326,15 @@ def test_presets_registry():
     for name in ("prop2.1-negative-t", "prop2.1-random", "prop2.2", "prop2.4",
                  "three-torsion-nonunit-b", "kozuma-table", "dual-ledger"):
         assert name in PRESETS
-    rep = PRESETS["prop2.2"].run(None, 2_000_000, 1, 4)
+    rep = PRESETS["prop2.2"].run(None, 1, 4)
     assert PRESETS["prop2.2"].validate(rep)
 
 
-def test_scan_marks_budget_exhausted_curve_incomplete():
+def test_scan_marks_budget_exhausted_curve_incomplete(cap_rho):
     # 16 * 6260003 + 15 = 10007 * 10009 lies past trial division, and one
     # rho iteration cannot split it
-    rep = scan_four_torsion([(1, -3), (6260003, 15)], budget=1)
+    cap_rho(1)
+    rep = scan_four_torsion([(1, -3), (6260003, 15)])
     assert len(rep.reports) == 2
     done, stuck = rep.reports
     assert not done.incomplete and done.divides is True
@@ -354,9 +360,49 @@ def test_scan_item_returns_a_fresh_report_when_the_budget_runs_out():
     assert (exception, mismatches) == (False, [])
 
 
-def test_incomplete_curve_survives_the_process_pool():
+def test_incomplete_curve_survives_the_process_pool(cap_rho):
     pairs = [(1, -3), (6260003, 15), (1, -5), (2, 1)]
-    pooled = scan_four_torsion(pairs, budget=1, jobs=2)
-    serial = scan_four_torsion(pairs, budget=1)
+    cap_rho(1)
+    pooled = scan_four_torsion(pairs, jobs=2)
+    serial = scan_four_torsion(pairs)
     assert [r.to_json() for r in pooled.reports] == [r.to_json() for r in serial.reports]
     assert [r.incomplete for r in pooled.reports] == [False, True, False, False]
+
+
+def test_dual_scan_marks_a_curve_incomplete_and_keeps_going(cap_rho):
+    # 10010^3 - 27 = 5113 * 10007 * 19603: one rho iteration cannot split 10007 * 19603
+    cap_rho(1)
+    rep = scan_dual_curves([10010, 2])
+    assert [r.incomplete for r in rep.reports] == [True, False]
+    assert rep.reports[0] == VerdictReport(params={"a": 10010}, incomplete=True)
+    assert rep.mismatches == [] and rep.incomplete
+
+
+@pytest.mark.parametrize("check", [_nonunit_check, _cross_check], ids=["nonunit", "cross"])
+def test_three_torsion_checks_report_a_run_out_as_incomplete(cap_rho, check):
+    # a^3 - 27 b = (-553)^3 - 54 = -10753 * 15727, past one rho iteration
+    cap_rho(1)
+    report, exception, mismatches = _scan_item((check, {"a": -553, "b": 2}))
+    assert report == VerdictReport(params={"a": -553, "b": 2}, incomplete=True)
+    assert (exception, mismatches) == (False, [])
+
+
+def test_budget_is_settable_only_on_factor():
+    """The rho budget is factor's alone; no layer above it threads one through."""
+    import tamagawa
+    from tamagawa import arith, curves, families, verify
+
+    public = [getattr(tamagawa, name) for name in tamagawa.__all__]
+    public += [getattr(verify, name) for name in dir(verify) if name.startswith("scan_")]
+    public += [verify.check_divisibility, verify.classify_three_torsion]
+    public += [verify.reduction_table_cross_check, arith.factor_product]
+    public += [getattr(families, name) for name in dir(families) if name.endswith("_disc")]
+    public += [families.hadano_quotient, curves.CurveAnalysis.of]
+    # exception classes without an __init__ of their own have no signature
+    public = [f for f in public if not (isinstance(f, type) and issubclass(f, Exception))]
+    with_budget = [f.__qualname__ for f in public if "budget" in inspect.signature(f).parameters]
+    assert with_budget == ["factor"]
+    for name, family in families.FAMILIES.items():
+        assert len(inspect.signature(family.disc).parameters) == 1, name
+    for name, preset in PRESETS.items():
+        assert list(inspect.signature(preset.run).parameters) == ["fixtures", "jobs", "bound"], name
