@@ -86,12 +86,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def __mul__(self, other: "Factorization") -> "Factorization":
         exps: dict[int, int] = {}
         for p, e in self.factors:

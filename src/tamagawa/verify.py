@@ -14,7 +14,7 @@ import json
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -45,7 +45,13 @@ from .reduction import (
     local_data,
     tate,
 )
-from .torsion import _MAZUR_CYCLIC, _MAZUR_PRODUCT, _point_of_order, torsion_subgroup
+from .torsion import (
+    _MAZUR_CYCLIC,
+    _MAZUR_PRODUCT,
+    TorsionStructure,
+    _point_of_order,
+    torsion_subgroup,
+)
 
 _MAZUR_SHAPES = frozenset(
     [f"Z/{n}" for n in _MAZUR_CYCLIC] + [f"Z/2xZ/{2 * n}" for n in _MAZUR_PRODUCT.values()]
@@ -68,7 +74,11 @@ class FixtureValidationError(ValueError):
 
 @dataclass(frozen=True)
 class FixtureCurve:
-    """One exported database curve with its expected data."""
+    """One exported database curve with its expected data.
+
+    Construction checks every field and raises FixtureValidationError naming
+    the label on the first bad one; ai becomes a tuple, local a tuple of dicts.
+    """
 
     label: str
     ai: tuple[int, int, int, int, int]
@@ -81,6 +91,56 @@ class FixtureCurve:
     analytic_rank: Optional[int] = None
     w3: Optional[int] = None
     lmfdb: Optional[str] = None
+
+    def __post_init__(self):
+        def bad(msg: str):
+            raise FixtureValidationError(f"fixture {self.label!r}: {msg}")
+
+        if not (isinstance(self.label, str) and self.label):
+            bad("'label' must be a non-empty string")
+        ai = self.ai
+        if not (isinstance(ai, (list, tuple)) and len(ai) == 5 and all(_is_int(k) for k in ai)):
+            bad("'ai' must be a list of 5 integers")
+        try:
+            WeierstrassCurve(*ai)
+        except SingularCurveError:
+            bad("coefficients define a singular curve")
+        object.__setattr__(self, "ai", tuple(ai))
+        torsion = self.torsion
+        if torsion is not None and not (isinstance(torsion, str) and torsion in _MAZUR_SHAPES):
+            bad(f"torsion shape {torsion!r} is not a possible rational torsion group")
+        local = self.local
+        if local is not None:
+            if not (isinstance(local, (list, tuple)) and all(isinstance(i, dict) for i in local)):
+                bad("'local' must be a list of objects")
+            for item in local:
+                p = item.get("p")
+                if not (_is_int(p) and p >= 2 and is_prime(p)):
+                    bad(f"local entry has non-prime p = {p!r}")
+                try:
+                    KodairaType(item.get("kodaira", ""))
+                except (TypeError, ValueError):
+                    bad(f"bad Kodaira symbol {item.get('kodaira')!r}")
+                if not (_is_int(item.get("cp")) and item["cp"] >= 1):
+                    bad("local entry needs a positive integer 'cp'")
+                if item.get("class") not in (None, GOOD, SPLIT, NONSPLIT, ADDITIVE):
+                    bad(f"bad reduction class {item.get('class')!r}")
+            object.__setattr__(self, "local", tuple(dict(item) for item in local))
+        if self.c_inf is not None and not (_is_int(self.c_inf) and self.c_inf in (1, 2)):
+            bad("'c_inf' must be 1 or 2")
+        if self.sha is not None and not (_is_int(self.sha) and self.sha >= 1):
+            bad("'sha' must be a positive integer")
+        if self.manin is not None and not (_is_int(self.manin) and self.manin >= 1):
+            bad("'manin' must be a positive integer")
+        if self.w3 is not None and not (_is_int(self.w3) and self.w3 in (1, -1)):
+            bad("'w3' must be +1 or -1")
+        if self.optimal is not None and not isinstance(self.optimal, bool):
+            bad("'optimal' must be true or false")
+        rank = self.analytic_rank
+        if rank is not None and not (_is_int(rank) and rank >= 0):
+            bad("'analytic_rank' must be a non-negative integer")
+        if self.lmfdb is not None and not isinstance(self.lmfdb, str):
+            bad("'lmfdb' must be a string")
 
     @property
     def curve(self) -> WeierstrassCurve:
@@ -123,81 +183,20 @@ class FixtureTable:
 
 
 def ingest_fixtures(path) -> FixtureTable:
-    """Load and validate a fixture JSON file; bad records fail loudly by label."""
+    """Load a fixture JSON file; each record validates itself and fails loudly by label.
+
+    Keys that are not FixtureCurve fields are ignored.
+    """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, list):
         raise FixtureValidationError("fixture file must contain a JSON array")
+    names = {f.name for f in fields(FixtureCurve)} - {"label", "ai"}
     records = []
     for index, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise FixtureValidationError(f"fixture record {index} must be a JSON object: {entry!r}")
-        label = entry.get("label")
-
-        def bad(msg: str):
-            raise FixtureValidationError(f"fixture {label!r}: {msg}")
-
-        if not (isinstance(label, str) and label):
-            bad("'label' must be a non-empty string")
-        ai = entry.get("ai")
-        if not (isinstance(ai, list) and len(ai) == 5 and all(_is_int(k) for k in ai)):
-            bad("'ai' must be a list of 5 integers")
-        try:
-            WeierstrassCurve(*ai)
-        except SingularCurveError:
-            bad("coefficients define a singular curve")
-        torsion = entry.get("torsion")
-        if torsion is not None and not (isinstance(torsion, str) and torsion in _MAZUR_SHAPES):
-            bad(f"torsion shape {torsion!r} is not a possible rational torsion group")
-        local = entry.get("local")
-        if local is not None:
-            if not (isinstance(local, list) and all(isinstance(item, dict) for item in local)):
-                bad("'local' must be a list of objects")
-            for item in local:
-                p = item.get("p")
-                if not (_is_int(p) and p >= 2 and is_prime(p)):
-                    bad(f"local entry has non-prime p = {p!r}")
-                try:
-                    KodairaType(item.get("kodaira", ""))
-                except (TypeError, ValueError):
-                    bad(f"bad Kodaira symbol {item.get('kodaira')!r}")
-                if not (_is_int(item.get("cp")) and item["cp"] >= 1):
-                    bad("local entry needs a positive integer 'cp'")
-                if item.get("class") not in (None, GOOD, SPLIT, NONSPLIT, ADDITIVE):
-                    bad(f"bad reduction class {item.get('class')!r}")
-            local = tuple(dict(item) for item in local)
-        c_inf = entry.get("c_inf")
-        if c_inf is not None and not (_is_int(c_inf) and c_inf in (1, 2)):
-            bad("'c_inf' must be 1 or 2")
-        sha = entry.get("sha")
-        if sha is not None and not (_is_int(sha) and sha >= 1):
-            bad("'sha' must be a positive integer")
-        manin = entry.get("manin")
-        if manin is not None and not (_is_int(manin) and manin >= 1):
-            bad("'manin' must be a positive integer")
-        w3 = entry.get("w3")
-        if w3 is not None and not (_is_int(w3) and w3 in (1, -1)):
-            bad("'w3' must be +1 or -1")
-        optimal = entry.get("optimal")
-        if optimal is not None and not isinstance(optimal, bool):
-            bad("'optimal' must be true or false")
-        rank = entry.get("analytic_rank")
-        if rank is not None and not (_is_int(rank) and rank >= 0):
-            bad("'analytic_rank' must be a non-negative integer")
-        records.append(
-            FixtureCurve(
-                label=label,
-                ai=tuple(ai),
-                torsion=torsion,
-                local=local,
-                c_inf=c_inf,
-                sha=sha,
-                optimal=optimal,
-                manin=manin,
-                analytic_rank=rank,
-                w3=w3,
-                lmfdb=entry.get("lmfdb"),
-            )
-        )
+        optional = {k: v for k, v in entry.items() if k in names}
+        records.append(FixtureCurve(label=entry.get("label"), ai=entry.get("ai"), **optional))
     return FixtureTable(records)
 
 
@@ -212,28 +211,26 @@ class VerdictReport:
 
     minimal_ai: Optional[tuple] = None
     key: Optional[tuple[int, int]] = None
-    torsion_shape: Optional[str] = None
-    torsion_order: Optional[int] = None
+    torsion: Optional[TorsionStructure] = None
     c_inf: Optional[int] = None
     tamagawa: Optional[int] = None
     tamagawa_factors: Optional[tuple] = None
     divides: Optional[bool] = None
     label: Optional[str] = None
-    sha: Optional[int] = None
-    optimal: Optional[bool] = None
-    manin: Optional[int] = None
-    analytic_rank: Optional[int] = None
+    # the matched fixture record, set by check_divisibility only; scans keep the label alone
+    fixture: Optional[FixtureCurve] = None
     classification: Optional[str] = None
     incomplete: bool = False
     params: Optional[dict] = None
 
     def to_json(self) -> dict:
+        tors, rec = self.torsion, self.fixture
         out = {
             "minimal_ai": list(self.minimal_ai) if self.minimal_ai else None,
             "c4": self.key[0] if self.key else None,
             "c6": self.key[1] if self.key else None,
-            "torsion": self.torsion_shape,
-            "torsion_order": self.torsion_order,
+            "torsion": tors.shape if tors else None,
+            "torsion_order": tors.order if tors else None,
             "c_inf": self.c_inf,
             "c": self.tamagawa,
             "c_factors": [list(f) for f in self.tamagawa_factors]
@@ -241,16 +238,13 @@ class VerdictReport:
             else None,
             "divides": self.divides,
             "label": self.label,
-            "sha": self.sha,
+            "sha": rec.sha if rec else None,
             "classification": self.classification,
             "incomplete": self.incomplete,
         }
-        if self.optimal is not None:
-            out["optimal"] = self.optimal
-        if self.manin is not None:
-            out["manin"] = self.manin
-        if self.analytic_rank is not None:
-            out["analytic_rank"] = self.analytic_rank
+        for name in ("optimal", "manin", "analytic_rank"):
+            if rec and getattr(rec, name) is not None:
+                out[name] = getattr(rec, name)
         if self.params is not None:
             out["params"] = self.params
         return out
@@ -288,18 +282,13 @@ def check_divisibility(
     except IncompleteFactorizationError:
         report.incomplete = True
         return report
-    report.torsion_shape = tors.shape
-    report.torsion_order = tors.order
+    report.torsion = tors
     report.divides = (report.c_inf * c) % tors.order == 0
     rec = fixtures.by_key.get(report.key) if fixtures else None
     if rec is not None:
-        report.label = rec.label
-        report.sha = rec.sha
-        report.optimal = rec.optimal
-        report.manin = rec.manin
-        report.analytic_rank = rec.analytic_rank
+        report.label, report.fixture = rec.label, rec
     if tors.order % 3 == 0 and m.j not in (0, 1728):
-        report.classification = _classify_three_torsion(m, tors, data, c, rec)
+        report.classification = _classify_three_torsion(report, m, data)
     return report
 
 
@@ -320,7 +309,7 @@ def classify_three_torsion(
     report = check_divisibility(curve, fixtures=fixtures)
     if report.incomplete:
         return report
-    if report.torsion_order is None or report.torsion_order % 3 != 0:
+    if report.torsion.order % 3 != 0:
         raise ValueError("curve has no rational point of order 3")
     m = WeierstrassCurve(*report.minimal_ai)
     if m.j in (0, 1728):
@@ -329,18 +318,16 @@ def classify_three_torsion(
 
 
 def _classify_three_torsion(
-    m: WeierstrassCurve,
-    tors,
-    data: list[LocalDatum],
-    c: int,
-    fixture: Optional[FixtureCurve],
+    report: VerdictReport, m: WeierstrassCurve, data: list[LocalDatum]
 ) -> str:
+    """Exception family of a complete report on m, whose torsion order 3 divides."""
+    c = report.tamagawa
     if c % 3 == 0:
         return DIVISIBLE
 
     # 3 does not divide c(E): the normal form must have b = 1.  The first
     # generator has the largest order, which 3 divides; the second, if any, has order 2
-    p3 = _point_of_order(m, tors.generators[0], 3)
+    p3 = _point_of_order(m, report.torsion.generators[0], 3)
     form = three_torsion_form_of(m, (p3.x, p3.y))
     if form.b != 1:
         raise RuntimeError(
@@ -363,7 +350,7 @@ def _classify_three_torsion(
         # split multiplicative at 3 with 3-torsion forces 3 | c_3
         raise RuntimeError("split at 3 with 3 not dividing c(E); arithmetic bug")
     else:
-        w3 = fixture.w3 if fixture is not None and fixture.w3 is not None else None
+        w3 = report.fixture.w3 if report.fixture else None
     if split_count > 1:
         raise RuntimeError(
             "ratio < 2 with two or more split places; contradicts the ledger rules"
@@ -669,7 +656,10 @@ def _expected_row(a: int, b: int, D: int, p: int):
 
 
 def scan_dual_curves(a_values: Iterable[int], jobs: int = 1) -> ScanReport:
-    """Quotient identities, split-prime claim, and ledger rules over a range of a."""
+    """Split-prime claim and ledger rules over a range of a.
+
+    hadano_quotient itself raises if the quotient's invariant identities fail.
+    """
     params = [{"a": a} for a in a_values if a != 3]
     return _scan("three-torsion-dual", _dual_check, params, None, jobs)
 
@@ -679,9 +669,6 @@ def _dual_check(report: VerdictReport) -> tuple[bool, list]:
     a = report.params["a"]
     pair = hadano_quotient(ThreeTorsionNormalForm(a, 1))
     mismatches = []
-    # identity checks beyond the constructor's own: recompute from invariants
-    if pair.quotient.disc != (a**3 - 27) ** 3 or pair.quotient.c4 != a * (a**3 + 216):
-        mismatches.append({"a": a, "error": "quotient invariant identity failed"})
     # q divides a^2 + 3a + 9, a factor of a^3 - 27, so pair.local covers it
     local = {src.prime: (src, quo) for src, quo in pair.local}
     q = quotient_split_prime(pair)

@@ -9,14 +9,18 @@ from tamagawa.arith import IncompleteFactorizationError
 from tamagawa.curves import WeierstrassCurve
 from tamagawa.verify import (
     EXCEPTION_A,
+    EXCEPTION_A_CANDIDATE,
     EXCEPTION_B,
     DIVISIBLE,
+    RANK_VIOLATED,
     SHA_IMPLIED,
     KEY_15A8,
     KEY_21A4,
     KEY_24A4,
     NEGATIVE_T_EXPECTED,
     TWO_TORSION_EXCEPTIONS,
+    FixtureCurve,
+    FixtureTable,
     FixtureValidationError,
     VerdictReport,
     PRESETS,
@@ -121,10 +125,15 @@ def test_ingest_rejects_boolean_coefficient(tmp_path):
         ("torsion", [1], "torsion shape"),
         ("local", [{"p": -5, "kodaira": "I1", "cp": 1}], "non-prime p = -5"),
         ("local", [{"p": 19, "kodaira": 5, "cp": 1}], "bad Kodaira symbol 5"),
+        ("local", [{"p": 19, "kodaira": "I3", "cp": 0}], "needs a positive integer 'cp'"),
+        ("local", [{"p": 19, "kodaira": "I3", "cp": 3, "class": "bogus"}], "reduction class 'bogus'"),
         ("c_inf", True, "'c_inf' must be 1 or 2"),
+        ("sha", 0, "'sha' must be a positive integer"),
+        ("manin", True, "'manin' must be a positive integer"),
         ("w3", True, "'w3' must be"),
         ("optimal", "yes", "'optimal' must be true or false"),
         ("analytic_rank", -7, "'analytic_rank' must be a non-negative integer"),
+        ("lmfdb", 5, "'lmfdb' must be a string"),
     ],
 )
 def test_ingest_rejects_ill_typed_field(tmp_path, field, value, match):
@@ -164,7 +173,7 @@ def test_check_divisibility_two_six(fixtures):
 
     r = check_divisibility(two_six_curve(2), fixtures=fixtures)
     assert r.divides
-    assert r.torsion_order == 12
+    assert r.torsion.order == 12
     assert r.tamagawa % 12 == 0
     assert r.classification == DIVISIBLE
 
@@ -174,14 +183,14 @@ def test_check_divisibility_48a4(fixtures):
     assert r.label == "48a4"
     assert not r.divides
     assert r.c_inf * r.tamagawa == 1
-    assert r.manin == 2 and r.optimal is False and r.sha == 1
+    assert r.fixture.manin == 2 and r.fixture.optimal is False and r.fixture.sha == 1
 
 
 def test_check_divisibility_27a3(fixtures):
     r = check_divisibility(WeierstrassCurve(0, 0, 1, 0, 0), fixtures=fixtures)
     assert r.label == "27a3"
     assert not r.divides
-    assert r.manin == 3
+    assert r.fixture.manin == 3
 
 
 def test_classify_exception_families(fixtures):
@@ -195,6 +204,29 @@ def test_classify_exception_families(fixtures):
 
     r2 = classify_three_torsion(ThreeTorsionNormalForm(-4, 1).curve)
     assert r2.classification == SHA_IMPLIED
+
+
+def test_classify_reads_w3_from_the_fixture_at_an_additive_three():
+    # I0* at 3 with c_3 = 1, nonsplit I1 at 11, split I1 at 3169: c = 1, and
+    # no table gives the local root number at 3, so only a fixture's w3 decides
+    from tamagawa.families import ThreeTorsionNormalForm
+    from tamagawa.reduction import local_data
+
+    curve = ThreeTorsionNormalForm(-294, 1).curve
+    r = classify_three_torsion(curve)
+    data = local_data(WeierstrassCurve(*r.minimal_ai))
+    assert [(d.prime, d.kodaira.symbol, d.tamagawa, d.reduction_class) for d in data] == [
+        (3, "I0*", 1, "additive"),
+        (11, "I1", 1, "nonsplit"),
+        (3169, "I1", 1, "split"),
+    ]
+    assert r.tamagawa == 1 and r.fixture is None
+    assert r.classification == EXCEPTION_A_CANDIDATE
+    for w3, expected in ((1, EXCEPTION_A), (-1, RANK_VIOLATED)):
+        table = FixtureTable([FixtureCurve("x", curve.ai(), w3=w3)])
+        r = classify_three_torsion(curve, fixtures=table)
+        assert r.label == "x" and r.fixture.w3 == w3
+        assert r.classification == expected
 
 
 def test_check_divisibility_incomplete_budget(cap_rho, monkeypatch):
