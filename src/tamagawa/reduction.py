@@ -22,6 +22,10 @@ one root, and a square one means 3 roots when T^p = T modulo the cubic and
 none otherwise (L. Stickelberger, 1897; see R. G. Swan, Factorization of
 polynomials over finite fields, Pacific J. Math. 12 (1962)).
 
+Every square test is Euler's criterion in `_is_square`, and each quadratic
+step (IV, every I_m* step, IV*) makes one `_quadratic` call, which says
+whether the quadratic has a root in F_p and where its double root is.
+
 The invariants, the coordinate changes and the p-adic valuation are the
 shared ones of `curves.invariants`, `curves.change_coordinates` and
 `arith._int_valuation`; this module keeps no formula of its own for them.
@@ -137,32 +141,26 @@ class RootNumberDatum:
     value: Union[int, str]  # +1, -1, or "unsupported"
 
 
-def _inv(a: int, p: int) -> int:
-    return pow(a, -1, p)
+def _is_square(a: int, p: int) -> bool:
+    """Euler's criterion at odd p: is a a nonzero square mod p?"""
+    return pow(a % p, (p - 1) // 2, p) == 1
 
 
-def _quad_has_root(A: int, B: int, C: int, p: int) -> bool:
-    """Does A T^2 + B T + C (A != 0 mod p) have a root in F_p? Assumes separable."""
+def _quadratic(A: int, B: int, C: int, p: int) -> tuple[bool, Optional[int]]:
+    """(has a root in F_p, double root or None) of A T^2 + B T + C with A a unit mod p.
+
+    The discriminant is taken once.  At p = 2 it is B mod 2: odd B leaves a
+    separable quadratic with a root iff it vanishes at 0 or 1; even B leaves
+    A T^2 + C, whose double root is C A because squaring is the identity on F_2.
+    """
     if p == 2:
-        return C % 2 == 0 or (A + B + C) % 2 == 0
-    d = (B * B - 4 * A * C) % p
-    if d == 0:
-        raise AlgorithmError("separable quadratic has zero discriminant")
-    return pow(d, (p - 1) // 2, p) == 1
-
-
-def _quad_separable(A: int, B: int, C: int, p: int) -> bool:
-    if p == 2:
-        return B % 2 == 1
-    return (B * B - 4 * A * C) % p != 0
-
-
-def _quad_double_root(A: int, B: int, C: int, p: int) -> int:
-    """The double root mod p of an inseparable quadratic (A invertible)."""
-    if p == 2:
-        # B even: A T^2 + C = 0, and squaring is the identity on F_2
-        return (C * A) % 2
-    return (-B * _inv(2 * A, p)) % p
+        if B % 2:
+            return C % 2 == 0 or (A + B + C) % 2 == 0, None
+        return True, (C * A) % 2
+    disc = (B * B - 4 * A * C) % p
+    if disc:
+        return _is_square(disc, p), None
+    return True, (-B * pow(2 * A, -1, p)) % p
 
 
 def _cubic_rational_root_count(b: int, c: int, d: int, disc: int, p: int) -> int:
@@ -171,7 +169,7 @@ def _cubic_rational_root_count(b: int, c: int, d: int, disc: int, p: int) -> int
         return sum(1 for t in range(p) if (((t + b) * t + c) * t + d) % p == 0)
     # Stickelberger (module docstring): one root for a non-square disc, else
     # 3 or none, 3 exactly when T^p = T in F_p[T]/(cubic) by square-and-multiply
-    if pow(disc % p, (p - 1) // 2, p) != 1:
+    if not _is_square(disc, p):
         return 1
     b, c, d = b % p, c % p, d % p
 
@@ -211,8 +209,8 @@ def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
         r = (-curve.b6) % 3
         t = (a1 * r + a3) % 3
     else:
-        r = (-curve.b2 * _inv(12, p)) % p
-        t = (-(a1 * r + a3) * _inv(2, p)) % p
+        r = (-curve.b2 * pow(12, -1, p)) % p
+        t = (-(a1 * r + a3) * pow(2, -1, p)) % p
     return r, t
 
 
@@ -236,7 +234,7 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
             elif curve.c6 % p == 0:
                 raise AlgorithmError(f"node with p | c6 at p={p}")
             else:
-                split = pow(-curve.c6 % p, (p - 1) // 2, p) == 1
+                split = _is_square(-curve.c6, p)
             cp, cls = (n, SPLIT) if split else (2 if n % 2 == 0 else 1, NONSPLIT)
             return LocalDatum(p, KodairaType.multiplicative(n), cp, cls, n)
 
@@ -252,16 +250,19 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
         if _int_valuation(b8t, p) < 3:
             return LocalDatum(p, _III, 2, ADDITIVE, n)
         if _int_valuation(b6t, p) < 3:
-            cp = 3 if _quad_has_root(1, (a3 // p) % p, (-(a6 // p**2)) % p, p) else 1
-            return LocalDatum(p, _IV, cp, ADDITIVE, n)
+            # v(b6) = 2, so the quadratic's discriminant b6 / p^2 is a unit
+            has_root, root = _quadratic(1, a3 // p, -(a6 // p**2), p)
+            if root is not None:
+                raise AlgorithmError(f"type IV quadratic is inseparable at p={p}")
+            return LocalDatum(p, _IV, 3 if has_root else 1, ADDITIVE, n)
 
         # normalize: p | a1, a2; p^2 | a3, a4; p^3 | a6
         if p == 2:
             s = a2 % 2
             t6 = 2 * ((a6 // 4) % 2)
         else:
-            s = (-a1 * _inv(2, p)) % p
-            t6 = (-a3 * _inv(2, p * p)) % (p * p)
+            s = (-a1 * pow(2, -1, p)) % p
+            t6 = (-a3 * pow(2, -1, p * p)) % (p * p)
         ai = change_coordinates(ai, 0, s, t6)
         a1, a2, a3, a4, a6 = ai
         if a1 % p or a2 % p or a3 % p**2 or a4 % p**2 or a6 % p**3:
@@ -282,62 +283,39 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
             # double root: In* for some n >= 1
             if p == 2:
                 t0 = d if b % 2 else c
-            elif p == 3:
-                t0 = (b * c) % 3
             else:
-                t0 = ((b * c - 9 * d) * _inv(2 * x, p)) % p
+                t0 = ((b * c - 9 * d) * pow(2 * x, -1, p)) % p
             ai = change_coordinates(ai, p * t0, 0, 0)
             a1, a2, a3, a4, a6 = ai
             if a2 % p or a2 % p**2 == 0 or a3 % p**2 or a4 % p**3 or a6 % p**4:
                 raise AlgorithmError(f"double-root translation failed at p={p}")
-            m = 1
-            mxe = 2
-            mye = 2
-            while True:
-                if m > n:
-                    raise AlgorithmError(f"In* loop exceeded v(delta) at p={p}")
+            for m in range(1, n + 1):
+                # the next shift of x is by p^mxe and of y by p^mye: y moves at odd m, x at even m
+                mxe, mye = 2 + (m - 1) // 2, 2 + m // 2
                 if m % 2 == 1:
-                    B = a3 // p**mye
-                    C = a6 // p ** (mxe + mye)
-                    if _quad_separable(1, B % p, (-C) % p, p):
-                        cp = 4 if _quad_has_root(1, B % p, (-C) % p, p) else 2
-                        return LocalDatum(p, KodairaType.star(m), cp, ADDITIVE, n)
-                    y0 = _quad_double_root(1, B % p, (-C) % p, p)
-                    ai = change_coordinates(ai, 0, 0, p**mye * y0)
-                    a1, a2, a3, a4, a6 = ai
-                    mye += 1
+                    A, B, C = 1, a3 // p**mye, -(a6 // p ** (mxe + mye))
                 else:
-                    A = a2 // p
-                    B = a4 // p ** (mxe + 1)
-                    C = a6 // p ** (mxe + mye)
-                    if _quad_separable(A % p, B % p, C % p, p):
-                        cp = 4 if _quad_has_root(A % p, B % p, C % p, p) else 2
-                        return LocalDatum(p, KodairaType.star(m), cp, ADDITIVE, n)
-                    x0 = _quad_double_root(A % p, B % p, C % p, p)
-                    ai = change_coordinates(ai, p**mxe * x0, 0, 0)
-                    a1, a2, a3, a4, a6 = ai
-                    mxe += 1
-                m += 1
+                    A, B, C = a2 // p, a4 // p ** (mxe + 1), a6 // p ** (mxe + mye)
+                has_root, root = _quadratic(A, B, C, p)
+                if root is None:
+                    cp = 4 if has_root else 2
+                    return LocalDatum(p, KodairaType.star(m), cp, ADDITIVE, n)
+                r, t = (0, p**mye * root) if m % 2 == 1 else (p**mxe * root, 0)
+                ai = change_coordinates(ai, r, 0, t)
+                a1, a2, a3, a4, a6 = ai
+            raise AlgorithmError(f"In* loop exceeded v(delta) at p={p}")
 
-        # triple root
-        if p == 2:
-            t0 = b % 2
-        elif p == 3:
-            t0 = (-d) % 3
-        else:
-            t0 = (-b * _inv(3, p)) % p
+        # triple root t0: at p = 2 and 3 the constant term -t0^3 of (T - t0)^3 is -t0
+        t0 = -d % p if p <= 3 else (-b * pow(3, -1, p)) % p
         ai = change_coordinates(ai, p * t0, 0, 0)
         a1, a2, a3, a4, a6 = ai
         if a2 % p**2 or a4 % p**3 or a6 % p**4:
             raise AlgorithmError(f"triple-root translation failed at p={p}")
 
-        B = a3 // p**2
-        C = a6 // p**4
-        if _quad_separable(1, B % p, (-C) % p, p):
-            cp = 3 if _quad_has_root(1, B % p, (-C) % p, p) else 1
-            return LocalDatum(p, _IV_STAR, cp, ADDITIVE, n)
-        y0 = _quad_double_root(1, B % p, (-C) % p, p)
-        ai = change_coordinates(ai, 0, 0, p * p * y0)
+        has_root, root = _quadratic(1, a3 // p**2, -(a6 // p**4), p)
+        if root is None:
+            return LocalDatum(p, _IV_STAR, 3 if has_root else 1, ADDITIVE, n)
+        ai = change_coordinates(ai, 0, 0, p * p * root)
         a1, a2, a3, a4, a6 = ai
 
         if _int_valuation(a4, p) < 4:

@@ -95,7 +95,7 @@ def test_criterion_3_four_torsion_exceptions(fixtures):
 
 
 def test_criterion_4_two_torsion_enumeration(fixtures):
-    report = scan_two_torsion(fixtures=fixtures, random_samples=1000)
+    report = scan_two_torsion(fixtures=fixtures)
     assert not report.mismatches
     assert set(report.exceptions) == set(TWO_TORSION_EXCEPTIONS)
     labels = {cls.label for cls in report.exceptions.values()}

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,9 @@ from tamagawa.families import (
     three_torsion_normalize,
     two_six_curve,
     two_torsion_curve,
+    two_torsion_disc,
 )
-from tamagawa.reduction import SPLIT, local_data, tate
+from tamagawa.reduction import SPLIT, c_infinity, local_data, tate
 from tamagawa.torsion import Point, point_order
 
 
@@ -93,12 +95,25 @@ def test_two_torsion_examples():
         two_torsion_curve(2, 1)
     E2 = two_torsion_curve(0, 1)
     assert E2.disc == -64
-    from tamagawa.reduction import c_infinity
-
     assert c_infinity(E2) == 1
     assert point_order(E2, Point(0, 0)) == 2
     with pytest.raises(ValueError):
         two_torsion_curve(2, 4)
+
+
+def test_two_torsion_disc_and_real_components_on_both_signs():
+    # disc = 16 b^2 (a^2 - 4b), so c_inf = 2 exactly when a^2 - 4b > 0
+    rng = random.Random(20260809)
+    signs = set()
+    for _ in range(400):
+        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+        if b == 0 or math.gcd(a, b) != 1 or a * a == 4 * b:
+            continue
+        E = two_torsion_curve(a, b)
+        assert two_torsion_disc(a, b).value == E.disc, (a, b)
+        assert (c_infinity(E) == 2) == (a * a - 4 * b > 0), (a, b)
+        signs.add(a * a - 4 * b > 0)
+    assert signs == {True, False}
 
 
 def test_normalize_examples():

@@ -23,6 +23,7 @@ from tamagawa.reduction import (
     KodairaType,
     UnsupportedDomainError,
     _cubic_rational_root_count,
+    _quadratic,
     bad_primes,
     c_infinity,
     conductor,
@@ -528,3 +529,30 @@ def test_tate_counts_I0_star_components_above_100(p, a, b, cp):
     d = tate(WeierstrassCurve(0, 0, 0, p * p * a, p**3 * b), p)
     assert (d.kodaira.symbol, d.tamagawa, d.v_delta_min) == ("I0*", cp, 6)
     assert cp == 1 + _brute_root_count(0, a, b, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_quadratic_matches_a_search_of_F_p(p):
+    # the double root is the t with f(t) = f'(t) = 0; arguments need not be reduced mod p
+    for A in range(1, p):
+        for B in range(p):
+            for C in range(p):
+                roots = [t for t in range(p) if (A * t * t + B * t + C) % p == 0]
+                double = [t for t in roots if (2 * A * t + B) % p == 0]
+                expected = (bool(roots), double[0] if double else None)
+                assert _quadratic(A, B, C, p) == expected, (A, B, C, p)
+                assert _quadratic(A - 3 * p, B + 5 * p, C - 7 * p, p) == expected, (A, B, C, p)
+
+
+_BIG_P = 1000003  # prime, 3 mod 4: -1 is not a square, so A (T^2 + r^2) has no root
+
+
+@given(st.integers(1, _BIG_P - 1), st.integers(0, _BIG_P - 1), st.integers(0, _BIG_P - 1))
+@settings(max_examples=200, deadline=None)
+def test_quadratic_at_a_large_prime_from_its_factors(A, r, s):
+    p = _BIG_P
+    assert _quadratic(A, -2 * A * r, A * r * r, p) == (True, r)
+    if r != s:
+        assert _quadratic(A, -A * (r + s), A * r * s, p) == (True, None)
+    if r:
+        assert _quadratic(A, 0, A * r * r, p) == (False, None)

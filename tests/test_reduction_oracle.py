@@ -5,13 +5,22 @@ reduced curve modulo p: the smooth locus of a p-minimal model has p - 1
 points for split multiplicative, p + 1 for nonsplit, p for additive
 reduction; the tame conductor exponent at p >= 5 must be exactly 2 for
 additive and 1 for multiplicative reduction.
+
+c_p at 2 and 3 is checked against a p-adic point count, with no tables:
+on a model minimal at p, the affine solutions E(Z/p^N) of the equation
+mod p^N satisfy #E(Z/p^N)/p^N + 1/p = c_p * #E_ns(F_p)/p once N is large
+enough.  This is the volume of E(Q_p) for the Neron differential; 1/p is
+the volume of the points with v(x) < 0, and #E_ns(F_p) is p for additive,
+p - 1 for split and p + 1 for nonsplit reduction.
 """
 
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
-from tamagawa.curves import WeierstrassCurve, minimal_model
+from tamagawa.arith import valuation
+from tamagawa.curves import SingularCurveError, WeierstrassCurve, minimal_model
 from tamagawa.families import (
     ThreeTorsionNormalForm,
     four_torsion_curve,
@@ -27,6 +36,9 @@ from tamagawa.reduction import (
     conductor_exponent,
     tate,
 )
+from tamagawa.verify import ingest_fixtures
+
+FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
 
 
 def point_count(m: WeierstrassCurve, p: int) -> int:
@@ -158,3 +170,74 @@ def test_tame_conductor_exponent():
             else:
                 assert f == 1, (m.ai(), p, d, f)
         checked += 1
+
+
+def affine_counts(m: WeierstrassCurve, p: int, top: int) -> list[int]:
+    """#E(Z/p^k) for k = 1..top: each level's solutions are the p^2 lifts of the last's that solve."""
+    a1, a2, a3, a4, a6 = m.ai()
+
+    def f(x, y):
+        return y * y + a1 * x * y + a3 * y - ((x + a2) * x + a4) * x - a6
+
+    sols = [(x, y) for x in range(p) for y in range(p) if f(x, y) % p == 0]
+    counts = [len(sols)]
+    q = p
+    for _ in range(top - 1):
+        sols = [
+            (x + i * q, y + j * q)
+            for x, y in sols
+            for i in range(p)
+            for j in range(p)
+            if f(x + i * q, y + j * q) % (q * p) == 0
+        ]
+        counts.append(len(sols))
+        q *= p
+    return counts
+
+
+def assert_count_settles_on_cp(m: WeierstrassCurve, p: int, top: int, cp: int, cls: str):
+    """#E(Z/p^N) + p^(N-1) = c_p #E_ns(F_p) p^(N-1) at the last two levels N = top - 1, top."""
+    ns = {ADDITIVE: p, SPLIT: p - 1, NONSPLIT: p + 1}[cls]
+    counts = affine_counts(m, p, top)
+    for N in (top - 1, top):
+        assert counts[N - 1] + p ** (N - 1) == cp * ns * p ** (N - 1), (m.ai(), p, cp, cls, counts)
+
+
+def test_cp_at_2_and_3_from_point_counts_at_additive_fixture_places():
+    places = 0
+    for rec in ingest_fixtures(FIXTURES).records:
+        m, _ = minimal_model(rec.curve)
+        for loc in rec.local:
+            p = int(loc["p"])
+            if p > 3 or loc["class"] != ADDITIVE:
+                continue
+            v = valuation(m.disc, p)
+            top = v + 4 if p == 2 else min(v + 4, 9)
+            assert_count_settles_on_cp(m, p, top, loc["cp"], ADDITIVE)
+            assert tate(m, p).tamagawa == loc["cp"], (rec.label, p)
+            places += 1
+    assert places == 8
+
+
+def test_cp_at_2_and_3_from_point_counts_on_random_curves():
+    # curves with p | disc_min and v(disc_min) <= 9 at 2, <= 6 at 3, to keep p^N small
+    rng = random.Random(1)
+    seen = Counter()
+    for p, v_max, margin in ((2, 9, 4), (3, 6, 3)):
+        drawn = 0
+        while drawn < 60:
+            ai = [rng.randint(-9, 9) * p ** rng.choice((0, 0, 1, 2)) for _ in range(5)]
+            try:
+                m, _ = minimal_model(WeierstrassCurve(*ai))
+            except SingularCurveError:
+                continue
+            v = valuation(m.disc, p)
+            if not 0 < v <= v_max:
+                continue
+            d = tate(m, p)
+            assert_count_settles_on_cp(m, p, v + margin, d.tamagawa, d.reduction_class)
+            seen[p, d.kodaira.symbol] += 1
+            drawn += 1
+    # the steps that end at IV, I_m* and IV* are reached, not only II and III
+    for p, symbol in ((2, "IV"), (2, "I0*"), (2, "I1*"), (2, "IV*"), (3, "IV"), (3, "I0*")):
+        assert seen[p, symbol], (p, symbol, seen)

@@ -269,7 +269,7 @@ def test_scan_negative_t(fixtures):
 
 
 def test_scan_two_torsion(fixtures):
-    rep = scan_two_torsion(fixtures=fixtures, random_samples=50)
+    rep = scan_two_torsion(fixtures=fixtures)
     assert not rep.mismatches
     assert set(rep.exceptions) == set(TWO_TORSION_EXCEPTIONS)
     assert {cls.label for cls in rep.exceptions.values()} == {"15a8", "39a4", "55a4"}
