@@ -272,8 +272,6 @@ def factor(n: int, budget: int = 2_000_000) -> Factorization:
     budget_left = budget
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue

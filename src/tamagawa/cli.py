@@ -158,9 +158,6 @@ def main(argv=None) -> int:
             return EXIT_INCOMPLETE if report.incomplete else EXIT_OK
 
         if args.command == "dual3":
-            if args.a**3 == 27:
-                print(json.dumps({"error": "a = 3 gives a singular curve"}), file=sys.stderr)
-                return EXIT_USAGE
             pair = hadano_quotient(ThreeTorsionNormalForm(args.a, 1))
             payload = pair.to_json()
             q = quotient_split_prime(pair)

@@ -144,7 +144,7 @@ def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:
     den_primes = set(factor(c.denominator).primes()) | set(factor(d.denominator).primes())
     u = 1
     for q in sorted(den_primes):
-        ec = max(0, -valuation(c, q)) if c != 0 else 0
+        ec = max(0, -valuation(c, q))
         ed = max(0, -valuation(d, q))
         u *= q ** max(ec, -(-ed // 3))
     c, d = c * u, d * u**3
@@ -152,18 +152,13 @@ def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:
     ci, di = int(c), int(d)
     if di < 0:
         ci, di = -ci, -di
-    # strip primes with q | a and q^3 | b
+    # strip primes with q | a and q^3 | b; a = 0 has valuation inf and gcd(0, b) = b
     g = math.gcd(ci, di)
-    if g > 1 or ci == 0:
-        relevant = factor(di).primes() if ci == 0 else factor(g).primes()
-        for q in relevant:
-            if ci == 0:
-                n_q = valuation(di, q) // 3
-            else:
-                n_q = min(valuation(ci, q), valuation(di, q) // 3)
-            if n_q > 0:
-                ci //= q**n_q
-                di //= q ** (3 * n_q)
+    if g > 1:
+        for q in factor(g).primes():
+            n_q = min(valuation(ci, q), valuation(di, q) // 3)
+            ci //= q**n_q
+            di //= q ** (3 * n_q)
     return ThreeTorsionNormalForm(ci, di)
 
 
@@ -278,11 +273,9 @@ def quotient_split_prime(pair: IsogenyPair) -> Optional[int]:
 
     Such a q is a prime of split multiplicative reduction for the quotient
     (and hence multiplicative for the source); None happens exactly for
-    a in {0, 3, -3, -6}.
+    a in {0, 3, -3, -6}.  a^2 + 3a + 9 divides a^3 - 27, whose primes
+    pair.local already holds, so nothing is factored again.
     """
     a = pair.source.a
     n = a * a + 3 * a + 9
-    for p in factor(n).primes():
-        if p != 3:
-            return p
-    return None
+    return min((d.prime for d, _ in pair.local if d.prime != 3 and n % d.prime == 0), default=None)

@@ -18,8 +18,9 @@ of a torsion point is torsion and so integral.  Each surviving point's
 multiples are computed once; its order is their count plus one, and the
 point of order 2 under a generator of Z/2 x Z/2N is one of them.  Generators
 are the first points of their order in (X, Y) order, which is (x, y) order
-on the minimal model.  Rational points are built only for the result, and
-point_order re-certifies each generator on the model that was asked about.
+on the minimal model.  Rational points are built only for the result, once
+each on the model asked about, whose scaled model is the minimal one's under
+X -> u^2 X, Y -> u^3 Y; point_order re-certifies each generator there.
 on_curve compares integers, with denominators cleared.  No floating point:
 the integer roots of the depressed cubic X^3 + A X + B - Y^2 are found by
 bisection on its at most three strictly monotone runs, split at
@@ -36,10 +37,15 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import Factorization, is_prime
-from .curves import CurveAnalysis, Transformation, WeierstrassCurve
+from .curves import CurveAnalysis, WeierstrassCurve
 
-_MAZUR_CYCLIC = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}
-_MAZUR_PRODUCT = {4: 1, 8: 2, 12: 3, 16: 4}  # order -> N for Z/2 x Z/2N
+# (order, points of order 2) -> shape, for Mazur's fifteen groups; a cyclic
+# group has one point of order 2 exactly when its order is even
+_MAZUR = {
+    **{(n, 1 - n % 2): f"Z/{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)},
+    **{(4 * n, 3): f"Z/2xZ/{2 * n}" for n in (1, 2, 3, 4)},
+}
+MAZUR_SHAPES = frozenset(_MAZUR.values())
 _SIX_TO_12 = Factorization(1, ((2, 12), (3, 12)))
 # good primes reduced per curve: each adds a point count to the bound and a
 # residue set to the sieve; six leave few false candidates on every family
@@ -352,32 +358,29 @@ def torsion_subgroup(
     """Certified torsion structure with generators on the given model.
 
     A supplied analysis must be of curve or have curve as its minimal model;
-    without one the curve is analysed here by CurveAnalysis.of(curve).
+    without one the curve is analysed here by CurveAnalysis.of(curve).  Points
+    found on the minimal model are built once on curve, by X -> u^2 X and
+    Y -> u^3 Y on the scaled models, u the minimal transformation's scaling.
     """
     if analysis is None:
         analysis = CurveAnalysis.of(curve)
     m = analysis.minimal
     if curve == analysis.curve:
-        tr = analysis.transformation
+        u = int(analysis.transformation.u)
     elif curve == m:
-        tr = Transformation.identity()
+        u = 1
     else:
         raise ValueError(f"the analysis is of {analysis.curve}, not of {curve}")
     found = _torsion_points(m, analysis.disc_min)
     order = len(found) + 1
     two_torsion = sum(1 for multiples in found.values() if len(multiples) == 1)
-    if two_torsion == 3 and order in _MAZUR_PRODUCT:
-        n2 = _MAZUR_PRODUCT[order]
-        shape = f"Z/2xZ/{2 * n2}"
-        max_order = 2 * n2
-    elif two_torsion in (0, 1) and order in _MAZUR_CYCLIC:
-        shape = f"Z/{order}"
-        max_order = order
-    else:
+    shape = _MAZUR.get((order, two_torsion))
+    if shape is None:
         raise RuntimeError(
             f"torsion order {order} with {two_torsion} involutions is outside "
             "the possible rational group shapes; arithmetic bug"
         )
+    max_order = order // 2 if two_torsion == 3 else order
 
     # deterministic generator choice: scan points in (X, Y) order, which is
     # (x, y) order, as x grows with X and, at one x, y grows with Y
@@ -390,14 +393,9 @@ def torsion_subgroup(
             half = found[g1][max_order // 2 - 1]
             generators_min.append(next(q for q in ordered if len(found[q]) == 1 and q != half))
 
-    # build the points of the minimal model and carry them back to the model
-    # that was asked about
-    identity = tr.is_identity()
-    points: dict[tuple[int, int], Point] = {}
-    for q in found:
-        pt = _unscaled(m, *q)
-        _require_on_curve(m, pt)
-        points[q] = pt if identity else Point(*tr.unmap_point(pt.x, pt.y))
+    points = {(X, Y): _unscaled(curve, u * u * X, u**3 * Y) for X, Y in found}
+    for pt in points.values():
+        _require_on_curve(curve, pt)
     generators = tuple(points[q] for q in generators_min)
     for g, q in zip(generators, generators_min):
         if point_order(curve, g) != len(found[q]) + 1:

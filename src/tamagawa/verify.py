@@ -43,17 +43,7 @@ from .reduction import (
     c_infinity,
     local_data,
 )
-from .torsion import (
-    _MAZUR_CYCLIC,
-    _MAZUR_PRODUCT,
-    TorsionStructure,
-    _point_of_order,
-    torsion_subgroup,
-)
-
-_MAZUR_SHAPES = frozenset(
-    [f"Z/{n}" for n in _MAZUR_CYCLIC] + [f"Z/2xZ/{2 * n}" for n in _MAZUR_PRODUCT.values()]
-)
+from .torsion import MAZUR_SHAPES, TorsionStructure, _point_of_order, torsion_subgroup
 
 DIVISIBLE = "divisible"
 SHA_IMPLIED = "ratio-ge-2-implies-9-divides-sha"
@@ -105,7 +95,7 @@ class FixtureCurve:
             bad("coefficients define a singular curve")
         object.__setattr__(self, "ai", tuple(ai))
         torsion = self.torsion
-        if torsion is not None and not (isinstance(torsion, str) and torsion in _MAZUR_SHAPES):
+        if torsion is not None and not (isinstance(torsion, str) and torsion in MAZUR_SHAPES):
             bad(f"torsion shape {torsion!r} is not a possible rational torsion group")
         local = self.local
         if local is not None:
@@ -556,8 +546,6 @@ def _three_torsion_local(params: dict) -> list[LocalDatum]:
 def _normalized_three_torsion_range(bound: int):
     for a in range(-bound, bound + 1):
         for b in range(1, bound + 1):
-            if a**3 == 27 * b:
-                continue
             try:
                 ThreeTorsionNormalForm(a, b)
             except (ValueError, SingularCurveError):

@@ -79,6 +79,7 @@ def test_dual3():
 
     proc = run_cli("dual3", "--a", "3")
     assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {"error": "(a=3, b=1) is singular"}
 
     proc = run_cli("dual3", "--a", "0")
     payload = json.loads(proc.stdout)

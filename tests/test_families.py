@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tamagawa.arith import factor
 from tamagawa.curves import SingularCurveError, WeierstrassCurve, minimal_model, transform_coefficients
 from tamagawa.families import (
     ThreeTorsionNormalForm,
@@ -129,6 +130,16 @@ def test_normalize_examples():
         three_torsion_normalize(1, 0)
 
 
+@pytest.mark.parametrize(
+    "d, expected",
+    [(64, (0, 1)), (Fraction(1, 8), (0, 1)), (16, (0, 2)), (-27, (0, 1)), (Fraction(5, 54), (0, 20))],
+)
+def test_normalize_with_c_zero(d, expected):
+    """c = 0 needs no case of its own: ord_q(0) is inf and gcd(0, d) = d."""
+    f = three_torsion_normalize(0, d)
+    assert (f.a, f.b) == expected
+
+
 def test_normalize_preserves_isomorphism_class():
     for c, d in [(4, 8), (2, -1), (Fraction(5, 3), Fraction(7, 27)), (12, 216)]:
         f = three_torsion_normalize(c, d)
@@ -168,6 +179,15 @@ def test_hadano_quotient_examples():
     assert quotient_split_prime(hadano_quotient(ThreeTorsionNormalForm(-6, 1))) is None
     with pytest.raises(ValueError):
         hadano_quotient(ThreeTorsionNormalForm(1, 2))
+
+
+def test_split_prime_matches_factoring_a2_3a_9():
+    """The primes of the pair's local data give what factoring a^2 + 3a + 9 gives."""
+    for a in range(-500, 501):
+        if a == 3:
+            continue
+        reference = next((p for p in factor(a * a + 3 * a + 9).primes() if p != 3), None)
+        assert quotient_split_prime(hadano_quotient(ThreeTorsionNormalForm(a, 1))) == reference, a
 
 
 def test_hadano_identities_range():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -632,26 +633,36 @@ def test_no_fraction_group_law_in_checks(monkeypatch):
 def test_transport_check_catches_a_wrong_map(monkeypatch):
     E2 = apply_transformation(E4, Transformation(Fraction(1, 2), 3, -1, 2))
     analysis = CurveAnalysis.of(E2)
-    assert not analysis.transformation.is_identity()
-    m = analysis.minimal
-    two = next(q for q in torsion_subgroup(m).points if point_order(m, q) == 2)
-    true_unmap = Transformation.unmap_point
-    # every point goes to the image of one point of order 2: on E2, but the
-    # order-4 generator's order changes
-    monkeypatch.setattr(Transformation, "unmap_point", lambda tr, x, y: true_unmap(tr, two.x, two.y))
+    assert analysis.minimal != E2
+    two = next(q for q in torsion_subgroup(E2).points if point_order(E2, q) == 2)
+    # every point is built as one point of order 2: on E2, but the order-4
+    # generator's order changes
+    monkeypatch.setattr(torsion, "_unscaled", lambda curve, X, Y: two)
     with pytest.raises(RuntimeError, match="generator order changed under coordinate transport"):
         torsion_subgroup(E2, analysis=analysis)
 
 
-def test_identity_transport_matches_carrying_points_back(monkeypatch):
-    """On minimal models the points are their own images; carrying them through
-    the identity transformation, as for any other model, gives the same structure."""
-    analyses = [CurveAnalysis.of(CurveAnalysis.of(rec.curve).minimal) for rec in ingest_fixtures(FIXTURES).records]
-    assert len(analyses) == 24
-    assert all(a.transformation.is_identity() for a in analyses)
-    direct = [torsion_subgroup(a.curve, analysis=a) for a in analyses]
-    monkeypatch.setattr(Transformation, "is_identity", lambda tr: False)
-    assert [torsion_subgroup(a.curve, analysis=a) for a in analyses] == direct
+def test_points_built_on_the_model_match_carrying_minimal_points_back():
+    """The torsion of every fixture curve, on models it was carried to, equals
+    the minimal model's torsion carried back by Transformation.unmap_point."""
+    records = ingest_fixtures(FIXTURES).records
+    assert len(records) == 24
+    transformations = [
+        Transformation(Fraction(1, 2), 3, -1, 2),
+        Transformation(Fraction(-1, 3), -2, 1, 4),
+        Transformation(1, 5, 2, -7),
+    ]
+    for rec, tr in itertools.product(records, transformations):
+        model = apply_transformation(rec.curve, tr)
+        analysis = CurveAnalysis.of(model)
+        back = analysis.transformation
+        assert not back.is_identity()
+        minimal = torsion_subgroup(analysis.minimal, analysis=analysis)
+        carried = {p: p if p.infinity else Point(*back.unmap_point(p.x, p.y)) for p in minimal.points}
+        tors = torsion_subgroup(model)
+        assert tors.points == frozenset(carried.values())
+        assert tors.generators == tuple(carried[g] for g in minimal.generators)
+        assert (tors.shape, tors.order) == (minimal.shape, minimal.order)
 
 
 def _reference_cubic_roots(P, Q):
