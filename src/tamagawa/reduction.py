@@ -1,10 +1,50 @@
 """Tate's algorithm and local data at every place.
 
-The algorithm is implemented in full at all primes, including 2 and 3:
-the torsion families hit I_n*, IV and IV* exactly where valuation
-shortcuts misclassify.  Each step works on exact integers; the model is
-locally minimized by the built-in restart when step 11 detects p^12 | disc
-with all coefficient valuations high enough.
+At p = 2 and 3 the algorithm runs step by step: the torsion families hit
+I_n*, IV and IV* exactly where valuation shortcuts misclassify.  Each step
+works on exact integers; the model is locally minimized by the built-in
+restart when step 11 detects p^12 | disc with all coefficient valuations
+high enough.
+
+At p >= 5 the answer is read off c4, c6 and disc with no coordinate change
+(Silverman, Advanced Topics, IV.9, Table 4.1; Cremona, Algorithms for
+Modular Elliptic Curves, 3.2).  The model is minimal at p unless p^4 | c4
+and p^6 | c6, and dividing them by p^4, p^6 and disc by p^12 is the scaling
+u = p.  On the minimal model, with n = v(disc):
+
+- n = 0 is good reduction, and p not dividing c4 is I_n (below);
+- 3 v(c4) < n (v(j) < 0) is I_{n-6}*, where v(c4) = 2 and v(c6) = 3;
+- otherwise n = 2, 3, 4, 6, 8, 9, 10 gives II, III, IV, I0*, IV*, III*, II*,
+  with c_p = 1, 2, 1 or 3, 1 or 2 or 4, 1 or 3, 2, 1.
+
+Each c_p with a choice is Tate's last step read on the short model
+y^2 = x^3 + a4 x + a6 with a4 = -27 c4 and a6 = -54 c6, which is the curve
+scaled by u = 1/6, a unit at p: it scales c6 by 6^6 and disc by 6^12, both
+squares.  With a1 = a3 = 0 every y-shift the steps choose is 0, so only x
+moves and the model stays y^2 = x^3 + a2 x^2 + a4 x + a6.  The cusp is at
+(0, 0), and:
+
+- IV (v(a6) = 2) and IV* (v(a6) = 4): c_p = 3 iff T^2 = a6 / p^(n/2) has a
+  root, and a6 = -54 c6 = -6 c6 * 9: iff -6 c6 / p^(n/2) is a square mod p;
+- I0*: c_p = 1 + #roots in F_p of T^3 + (a4 / p^2) T + a6 / p^3, the cubic
+  of step 6, counted by `_cubic_rational_root_count`;
+- I_m*, m = n - 6 >= 1: translate x so that the double root of the step-6
+  cubic is at 0; then y^2 = x^3 + a2 x^2 + a4 x + a6 with v(a2) = 1, and
+  the m-th step ends the loop.  Put A = a2 / p, a unit.
+  - m odd: the model at step m has v(a4) >= (m + 5) / 2 and v(a6) = m + 3,
+    and the loop's quadratic T^2 = a6 / p^(m+3) decides c_p = 4 or 2.
+    Here c6 = -64 a2^3 + 288 a2 a4 - 864 a6 = -64 A^3 p^3 (mod p^4), and
+    every term of disc / 16 = a2^2 a4^2 - 4 a4^3 - 4 a2^3 a6 - 27 a6^2
+    + 18 a2 a4 a6 but -4 a2^3 a6 lies in p^(m+7), so
+    disc / p^(m+6) = -64 A^3 a6 / p^(m+3) (mod p).  Then
+    (c6 / p^3)(disc / p^n) = (64 A^3)^2 a6 / p^(m+3): c_p = 4 iff it is a
+    square.
+  - m even: the model at step m has a4 = p^(2+m/2) B and a6 = p^(m+3) C,
+    and the loop's quadratic A T^2 + B T + C decides: c_p = 4 iff its
+    discriminant B^2 - 4AC is a nonzero square.  The terms a2^2 a4^2 and
+    -4 a2^3 a6 of disc / 16 lie in p^(m+6) and the rest in p^(m+7), so
+    disc / p^(m+6) = 16 A^2 (B^2 - 4AC) (mod p): c_p = 4 iff disc / p^n is
+    a square.
 
 At p | disc, p not dividing c4, the model is p-minimal of type I_n, split iff
 T^2 + a1*T - a2 has a root in F_p after moving the node to (0, 0); there the
@@ -22,9 +62,10 @@ one root, and a square one means 3 roots when T^p = T modulo the cubic and
 none otherwise (L. Stickelberger, 1897; see R. G. Swan, Factorization of
 polynomials over finite fields, Pacific J. Math. 12 (1962)).
 
-Every square test is Euler's criterion in `_is_square`, and each quadratic
-step (IV, every I_m* step, IV*) makes one `_quadratic` call, which says
-whether the quadratic has a root in F_p and where its double root is.
+Every square test is Euler's criterion in `_is_square`, and at p = 2 and 3
+each quadratic step (IV, every I_m* step, IV*) makes one `_quadratic` call,
+which says whether the quadratic has a root in F_p and where its double
+root is.
 
 The invariants, the coordinate changes and the p-adic valuation are the
 shared ones of `curves.invariants`, `curves.change_coordinates` and
@@ -200,28 +241,72 @@ def _cubic_rational_root_count(b: int, c: int, d: int, disc: int, p: int) -> int
 
 
 def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
-    """(r, t) mod p with the reduced curve singular at (r, t); called only at a cusp (p | c4)."""
+    """(r, t) mod p with the reduced curve singular at (r, t), at a cusp (p | c4) and p = 2 or 3."""
     a1, a2, a3, a4, a6 = curve.ai()
     if p == 2:
         r = a4 % 2
         t = (r * (1 + a2 + a4) + a6) % 2
-    elif p == 3:
+    else:
         r = (-curve.b6) % 3
         t = (a1 * r + a3) % 3
-    else:
-        r = (-curve.b2 * pow(12, -1, p)) % p
-        t = (-(a1 * r + a3) * pow(2, -1, p)) % p
     return r, t
+
+
+def _multiplicative(p: int, n: int, split: bool) -> LocalDatum:
+    """I_n at p, split or nonsplit; c_p is n when split, else 2 for even n and 1 for odd."""
+    cp, cls = (n, SPLIT) if split else (2 if n % 2 == 0 else 1, NONSPLIT)
+    return LocalDatum(p, KodairaType.multiplicative(n), cp, cls, n)
+
+
+# the potentially good types at p >= 5 whose c_p needs no residue test, by v(disc_min)
+_BY_V_DELTA = {2: (_II, 1), 3: (_III, 2), 9: (_III_STAR, 2), 10: (_II_STAR, 1)}
+
+
+def _tate_above_3(curve: WeierstrassCurve, p: int) -> LocalDatum:
+    """`tate` at a prime p >= 5, in closed form from c4, c6 and disc (module docstring)."""
+    disc, c4, c6 = curve.disc, curve.c4, curve.c6
+    n = _int_valuation(disc, p)
+    # minimal at p unless p^4 | c4 and p^6 | c6 (then p^12 | disc), and u = p shrinks them
+    while n >= 12 and c4 % p**4 == 0 and c6 % p**6 == 0:
+        disc, c4, c6, n = disc // p**12, c4 // p**4, c6 // p**6, n - 12
+    if n == 0:
+        return LocalDatum(p, _I0, 1, GOOD, 0)
+    if c4 % p:
+        # p does not divide c6 either: 1728 disc = c4^3 - c6^2 with p | disc
+        return _multiplicative(p, n, _is_square(-c6, p))
+    if 3 * _int_valuation(c4, p) < n:
+        # potentially multiplicative, v(c4) = 2 and v(c6) = 3: I_{n-6}*
+        unit = disc // p**n
+        if n % 2:
+            unit *= c6 // p**3
+        return LocalDatum(p, KodairaType.star(n - 6), 4 if _is_square(unit, p) else 2, ADDITIVE, n)
+    if n == 6:
+        # I0*: the cubic of y^2 = x^3 - 27 c4 x - 54 c6 at x = p X, divided by p^3
+        c, d = -27 * (c4 // p**2), -54 * (c6 // p**3)
+        cp = 1 + _cubic_rational_root_count(0, c, d, -4 * c**3 - 27 * d * d, p)
+        return LocalDatum(p, KodairaType.star(0), cp, ADDITIVE, n)
+    if n in (4, 8):
+        # IV and IV*: three components over F_p iff y^2 = -54 c6 / p^(n/2) has a root
+        cp = 3 if _is_square(-6 * (c6 // p ** (n // 2)), p) else 1
+        return LocalDatum(p, _IV if n == 4 else _IV_STAR, cp, ADDITIVE, n)
+    if n not in _BY_V_DELTA:
+        raise AlgorithmError(f"no Kodaira type has v(disc_min) = {n} at p={p}")
+    kodaira, cp = _BY_V_DELTA[n]
+    return LocalDatum(p, kodaira, cp, ADDITIVE, n)
 
 
 def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
     """Kodaira type, Tamagawa number and reduction class of curve at p.
 
     Total: the model is minimized at p internally, so any integral model of
-    the curve gives the same answer.
+    the curve gives the same answer.  At p >= 5 the answer is read off c4,
+    c6 and disc; Tate's steps run at p = 2 and 3 (module docstring).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p > 3:
+        return _tate_above_3(curve, p)
+    # Tate's steps, at p = 2 and 3 only
     while True:
         n = _int_valuation(curve.disc, p)
         if n == 0:
@@ -235,8 +320,7 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
                 raise AlgorithmError(f"node with p | c6 at p={p}")
             else:
                 split = _is_square(-curve.c6, p)
-            cp, cls = (n, SPLIT) if split else (2 if n % 2 == 0 else 1, NONSPLIT)
-            return LocalDatum(p, KodairaType.multiplicative(n), cp, cls, n)
+            return _multiplicative(p, n, split)
 
         # additive from here on: move the cusp to (0, 0)
         r, t = _singular_point_mod_p(curve, p)
@@ -261,8 +345,9 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
             s = a2 % 2
             t6 = 2 * ((a6 // 4) % 2)
         else:
-            s = (-a1 * pow(2, -1, p)) % p
-            t6 = (-a3 * pow(2, -1, p * p)) % (p * p)
+            # s = -a1 / 2 mod 3 and t6 = -a3 / 2 mod 9, as 1/2 is 2 mod 3 and 5 mod 9
+            s = a1 % 3
+            t6 = (4 * a3) % 9
         ai = change_coordinates(ai, 0, s, t6)
         a1, a2, a3, a4, a6 = ai
         if a1 % p or a2 % p or a3 % p**2 or a4 % p**2 or a6 % p**3:
@@ -305,8 +390,8 @@ def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
                 a1, a2, a3, a4, a6 = ai
             raise AlgorithmError(f"In* loop exceeded v(delta) at p={p}")
 
-        # triple root t0: at p = 2 and 3 the constant term -t0^3 of (T - t0)^3 is -t0
-        t0 = -d % p if p <= 3 else (-b * pow(3, -1, p)) % p
+        # triple root t0: the constant term -t0^3 of (T - t0)^3 is -t0, as t^3 = t on F_2 and F_3
+        t0 = -d % p
         ai = change_coordinates(ai, p * t0, 0, 0)
         a1, a2, a3, a4, a6 = ai
         if a2 % p**2 or a4 % p**3 or a6 % p**4:

@@ -1,17 +1,22 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa.arith import is_prime, valuation
+from tamagawa import reduction
+from tamagawa.arith import _int_valuation, is_prime, valuation
 from tamagawa.curves import (
     SingularCurveError,
     Transformation,
     WeierstrassCurve,
     apply_transformation,
     change_coordinates,
+    invariants,
     minimal_model,
 )
 from tamagawa.families import ThreeTorsionNormalForm, two_six_curve
@@ -23,6 +28,7 @@ from tamagawa.reduction import (
     KodairaType,
     UnsupportedDomainError,
     _cubic_rational_root_count,
+    _is_square,
     _quadratic,
     bad_primes,
     c_infinity,
@@ -33,6 +39,9 @@ from tamagawa.reduction import (
     local_root_number,
     tate,
 )
+from tamagawa.verify import ingest_fixtures
+
+FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
 
 
 def test_observation_one_example():
@@ -265,6 +274,15 @@ def test_conductors():
     assert conductor(WeierstrassCurve(1, 0, 0, 1, 0)) == 21
     assert conductor(WeierstrassCurve(0, 0, 1, 0, 0)) == 27
     assert conductor(WeierstrassCurve(0, 0, 0, -1, 0)) == 32
+
+
+def test_conductor_is_the_fixture_label_prefix():
+    # a Cremona label starts with the conductor: by Ogg's formula this checks
+    # v(disc_min) and the component count at every bad prime, 2 and 3 included
+    records = ingest_fixtures(FIXTURES).records
+    assert len(records) == 24
+    for rec in records:
+        assert conductor(rec.curve) == int(re.match(r"\d+", rec.label).group()), rec.label
 
 
 def test_additive_type_coverage():
@@ -556,3 +574,224 @@ def test_quadratic_at_a_large_prime_from_its_factors(A, r, s):
         assert _quadratic(A, -A * (r + s), A * r * s, p) == (True, None)
     if r:
         assert _quadratic(A, 0, A * r * r, p) == (False, None)
+
+
+def _reference_tate(curve, p):
+    """(symbol, c_p, class, v(disc_min)) by Tate's steps, at any prime.
+
+    The way `tate` ran at every prime before it read p >= 5 off c4, c6 and
+    disc: move the cusp to (0, 0), normalize, read the step-6 cubic, walk the
+    I_m* loop, and restart on the model scaled by u = p when step 11 finds it
+    not minimal.  The inverses of 12, 2 and 3 mod p serve only p >= 5.
+    """
+    while True:
+        n = _int_valuation(curve.disc, p)
+        if n == 0:
+            return "I0", 1, GOOD, 0
+        if curve.c4 % p:
+            split = (curve.a2 + curve.a3) % 2 == 0 if p == 2 else _is_square(-curve.c6, p)
+            if split:
+                return f"I{n}", n, SPLIT, n
+            return f"I{n}", 2 if n % 2 == 0 else 1, NONSPLIT, n
+
+        a1, a2, a3, a4, a6 = curve.ai()
+        if p == 2:
+            r = a4 % 2
+            t = (r * (1 + a2 + a4) + a6) % 2
+        elif p == 3:
+            r = (-curve.b6) % 3
+            t = (a1 * r + a3) % 3
+        else:
+            r = (-curve.b2 * pow(12, -1, p)) % p
+            t = (-(a1 * r + a3) * pow(2, -1, p)) % p
+        ai = change_coordinates(curve.ai(), r, 0, t)
+        a1, a2, a3, a4, a6 = ai
+        assert a3 % p == a4 % p == a6 % p == 0, "singular point translation failed"
+        if _int_valuation(a6, p) < 2:
+            return "II", 1, ADDITIVE, n
+        _, _, b6t, b8t, _, _, _ = invariants(ai)
+        if _int_valuation(b8t, p) < 3:
+            return "III", 2, ADDITIVE, n
+        if _int_valuation(b6t, p) < 3:
+            has_root, root = _quadratic(1, a3 // p, -(a6 // p**2), p)
+            assert root is None, "type IV quadratic is inseparable"
+            return "IV", 3 if has_root else 1, ADDITIVE, n
+
+        if p == 2:
+            s, t6 = a2 % 2, 2 * ((a6 // 4) % 2)
+        else:
+            s, t6 = (-a1 * pow(2, -1, p)) % p, (-a3 * pow(2, -1, p * p)) % (p * p)
+        ai = change_coordinates(ai, 0, s, t6)
+        a1, a2, a3, a4, a6 = ai
+        assert a1 % p == a2 % p == a3 % p**2 == a4 % p**2 == a6 % p**3 == 0, "step 6"
+
+        b, c, d = (a2 // p) % p, (a4 // p**2) % p, (a6 // p**3) % p
+        w = (27 * d * d - b * b * c * c + 4 * b**3 * d - 18 * b * c * d + 4 * c**3) % p
+        x = (3 * c - b * b) % p
+        if w:
+            return "I0*", 1 + _cubic_rational_root_count(b, c, d, -w, p), ADDITIVE, n
+
+        if x:
+            t0 = (d if b % 2 else c) if p == 2 else ((b * c - 9 * d) * pow(2 * x, -1, p)) % p
+            ai = change_coordinates(ai, p * t0, 0, 0)
+            a1, a2, a3, a4, a6 = ai
+            assert a2 % p == a3 % p**2 == a4 % p**3 == a6 % p**4 == 0 != a2 % p**2, "double root"
+            for m in range(1, n + 1):
+                mxe, mye = 2 + (m - 1) // 2, 2 + m // 2
+                if m % 2 == 1:
+                    A, B, C = 1, a3 // p**mye, -(a6 // p ** (mxe + mye))
+                else:
+                    A, B, C = a2 // p, a4 // p ** (mxe + 1), a6 // p ** (mxe + mye)
+                has_root, root = _quadratic(A, B, C, p)
+                if root is None:
+                    return f"I{m}*", 4 if has_root else 2, ADDITIVE, n
+                r, t = (0, p**mye * root) if m % 2 == 1 else (p**mxe * root, 0)
+                ai = change_coordinates(ai, r, 0, t)
+                a1, a2, a3, a4, a6 = ai
+            raise AssertionError("In* loop exceeded v(delta)")
+
+        t0 = -d % p if p <= 3 else (-b * pow(3, -1, p)) % p
+        ai = change_coordinates(ai, p * t0, 0, 0)
+        a1, a2, a3, a4, a6 = ai
+        assert a2 % p**2 == a4 % p**3 == a6 % p**4 == 0, "triple-root translation failed"
+        has_root, root = _quadratic(1, a3 // p**2, -(a6 // p**4), p)
+        if root is None:
+            return "IV*", 3 if has_root else 1, ADDITIVE, n
+        ai = change_coordinates(ai, 0, 0, p * p * root)
+        a1, a2, a3, a4, a6 = ai
+        if _int_valuation(a4, p) < 4:
+            return "III*", 2, ADDITIVE, n
+        if _int_valuation(a6, p) < 6:
+            return "II*", 1, ADDITIVE, n
+        assert a1 % p == a2 % p**2 == a3 % p**3 == a4 % p**4 == a6 % p**6 == 0, "rescale"
+        curve = WeierstrassCurve(a1 // p, a2 // p**2, a3 // p**3, a4 // p**4, a6 // p**6)
+
+
+_ABOVE_3 = st.sampled_from([5, 7, 11, 13, 101, 1000003, 2**61 - 1])
+_exponents = st.tuples(*[st.integers(0, 3)] * 5)
+
+
+def _twist_by(curve, p):
+    """y^2 = x^3 - 27 c4 p^2 x - 54 c6 p^3: the quadratic twist by p, I_m at p becoming I_m*."""
+    return WeierstrassCurve(0, 0, 0, -27 * curve.c4 * p**2, -54 * curve.c6 * p**3)
+
+
+@given(st.tuples(*[_small] * 5), _exponents, _ABOVE_3, _small, _small, _small, st.integers(0, 2))
+@settings(max_examples=400, deadline=None)
+def test_tate_above_3_matches_the_steps_on_moved_and_scaled_models(ai, es, p, r, s, t, k):
+    """a_i p^e_i moved by (r, s, t), then scaled by p^k, so not minimal at p when k > 0."""
+    try:
+        E = WeierstrassCurve(*change_coordinates([a * p**e for a, e in zip(ai, es)], r, s, t))
+    except SingularCurveError:
+        return
+    E = _scaled(E.ai(), p**k)
+    assert _summary(tate(E, p)) == _reference_tate(E, p), (E.ai(), p)
+
+
+@given(st.tuples(*[_small] * 5), st.integers(1, 6), _ABOVE_3, _small, _small, _small)
+@settings(max_examples=300, deadline=None)
+def test_tate_above_3_matches_the_steps_on_twists_by_p(ai, k, p, r, s, t):
+    """(a1, a2, p^k a3, p^k a4, p^k a6) is singular at (0, 0) mod p, mostly a node of
+    type I_m; twisted by p it is I_m*, and m reaches past 1."""
+    a1, a2, a3, a4, a6 = ai
+    try:
+        E = _twist_by(WeierstrassCurve(a1, a2, p**k * a3, p**k * a4, p**k * a6), p)
+    except SingularCurveError:
+        return
+    E = WeierstrassCurve(*change_coordinates(E.ai(), r, s, t))
+    assert _summary(tate(E, p)) == _reference_tate(E, p), (E.ai(), p)
+
+
+@given(_small.filter(bool), st.integers(0, 13), st.booleans(), _ABOVE_3, _small, _small, _small)
+@settings(max_examples=300, deadline=None)
+def test_tate_above_3_matches_the_steps_at_j_0_and_1728(c, k, j1728, p, r, s, t):
+    """y^2 = x^3 + c p^k x has c6 = 0, y^2 = x^3 + c p^k has c4 = 0: a valuation is infinite."""
+    ai = (0, 0, 0, c * p**k, 0) if j1728 else (0, 0, 0, 0, c * p**k)
+    E = WeierstrassCurve(*change_coordinates(ai, r, s, t))
+    assert _summary(tate(E, p)) == _reference_tate(E, p), (E.ai(), p)
+
+
+def _drawn_model(rng, p):
+    """A model of one of the kinds the hypothesis tests above draw, kind chosen by rng."""
+    kind = rng.randrange(4)
+    a = [rng.randint(-20, 20) for _ in range(5)]
+    if kind == 0:
+        ai = [x * p ** rng.choice((0, 0, 1, 2, 3)) for x in a]
+    elif kind == 1:
+        ai = _scaled([x * p ** rng.choice((0, 1, 2)) for x in a], p).ai()
+    elif kind == 2:
+        k = rng.randint(1, 6)
+        ai = _twist_by(WeierstrassCurve(*a[:2], *(p**k * x for x in a[2:])), p).ai()
+    else:
+        c = (a[0] or 1) * p ** rng.randint(0, 13)
+        ai = (0, 0, 0, c, 0) if rng.random() < 0.5 else (0, 0, 0, 0, c)
+    r, s, t = (rng.randint(-9, 9) for _ in range(3))
+    return WeierstrassCurve(*change_coordinates(ai, r, s, t))
+
+
+def test_tate_above_3_reaches_every_kodaira_type_and_every_c_p():
+    rng = random.Random(3)
+    seen = Counter()
+    for _ in range(3000):
+        p = rng.choice((5, 7, 11, 13))
+        try:
+            E = _drawn_model(rng, p)
+        except SingularCurveError:
+            continue
+        d = tate(E, p)
+        assert _summary(d) == _reference_tate(E, p), (E.ai(), p)
+        k = d.kodaira
+        if k.is_In:
+            seen["In", d.reduction_class] += 1
+        elif k.is_In_star and k.n:
+            seen["odd m" if k.n % 2 else "even m", d.tamagawa] += 1
+            if k.n >= 3:
+                seen["I_m*, m >= 3"] += 1
+        else:
+            seen[k.symbol, d.tamagawa] += 1
+    expected = {
+        ("I0", 1), ("In", SPLIT), ("In", NONSPLIT), ("II", 1), ("III", 2), ("IV", 1), ("IV", 3),
+        ("I0*", 1), ("I0*", 2), ("I0*", 4), ("odd m", 2), ("odd m", 4), ("even m", 2),
+        ("even m", 4), "I_m*, m >= 3", ("IV*", 1), ("IV*", 3), ("III*", 2), ("II*", 1),
+    }
+    assert expected - set(seen) == set(), seen
+
+
+def test_tate_above_3_moves_no_coordinates(monkeypatch):
+    """At p >= 5 `tate` reads c4, c6 and disc: Tate's steps, which move coordinates, stay unused."""
+
+    def refuse(*args):
+        raise RuntimeError("Tate's steps ran at p >= 5")
+
+    monkeypatch.setattr(reduction, "change_coordinates", refuse)
+    places = 0
+    for rec in ingest_fixtures(FIXTURES).records:
+        expected = {int(loc["p"]): loc for loc in rec.local}
+        for p in bad_primes(rec.curve):
+            if p >= 5:
+                d = tate(rec.curve, p)
+                loc = expected[p]
+                assert (d.kodaira.symbol, d.tamagawa, d.reduction_class) == (
+                    loc["kodaira"], loc["cp"], loc["class"],
+                ), (rec.label, p)
+                places += 1
+    assert places == 19
+    # y^2 = x^3 + p x^2 + p^(m+3) is I_m*: disc / 16 = -4 p^(m+6) - 27 p^(2m+6)
+    for p in (5, 7):
+        cases = [
+            ((0, 0, 0, 0, p), "II"),
+            ((0, 0, 0, p, 0), "III"),
+            ((0, 0, 0, 0, p**2), "IV"),
+            ((0, 0, 0, 0, p**3), "I0*"),
+            ((0, p, 0, 0, p**4), "I1*"),
+            ((0, p, 0, 0, p**5), "I2*"),
+            ((0, 0, 0, 0, p**4), "IV*"),
+            ((0, 0, 0, p**3, 0), "III*"),
+            ((0, 0, 0, 0, p**5), "II*"),
+        ]
+        for ai, symbol in cases:
+            E = WeierstrassCurve(*ai)
+            for model in (E, _scaled(ai, p)):
+                d = tate(model, p)
+                assert d.kodaira.symbol == symbol, (ai, p, d)
+                assert _summary(d) == _reference_tate(E, p), (ai, p, d)
