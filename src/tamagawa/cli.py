@@ -16,7 +16,7 @@ from .curves import CurveAnalysis, SingularCurveError, WeierstrassCurve, minimal
 from .families import FAMILIES, ThreeTorsionNormalForm, hadano_quotient, quotient_split_prime
 from .reduction import c_infinity, local_data
 from .torsion import torsion_subgroup
-from .verify import PRESETS, FixtureValidationError, check_divisibility, ingest_fixtures
+from .verify import PRESETS, check_divisibility, ingest_fixtures
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -59,7 +59,10 @@ def _curve_from_args(args) -> WeierstrassCurve:
     if None in params.values():
         flags = " and ".join(f"--{name}" for name in family.params)
         raise ValueError(f"--family {args.family} needs {flags}")
-    return family.curve(params)
+    try:
+        return family.curve(params)
+    except ZeroDivisionError:  # only a rational flag with a zero denominator, as --t 1/0
+        raise ValueError(f"--family {args.family}: a parameter has a zero denominator") from None
 
 
 def _fixtures_from_args(args):
@@ -120,7 +123,7 @@ def main(argv=None) -> int:
 
     try:
         fixtures = _fixtures_from_args(args)
-    except (OSError, FixtureValidationError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # a bad file: JSON, UTF-8 or a fixture record
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return EXIT_USAGE
 
@@ -168,8 +171,9 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "scan":
-            if args.bound is not None and args.bound < 1:
-                raise ValueError(f"--bound must be a positive integer, got {args.bound}")
+            for flag, value in (("--bound", args.bound), ("--jobs", args.jobs)):
+                if value is not None and value < 1:
+                    raise ValueError(f"{flag} must be a positive integer, got {value}")
             preset = PRESETS[args.preset]
             report = preset.run(fixtures, args.jobs, args.bound)
             if args.summary:

@@ -5,8 +5,8 @@ b-, c-invariants, discriminant and j-invariant are derived exactly.  The
 formulas live here once: `invariants` and `change_coordinates` act on bare
 coefficient tuples, so Tate's algorithm in `reduction` runs on them too.
 Global minimization follows Laska-Kraus-Connell: shrink (c4,c6) by the
-largest admissible u at every prime, with Kraus's congruences guarding
-2 and 3, then rebuild the unique reduced model from (c4,c6).
+largest admissible u, whose exponent at each prime is `minimal_exponent`,
+then rebuild the unique reduced model from (c4,c6).
 """
 
 from __future__ import annotations
@@ -160,14 +160,28 @@ def apply_transformation(curve: WeierstrassCurve, tr: Transformation) -> Weierst
     return WeierstrassCurve(*(int(c) for c in new))
 
 
-def _kraus_ok_2(c4: int, c6: int) -> bool:
-    if c6 % 4 == 3:
-        return True
-    return c4 % 16 == 0 and c6 % 32 in (0, 8)
+def minimal_exponent(c4: int, c6: int, e: int, p: int) -> int:
+    """ord_p(u) of the scaling u that makes a model with invariants c4, c6 minimal at p.
 
-
-def _kraus_ok_3(c6: int) -> bool:
-    return _int_valuation(c6, 3) != 2
+    The one p-minimality rule, read by `minimal_model` and `reduction.tate`:
+    with e = ord_p(disc), the largest d with p^(12 d) | disc, p^(4 d) | c4 and
+    p^(6 d) | c6 whose quotients c4 / p^(4 d), c6 / p^(6 d) meet Kraus's
+    congruence at p, so that an integral model has them: at 3, v(c6) is not
+    2; at 2, c6 = 3 mod 4, or 16 | c4 and c6 = 0 or 8 mod 32.  The first two
+    divisibilities give the third, as c6^2 = c4^3 - 1728 disc.
+    """
+    d = e // 12
+    if c4:
+        d = min(d, _int_valuation(c4, p) // 4)
+    # a failed congruence costs one step back: the quotients at d - 1 are p^4 and p^6
+    # times those at d, and meet it
+    if p == 2 and d:
+        c4d, c6d = c4 // 2 ** (4 * d), c6 // 2 ** (6 * d)
+        if c6d % 4 != 3 and (c4d % 16 or c6d % 32 not in (0, 8)):
+            d -= 1
+    elif p == 3 and d and _int_valuation(c6, 3) == 6 * d + 2:
+        d -= 1
+    return d
 
 
 def curve_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
@@ -216,6 +230,7 @@ def minimal_model(
     satisfies apply_transformation(curve, T) == minimal curve exactly.
     Given the factored discriminant, the candidates are its primes with
     exponent >= 12 (u^12 divides it); otherwise gcd(c4, c6) is factored.
+    ord_p(u) at each candidate p is `minimal_exponent`.
     """
     c4, c6 = curve.c4, curve.c6
     if disc is None:
@@ -225,21 +240,7 @@ def minimal_model(
     else:
         exponents = [(p, e) for p, e in disc.factors if e >= 12]
 
-    u = 1
-    for p, e in exponents:
-        opts = [e // 12]
-        if c4:
-            opts.append(_int_valuation(c4, p) // 4)
-        if c6:
-            opts.append(_int_valuation(c6, p) // 6)
-        d = min(opts)
-        if p == 2:
-            while d > 0 and not _kraus_ok_2(c4 // 2 ** (4 * d), c6 // 2 ** (6 * d)):
-                d -= 1
-        elif p == 3:
-            while d > 0 and not _kraus_ok_3(c6 // 3 ** (6 * d)):
-                d -= 1
-        u *= p**d
+    u = math.prod(p ** minimal_exponent(c4, c6, e, p) for p, e in exponents)
 
     minimal = curve_from_c4c6(c4 // u**4, c6 // u**6)
     if minimal == curve:
@@ -292,14 +293,9 @@ class CurveAnalysis:
             raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
         minimal, tr = minimal_model(curve, disc)
         u = int(tr.u)
-        factors = []
-        for p, e in disc.factors:
-            while u % p == 0:
-                u //= p
-                e -= 12
-            if e:
-                factors.append((p, e))
-        return cls(curve, minimal, tr, Factorization(disc.sign, tuple(factors)))
+        exponents = [(p, e - 12 * _int_valuation(u, p)) for p, e in disc.factors]
+        factors = tuple((p, e) for p, e in exponents if e)
+        return cls(curve, minimal, tr, Factorization(disc.sign, factors))
 
     @property
     def bad_primes(self) -> tuple[int, ...]:

@@ -1,16 +1,15 @@
 """Tate's algorithm and local data at every place.
 
-At p = 2 and 3 the algorithm runs step by step: the torsion families hit
-I_n*, IV and IV* exactly where valuation shortcuts misclassify.  Each step
-works on exact integers; the model is locally minimized by the built-in
-restart when step 11 detects p^12 | disc with all coefficient valuations
-high enough.
+When p^12 | disc, `tate` asks `curves.minimal_exponent` for the k that
+makes the model minimal at p, divides c4, c6 and disc by p^(4k), p^(6k) and
+p^(12k) once, and at 2 and 3 rebuilds the model from them.  Good and I_n
+reduction are then read off at every prime.  At p = 2 and 3 additive
+reduction runs Tate's steps once through, on exact integers: the torsion
+families hit I_n*, IV and IV* exactly where valuation shortcuts misclassify.
 
 At p >= 5 the answer is read off c4, c6 and disc with no coordinate change
 (Silverman, Advanced Topics, IV.9, Table 4.1; Cremona, Algorithms for
-Modular Elliptic Curves, 3.2).  The model is minimal at p unless p^4 | c4
-and p^6 | c6, and dividing them by p^4, p^6 and disc by p^12 is the scaling
-u = p.  On the minimal model, with n = v(disc):
+Modular Elliptic Curves, 3.2).  On the minimal model, with n = v(disc):
 
 - n = 0 is good reduction, and p not dividing c4 is I_n (below);
 - 3 v(c4) < n (v(j) < 0) is I_{n-6}*, where v(c4) = 2 and v(c6) = 3;
@@ -80,7 +79,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .arith import Factorization, _int_valuation, factor, is_prime
-from .curves import CurveAnalysis, WeierstrassCurve, change_coordinates, invariants
+from .curves import (
+    CurveAnalysis,
+    WeierstrassCurve,
+    change_coordinates,
+    curve_from_c4c6,
+    invariants,
+    minimal_exponent,
+)
 
 GOOD = "good"
 SPLIT = "split"
@@ -252,28 +258,12 @@ def _singular_point_mod_p(curve: WeierstrassCurve, p: int) -> tuple[int, int]:
     return r, t
 
 
-def _multiplicative(p: int, n: int, split: bool) -> LocalDatum:
-    """I_n at p, split or nonsplit; c_p is n when split, else 2 for even n and 1 for odd."""
-    cp, cls = (n, SPLIT) if split else (2 if n % 2 == 0 else 1, NONSPLIT)
-    return LocalDatum(p, KodairaType.multiplicative(n), cp, cls, n)
-
-
 # the potentially good types at p >= 5 whose c_p needs no residue test, by v(disc_min)
 _BY_V_DELTA = {2: (_II, 1), 3: (_III, 2), 9: (_III_STAR, 2), 10: (_II_STAR, 1)}
 
 
-def _tate_above_3(curve: WeierstrassCurve, p: int) -> LocalDatum:
-    """`tate` at a prime p >= 5, in closed form from c4, c6 and disc (module docstring)."""
-    disc, c4, c6 = curve.disc, curve.c4, curve.c6
-    n = _int_valuation(disc, p)
-    # minimal at p unless p^4 | c4 and p^6 | c6 (then p^12 | disc), and u = p shrinks them
-    while n >= 12 and c4 % p**4 == 0 and c6 % p**6 == 0:
-        disc, c4, c6, n = disc // p**12, c4 // p**4, c6 // p**6, n - 12
-    if n == 0:
-        return LocalDatum(p, _I0, 1, GOOD, 0)
-    if c4 % p:
-        # p does not divide c6 either: 1728 disc = c4^3 - c6^2 with p | disc
-        return _multiplicative(p, n, _is_square(-c6, p))
+def _tate_above_3(c4: int, c6: int, disc: int, n: int, p: int) -> LocalDatum:
+    """`tate` at p >= 5 on a p-minimal model with p | c4 and n = v(disc) > 0, in closed form."""
     if 3 * _int_valuation(c4, p) < n:
         # potentially multiplicative, v(c4) = 2 and v(c6) = 3: I_{n-6}*
         unit = disc // p**n
@@ -298,120 +288,126 @@ def _tate_above_3(curve: WeierstrassCurve, p: int) -> LocalDatum:
 def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
     """Kodaira type, Tamagawa number and reduction class of curve at p.
 
-    Total: the model is minimized at p internally, so any integral model of
-    the curve gives the same answer.  At p >= 5 the answer is read off c4,
-    c6 and disc; Tate's steps run at p = 2 and 3 (module docstring).
+    Total: the model is made minimal at p by `minimal_exponent` first, so
+    any integral model of the curve gives the same answer.  Additive
+    reduction is read off c4, c6 and disc at p >= 5 and found by Tate's
+    steps at p = 2 and 3 (module docstring).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > 3:
-        return _tate_above_3(curve, p)
-    # Tate's steps, at p = 2 and 3 only
-    while True:
-        n = _int_valuation(curve.disc, p)
-        if n == 0:
-            return LocalDatum(p, _I0, 1, GOOD, 0)
+    c4, c6, disc = curve.c4, curve.c6, curve.disc
+    n = _int_valuation(disc, p)
+    k = minimal_exponent(c4, c6, n, p) if n >= 12 else 0
+    if k:
+        c4, c6, disc, n = c4 // p ** (4 * k), c6 // p ** (6 * k), disc // p ** (12 * k), n - 12 * k
+        if p < 5:
+            # integral by Kraus's theorem: the congruences hold at p by the choice of
+            # k, and at the other one of 2, 3 as they did for curve
+            curve = curve_from_c4c6(c4, c6)
+    if n == 0:
+        return LocalDatum(p, _I0, 1, GOOD, 0)
 
-        if curve.c4 % p:
-            # multiplicative I_n, split or not without moving the node (module docstring)
-            if p == 2:
-                split = (curve.a2 + curve.a3) % 2 == 0
-            elif curve.c6 % p == 0:
-                raise AlgorithmError(f"node with p | c6 at p={p}")
-            else:
-                split = _is_square(-curve.c6, p)
-            return _multiplicative(p, n, split)
-
-        # additive from here on: move the cusp to (0, 0)
-        r, t = _singular_point_mod_p(curve, p)
-        ai = change_coordinates(curve.ai(), r, 0, t)
-        a1, a2, a3, a4, a6 = ai
-        if a3 % p or a4 % p or a6 % p:
-            raise AlgorithmError(f"singular point translation failed at p={p}")
-        if _int_valuation(a6, p) < 2:
-            return LocalDatum(p, _II, 1, ADDITIVE, n)
-        _, _, b6t, b8t, _, _, _ = invariants(ai)
-        if _int_valuation(b8t, p) < 3:
-            return LocalDatum(p, _III, 2, ADDITIVE, n)
-        if _int_valuation(b6t, p) < 3:
-            # v(b6) = 2, so the quadratic's discriminant b6 / p^2 is a unit
-            has_root, root = _quadratic(1, a3 // p, -(a6 // p**2), p)
-            if root is not None:
-                raise AlgorithmError(f"type IV quadratic is inseparable at p={p}")
-            return LocalDatum(p, _IV, 3 if has_root else 1, ADDITIVE, n)
-
-        # normalize: p | a1, a2; p^2 | a3, a4; p^3 | a6
+    if c4 % p:
+        # multiplicative I_n, split or not without moving the node (module docstring)
         if p == 2:
-            s = a2 % 2
-            t6 = 2 * ((a6 // 4) % 2)
+            split = (curve.a2 + curve.a3) % 2 == 0
+        elif c6 % p == 0:
+            raise AlgorithmError(f"node with p | c6 at p={p}")
         else:
-            # s = -a1 / 2 mod 3 and t6 = -a3 / 2 mod 9, as 1/2 is 2 mod 3 and 5 mod 9
-            s = a1 % 3
-            t6 = (4 * a3) % 9
-        ai = change_coordinates(ai, 0, s, t6)
-        a1, a2, a3, a4, a6 = ai
-        if a1 % p or a2 % p or a3 % p**2 or a4 % p**2 or a6 % p**3:
-            raise AlgorithmError(f"step-6 normalization failed at p={p}")
+            split = _is_square(-c6, p)
+        cp, cls = (n, SPLIT) if split else (2 if n % 2 == 0 else 1, NONSPLIT)
+        return LocalDatum(p, KodairaType.multiplicative(n), cp, cls, n)
 
-        # cubic P(T) = T^3 + b T^2 + c T + d over F_p
-        b, c, d = (a2 // p) % p, (a4 // p**2) % p, (a6 // p**3) % p
-        # w is minus the cubic's discriminant
-        w = (27 * d * d - b * b * c * c + 4 * b**3 * d - 18 * b * c * d + 4 * c**3) % p
-        x = (3 * c - b * b) % p
+    if p > 3:
+        return _tate_above_3(c4, c6, disc, n, p)
 
-        if w:
-            # distinct roots: I0*
-            cp = 1 + _cubic_rational_root_count(b, c, d, -w, p)
-            return LocalDatum(p, KodairaType.star(0), cp, ADDITIVE, n)
+    # additive at p = 2 or 3: Tate's steps on the p-minimal model; move the cusp to (0, 0)
+    r, t = _singular_point_mod_p(curve, p)
+    ai = change_coordinates(curve.ai(), r, 0, t)
+    a1, a2, a3, a4, a6 = ai
+    if a3 % p or a4 % p or a6 % p:
+        raise AlgorithmError(f"singular point translation failed at p={p}")
+    if _int_valuation(a6, p) < 2:
+        return LocalDatum(p, _II, 1, ADDITIVE, n)
+    _, _, b6t, b8t, _, _, _ = invariants(ai)
+    if _int_valuation(b8t, p) < 3:
+        return LocalDatum(p, _III, 2, ADDITIVE, n)
+    if _int_valuation(b6t, p) < 3:
+        # v(b6) = 2, so the quadratic's discriminant b6 / p^2 is a unit
+        has_root, root = _quadratic(1, a3 // p, -(a6 // p**2), p)
+        if root is not None:
+            raise AlgorithmError(f"type IV quadratic is inseparable at p={p}")
+        return LocalDatum(p, _IV, 3 if has_root else 1, ADDITIVE, n)
 
-        if x:
-            # double root: In* for some n >= 1
-            if p == 2:
-                t0 = d if b % 2 else c
-            else:
-                t0 = ((b * c - 9 * d) * pow(2 * x, -1, p)) % p
-            ai = change_coordinates(ai, p * t0, 0, 0)
-            a1, a2, a3, a4, a6 = ai
-            if a2 % p or a2 % p**2 == 0 or a3 % p**2 or a4 % p**3 or a6 % p**4:
-                raise AlgorithmError(f"double-root translation failed at p={p}")
-            for m in range(1, n + 1):
-                # the next shift of x is by p^mxe and of y by p^mye: y moves at odd m, x at even m
-                mxe, mye = 2 + (m - 1) // 2, 2 + m // 2
-                if m % 2 == 1:
-                    A, B, C = 1, a3 // p**mye, -(a6 // p ** (mxe + mye))
-                else:
-                    A, B, C = a2 // p, a4 // p ** (mxe + 1), a6 // p ** (mxe + mye)
-                has_root, root = _quadratic(A, B, C, p)
-                if root is None:
-                    cp = 4 if has_root else 2
-                    return LocalDatum(p, KodairaType.star(m), cp, ADDITIVE, n)
-                r, t = (0, p**mye * root) if m % 2 == 1 else (p**mxe * root, 0)
-                ai = change_coordinates(ai, r, 0, t)
-                a1, a2, a3, a4, a6 = ai
-            raise AlgorithmError(f"In* loop exceeded v(delta) at p={p}")
+    # normalize: p | a1, a2; p^2 | a3, a4; p^3 | a6
+    if p == 2:
+        s = a2 % 2
+        t6 = 2 * ((a6 // 4) % 2)
+    else:
+        # s = -a1 / 2 mod 3 and t6 = -a3 / 2 mod 9, as 1/2 is 2 mod 3 and 5 mod 9
+        s = a1 % 3
+        t6 = (4 * a3) % 9
+    ai = change_coordinates(ai, 0, s, t6)
+    a1, a2, a3, a4, a6 = ai
+    if a1 % p or a2 % p or a3 % p**2 or a4 % p**2 or a6 % p**3:
+        raise AlgorithmError(f"step-6 normalization failed at p={p}")
 
-        # triple root t0: the constant term -t0^3 of (T - t0)^3 is -t0, as t^3 = t on F_2 and F_3
-        t0 = -d % p
+    # cubic P(T) = T^3 + b T^2 + c T + d over F_p
+    b, c, d = (a2 // p) % p, (a4 // p**2) % p, (a6 // p**3) % p
+    # w is minus the cubic's discriminant
+    w = (27 * d * d - b * b * c * c + 4 * b**3 * d - 18 * b * c * d + 4 * c**3) % p
+    x = (3 * c - b * b) % p
+
+    if w:
+        # distinct roots: I0*
+        cp = 1 + _cubic_rational_root_count(b, c, d, -w, p)
+        return LocalDatum(p, KodairaType.star(0), cp, ADDITIVE, n)
+
+    if x:
+        # double root: In* for some n >= 1
+        if p == 2:
+            t0 = d if b % 2 else c
+        else:
+            t0 = ((b * c - 9 * d) * pow(2 * x, -1, p)) % p
         ai = change_coordinates(ai, p * t0, 0, 0)
         a1, a2, a3, a4, a6 = ai
-        if a2 % p**2 or a4 % p**3 or a6 % p**4:
-            raise AlgorithmError(f"triple-root translation failed at p={p}")
+        if a2 % p or a2 % p**2 == 0 or a3 % p**2 or a4 % p**3 or a6 % p**4:
+            raise AlgorithmError(f"double-root translation failed at p={p}")
+        for m in range(1, n + 1):
+            # the next shift of x is by p^mxe and of y by p^mye: y moves at odd m, x at even m
+            mxe, mye = 2 + (m - 1) // 2, 2 + m // 2
+            if m % 2 == 1:
+                A, B, C = 1, a3 // p**mye, -(a6 // p ** (mxe + mye))
+            else:
+                A, B, C = a2 // p, a4 // p ** (mxe + 1), a6 // p ** (mxe + mye)
+            has_root, root = _quadratic(A, B, C, p)
+            if root is None:
+                cp = 4 if has_root else 2
+                return LocalDatum(p, KodairaType.star(m), cp, ADDITIVE, n)
+            r, t = (0, p**mye * root) if m % 2 == 1 else (p**mxe * root, 0)
+            ai = change_coordinates(ai, r, 0, t)
+            a1, a2, a3, a4, a6 = ai
+        raise AlgorithmError(f"In* loop exceeded v(delta) at p={p}")
 
-        has_root, root = _quadratic(1, a3 // p**2, -(a6 // p**4), p)
-        if root is None:
-            return LocalDatum(p, _IV_STAR, 3 if has_root else 1, ADDITIVE, n)
-        ai = change_coordinates(ai, 0, 0, p * p * root)
-        a1, a2, a3, a4, a6 = ai
+    # triple root t0: the constant term -t0^3 of (T - t0)^3 is -t0, as t^3 = t on F_2 and F_3
+    t0 = -d % p
+    ai = change_coordinates(ai, p * t0, 0, 0)
+    a1, a2, a3, a4, a6 = ai
+    if a2 % p**2 or a4 % p**3 or a6 % p**4:
+        raise AlgorithmError(f"triple-root translation failed at p={p}")
 
-        if _int_valuation(a4, p) < 4:
-            return LocalDatum(p, _III_STAR, 2, ADDITIVE, n)
-        if _int_valuation(a6, p) < 6:
-            return LocalDatum(p, _II_STAR, 1, ADDITIVE, n)
+    has_root, root = _quadratic(1, a3 // p**2, -(a6 // p**4), p)
+    if root is None:
+        return LocalDatum(p, _IV_STAR, 3 if has_root else 1, ADDITIVE, n)
+    ai = change_coordinates(ai, 0, 0, p * p * root)
+    a1, a2, a3, a4, a6 = ai
 
-        # model was not minimal at p: shrink and start over
-        if a1 % p or a2 % p**2 or a3 % p**3 or a4 % p**4 or a6 % p**6:
-            raise AlgorithmError(f"non-minimal rescale failed at p={p}")
-        curve = WeierstrassCurve(a1 // p, a2 // p**2, a3 // p**3, a4 // p**4, a6 // p**6)
+    if _int_valuation(a4, p) < 4:
+        return LocalDatum(p, _III_STAR, 2, ADDITIVE, n)
+    if _int_valuation(a6, p) < 6:
+        return LocalDatum(p, _II_STAR, 1, ADDITIVE, n)
+    # step 11 reached only on a model that is not minimal at p, which minimal_exponent rules out
+    raise AlgorithmError(f"Tate's steps found the p-minimal model not minimal at p={p}")
 
 
 def c_infinity(curve: WeierstrassCurve) -> int:

@@ -297,3 +297,40 @@ def test_fixtures_rejects_a_non_object_record(tmp_path):
     proc = run_cli("fixtures", "--fixtures", str(bad))
     assert proc.returncode == 2
     assert "must be a JSON object" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("command", ["localdata", "torsion", "check"])
+def test_two_six_t_with_zero_denominator_is_a_usage_error(command, monkeypatch, capsys):
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    assert cli.main([command, "--family", "two-six", "--t", "1/0"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "zero denominator" in json.loads(err)["error"]
+
+
+def test_fixture_file_that_is_not_utf8_is_a_usage_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[1")
+    for args in (["fixtures"], ["check", "--ai", "0,0,1,-1,0"]):
+        proc = run_cli(*args, "--fixtures", str(bad))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "utf-8" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_scan_jobs_below_one_is_a_usage_error(jobs, monkeypatch, capsys):
+    from tamagawa import cli, verify
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan with --jobs below 1 ran")
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_scan)
+    monkeypatch.setitem(cli.PRESETS, "prop2.2", verify.Preset(no_scan, no_scan, "never run"))
+    assert cli.main(["scan", "--preset", "prop2.2", f"--jobs={jobs}"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--jobs" in json.loads(err)["error"]

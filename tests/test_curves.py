@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,15 @@ from tamagawa.curves import (
     WeierstrassCurve,
     apply_transformation,
     curve_from_c4c6,
+    minimal_exponent,
     minimal_model,
     transform_coefficients,
 )
 
+from tamagawa.arith import _int_valuation, factor
+from tamagawa.verify import ingest_fixtures
+
+FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
 small_int = st.integers(min_value=-8, max_value=8)
 
 
@@ -177,3 +184,58 @@ def test_curve_from_c4c6_roundtrip():
         curve_from_c4c6(1, 1)  # c4^3 = c6^2 forces disc 0
     with pytest.raises(ValueError):
         curve_from_c4c6(17, 161)  # fails Kraus at 2 (c6 = 1 mod 4, c4 odd)
+
+
+def _largest_integral_scaling(c4, c6, e, p):
+    """The largest d for which some integral model has invariants c4 / p^(4d), c6 / p^(6d)."""
+    best = 0
+    for d in range(1, e // 12 + 1):
+        if c4 % p ** (4 * d) == 0 and c6 % p ** (6 * d) == 0:
+            try:
+                curve_from_c4c6(c4 // p ** (4 * d), c6 // p ** (6 * d))
+                best = d
+            except ValueError:
+                pass
+    return best
+
+
+def test_minimal_exponent_is_the_scaling_of_minimal_model():
+    """On the fixtures and their models scaled by 2^k, 3^k, 5^k: ord_p(u) of
+    minimal_model's u, and the largest d that curve_from_c4c6 can build."""
+    checked = 0
+    for rec in ingest_fixtures(FIXTURES).records:
+        for q in (1, 2, 3, 5):
+            for k in (1, 2) if q > 1 else (0,):
+                ai = [a * q ** (k * w) for a, w in zip(rec.curve.ai(), (1, 2, 3, 4, 6))]
+                E = WeierstrassCurve(*ai)
+                u = int(minimal_model(E)[1].u)
+                for p in factor(E.disc).primes():
+                    e = _int_valuation(E.disc, p)
+                    d = minimal_exponent(E.c4, E.c6, e, p)
+                    assert d == _int_valuation(u, p), (rec.label, q, k, p)
+                    assert d == _largest_integral_scaling(E.c4, E.c6, e, p), (rec.label, q, k, p)
+                    checked += 1
+    assert checked > 24 * 7
+
+
+def test_minimal_exponent_steps_back_where_kraus_fails():
+    """Drawn models a_i p^e_i scaled by p^k at 2 and 3: where p^4 | c4, p^6 | c6 and
+    p^12 | disc allow one more step than Kraus's congruence, the rule takes one fewer."""
+    rng = random.Random(5)
+    steps_back = set()
+    for _ in range(1500):
+        p = rng.choice((2, 3))
+        ai = [rng.randint(-9, 9) * p ** rng.choice((0, 1, 2, 3, 4)) for _ in range(5)]
+        k = rng.randint(0, 2)
+        try:
+            E = WeierstrassCurve(*(a * p ** (k * w) for a, w in zip(ai, (1, 2, 3, 4, 6))))
+        except SingularCurveError:
+            continue
+        e = _int_valuation(E.disc, p)
+        d = minimal_exponent(E.c4, E.c6, e, p)
+        assert d == _int_valuation(int(minimal_model(E)[1].u), p), (E.ai(), p)
+        assert d == _largest_integral_scaling(E.c4, E.c6, e, p), (E.ai(), p)
+        divisible = min(e // 12, *(_int_valuation(c, p) // w for c, w in ((E.c4, 4), (E.c6, 6)) if c))
+        if d < divisible:
+            steps_back.add(p)
+    assert steps_back == {2, 3}

@@ -455,7 +455,7 @@ def test_split_matches_moved_node_at_built_nodes(a1, a2, x3, x4, x6, p, r, s, t)
 @settings(max_examples=200, deadline=None)
 def test_split_matches_moved_node_after_restart(a1, a2, x3, x4, x6, p, k):
     """Scaled by u = p^k the model is not minimal and p | c4: the I_n shortcut
-    is reached only after the restart of step 11."""
+    is reached only after `tate` scales it back by `curves.minimal_exponent`."""
     assume((a1 * a1 + 4 * a2) % p)
     try:
         E = WeierstrassCurve(a1, a2, p * x3, p * x4, p * x6)
@@ -582,7 +582,9 @@ def _reference_tate(curve, p):
     The way `tate` ran at every prime before it read p >= 5 off c4, c6 and
     disc: move the cusp to (0, 0), normalize, read the step-6 cubic, walk the
     I_m* loop, and restart on the model scaled by u = p when step 11 finds it
-    not minimal.  The inverses of 12, 2 and 3 mod p serve only p >= 5.
+    not minimal.  The inverses of 12, 2 and 3 mod p serve only p >= 5.  `tate`
+    does the restarts' work once, with `curves.minimal_exponent`, before any
+    step runs.
     """
     while True:
         n = _int_valuation(curve.disc, p)
@@ -795,3 +797,60 @@ def test_tate_above_3_moves_no_coordinates(monkeypatch):
                 d = tate(model, p)
                 assert d.kodaira.symbol == symbol, (ai, p, d)
                 assert _summary(d) == _reference_tate(E, p), (ai, p, d)
+
+
+_AT_2_AND_3 = st.sampled_from([2, 3])
+
+
+@given(st.tuples(*[_small] * 5), _exponents, _AT_2_AND_3, _small, _small, _small, st.integers(0, 3))
+@settings(max_examples=400, deadline=None)
+def test_tate_at_2_and_3_matches_the_restarting_steps(ai, es, p, r, s, t, k):
+    """a_i p^e_i moved by (r, s, t), then scaled by p^k: `tate` minimizes once, the
+    reference restarts k times or more."""
+    try:
+        E = WeierstrassCurve(*change_coordinates([a * p**e for a, e in zip(ai, es)], r, s, t))
+    except SingularCurveError:
+        return
+    E = _scaled(E.ai(), p**k)
+    assert _summary(tate(E, p)) == _reference_tate(E, p), (E.ai(), p)
+
+
+def test_tate_at_2_and_3_reaches_every_kodaira_type_through_the_scaling():
+    """Every type at 2 and at 3 on models scaled by p^k, k >= 1, so that `tate` scales them back."""
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(4000):
+        p = rng.choice((2, 3))
+        ai = [rng.randint(-30, 30) * p ** rng.choice((0, 0, 1, 2, 3)) for _ in range(5)]
+        r, s, t = (rng.randint(-9, 9) for _ in range(3))
+        try:
+            E = WeierstrassCurve(*change_coordinates(ai, r, s, t))
+        except SingularCurveError:
+            continue
+        E = _scaled(E.ai(), p ** rng.randint(1, 2))
+        d = tate(E, p)
+        assert _summary(d) == _reference_tate(E, p), (E.ai(), p)
+        k = d.kodaira
+        kind = d.reduction_class if k.is_In else "I_m*" if k.is_In_star and k.n else k.symbol
+        seen.add((p, kind))
+    kinds = {"I0", SPLIT, NONSPLIT, "II", "III", "IV", "I0*", "I_m*", "IV*", "III*", "II*"}
+    assert {(p, kind) for p in (2, 3) for kind in kinds} - seen == set()
+
+
+@pytest.mark.parametrize("p, ai", [(2, (0, 0, 0, 2, 0)), (3, (0, 0, 0, 3, 0)), (2, (0, 0, 0, 0, 4))])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_tate_steps_run_once_on_a_scaled_model(p, ai, k, monkeypatch):
+    """y^2 = x^3 + p x and y^2 = x^3 + 4 scaled by p^k: one pass of Tate's steps, not k + 1."""
+    calls = []
+    real = reduction._singular_point_mod_p
+
+    def counting(curve, q):
+        calls.append(curve.ai())
+        return real(curve, q)
+
+    monkeypatch.setattr(reduction, "_singular_point_mod_p", counting)
+    E = WeierstrassCurve(*ai)
+    d = tate(_scaled(ai, p**k), p)
+    assert d.reduction_class == ADDITIVE
+    assert _summary(d) == _reference_tate(E, p)
+    assert len(calls) == 1, calls
