@@ -3,10 +3,13 @@
 Everything downstream (curve invariants, Tate's algorithm, the scans) is
 built on exact integers and `fractions.Fraction`; this module supplies
 p-adic valuations, certified integer factorization, and primality testing.
-Each prime gets the cheapest exact certificate: trial division proves a
-cofactor prime once p^2 exceeds it, and Miller-Rabin uses only as many
-bases as OEIS A014233 needs for the size of n.  No floating point is used
-anywhere.
+Each prime gets the cheapest exact certificate.  One sieve of the primes
+below 10^4, built at import, answers `is_prime` there by lookup and feeds
+trial division, which runs over blocks of consecutive sieve primes: one gcd
+with a block's product clears a block that shares no prime with n.  Trial
+division proves a cofactor prime once p^2 exceeds it, and Miller-Rabin uses
+only as many bases as OEIS A014233 needs for the size of n.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ _MR_TABLE = tuple(
 )
 
 _TRIAL_BOUND = 10_000
-_SMALL_PRIMES: list[int] = []
+# sieve primes per trial-division block, set by timing factor on the benchmark's
+# arguments: 16 to 32 tie, and longer blocks slow the many n below 100
+_BLOCK = 32
 
 
 class IncompleteFactorizationError(Exception):
@@ -95,16 +100,25 @@ class Factorization:
         return Factorization(self.sign * other.sign, tuple(sorted(exps.items())))
 
 
-def _small_primes() -> list[int]:
-    """Primes below the trial-division bound, sieved once and cached."""
-    if not _SMALL_PRIMES:
-        sieve = bytearray([1]) * _TRIAL_BOUND
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(_TRIAL_BOUND) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _SMALL_PRIMES.extend(i for i in range(_TRIAL_BOUND) if sieve[i])
-    return _SMALL_PRIMES
+def _sieve(bound: int) -> list[int]:
+    """The primes below bound, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(bound) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    return [i for i in range(bound) if sieve[i]]
+
+
+_SMALL_PRIMES = _sieve(_TRIAL_BOUND)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# (primes, product) for runs of _BLOCK consecutive small primes, the last run shorter
+_BLOCKS = tuple(
+    (tuple(_SMALL_PRIMES[i : i + _BLOCK]), math.prod(_SMALL_PRIMES[i : i + _BLOCK]))
+    for i in range(0, len(_SMALL_PRIMES), _BLOCK)
+)
+# a cofactor below this with no prime factor up to the last small prime is prime
+_CERTIFIED_BELOW = _SMALL_PRIMES[-1] ** 2
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -189,15 +203,16 @@ def _lucas_strong_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Exact primality for desk-scale integers.
 
-    Trial division by the primes up to 41, then Miller-Rabin on the first
-    k prime bases, with k the least that OEIS A014233 proves enough for n
-    (4 bases below 3.2e9, all 13 below 3.3e24).  Above 3.3e24, BPSW (no
-    counterexample is known, and the scans never reach that range).
+    Below 10^4, a lookup in the sieve that `factor`'s trial division uses.
+    Above it, trial division by the primes up to 41, then Miller-Rabin on
+    the first k prime bases, with k the least that OEIS A014233 proves
+    enough for n (4 bases below 3.2e9, all 13 below 3.3e24).  Above 3.3e24,
+    BPSW (no counterexample is known, and the scans never reach that range).
     """
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
-    if n < 2:
-        return False
+    if n < _TRIAL_BOUND:
+        return n in _SMALL_PRIME_SET
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -247,10 +262,14 @@ def _brent_rho(n: int, budget: int) -> tuple[int, int]:
 def factor(n: int, budget: int = 2_000_000) -> Factorization:
     """Complete certified factorization of n != 0.
 
-    Trial division by cached small primes, then Brent's rho on survivors.
-    Every reported prime is certified: a cofactor left once p^2 exceeds it
-    has no prime factor below its square root, so it is prime; any other
-    passes is_prime.  If the rho budget is exhausted while a composite
+    Trial division by the sieve primes below 10^4 in blocks of _BLOCK
+    consecutive primes: a block whose product is coprime to n costs one gcd,
+    and otherwise only the primes dividing that gcd are divided out.  Then
+    Brent's rho on a survivor.  Every reported prime is certified: a cofactor
+    left once the first prime p of a block has p^2 > n, or left below 9973^2
+    after every block, has no prime factor below its square root, so it is
+    prime; a cofactor below 10^4 is read off the sieve; any other passes
+    is_prime.  If the rho budget is exhausted while a composite
     cofactor remains, IncompleteFactorizationError is raised carrying the
     partial result.
     """
@@ -259,15 +278,26 @@ def factor(n: int, budget: int = 2_000_000) -> Factorization:
     sign = 1 if n > 0 else -1
     n = abs(n)
     found: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
-            if n > 1:
-                found[n] = 1
-                n = 1
-            break
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
+    for block, product in _BLOCKS:
+        if block[0] * block[0] > n or n in _SMALL_PRIME_SET:
+            break  # n is 1 or prime: no prime below block[0] divides it, or the sieve lists it
+        g = math.gcd(n, product)
+        if g == 1:
+            continue  # no prime of the block divides n
+        for p in block:
+            if g % p == 0:
+                e = 1
+                n //= p
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                found[p] = e
+                g //= p
+                if g == 1 or n in _SMALL_PRIME_SET:
+                    break
+    if 1 < n < _CERTIFIED_BELOW:
+        found[n] = 1
+        n = 1
     stack = [n] if n > 1 else []
     budget_left = budget
     while stack:

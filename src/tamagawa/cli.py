@@ -39,11 +39,15 @@ def _parse_ai(text: str) -> WeierstrassCurve:
 
 
 def _join_ai(argv: list[str]) -> list[str]:
-    """Join "--ai X" into "--ai=X": argparse reads an X with a negative a1 as a flag."""
+    """Join "--ai X" into "--ai=X" and "--t X" into "--t=X".
+
+    argparse reads an X with a negative a1, or a negative rational t such as
+    -7/3, as a flag.
+    """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--ai" and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] = f"--ai={arg}"
+        if out and out[-1] in ("--ai", "--t") and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out

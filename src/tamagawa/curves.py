@@ -293,7 +293,8 @@ class CurveAnalysis:
             raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
         minimal, tr = minimal_model(curve, disc)
         u = int(tr.u)
-        exponents = [(p, e - 12 * _int_valuation(u, p)) for p, e in disc.factors]
+        # ord_p(u) = minimal_exponent(..., e, p) <= e // 12, so it is 0 where e < 12
+        exponents = [(p, e - 12 * _int_valuation(u, p) if e >= 12 else e) for p, e in disc.factors]
         factors = tuple((p, e) for p, e in exponents if e)
         return cls(curve, minimal, tr, Factorization(disc.sign, factors))
 

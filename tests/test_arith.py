@@ -206,3 +206,125 @@ def test_incomplete_factorization_carries_partial():
     for q, e in err.partial:
         reconstructed *= q**e
     assert reconstructed == n
+
+
+def _reference_factor(n, budget=2_000_000):
+    """factor with trial division one sieve prime at a time: the reference for the blocks.
+
+    Calls arith.is_prime and arith._brent_rho through the module, as factor
+    does, so that a test can record or cap both.
+    """
+    sign = 1 if n > 0 else -1
+    n = abs(n)
+    found = {}
+    for p in arith._SMALL_PRIMES:
+        if p * p > n:
+            if n > 1:
+                found[n] = 1
+                n = 1
+            break
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    budget_left = budget
+    while stack:
+        m = stack.pop()
+        if arith.is_prime(m):
+            found[m] = found.get(m, 0) + 1
+            continue
+        g, used = arith._brent_rho(m, budget_left)
+        budget_left -= used
+        if g == 0:
+            cof = m
+            for rest in stack:
+                cof *= rest
+            raise IncompleteFactorizationError(sign, sorted(found.items()), cof)
+        stack.append(g)
+        stack.append(m // g)
+    return Factorization(sign, tuple(sorted(found.items())))
+
+
+def test_blocks_cover_the_sieve_in_order():
+    assert [p for block, _ in arith._BLOCKS for p in block] == arith._SMALL_PRIMES
+    assert all(product == math.prod(block) for block, product in arith._BLOCKS)
+    assert len(arith._BLOCKS[-1][0]) < arith._BLOCK  # the short last block is kept
+
+
+def test_factor_matches_per_prime_loop_below_2e5():
+    for n in range(1, 2 * 10**5):
+        assert factor(n) == _reference_factor(n), n
+
+
+@given(st.integers(min_value=-(10**18), max_value=10**18).filter(lambda n: n != 0))
+@settings(max_examples=300, deadline=None)
+def test_factor_matches_per_prime_loop_to_1e18(n):
+    assert factor(n) == _reference_factor(n)
+
+
+def _calls(monkeypatch, fn, n):
+    """fn(n), or what its IncompleteFactorizationError carries, with the
+    arguments of every is_prime and _brent_rho call it makes."""
+    primes, rho = [], []
+    real_is_prime, real_rho = arith.is_prime, arith._brent_rho
+
+    def is_prime_spy(m):
+        primes.append(m)
+        return real_is_prime(m)
+
+    def rho_spy(m, left):
+        rho.append((m, left))
+        return real_rho(m, left)
+
+    monkeypatch.setattr(arith, "is_prime", is_prime_spy)
+    monkeypatch.setattr(arith, "_brent_rho", rho_spy)
+    try:
+        result = fn(n)
+    except IncompleteFactorizationError as e:
+        result = (e.sign, e.partial, e.cofactor)
+    finally:
+        monkeypatch.setattr(arith, "is_prime", real_is_prime)
+        monkeypatch.setattr(arith, "_brent_rho", real_rho)
+    return result, primes, rho
+
+
+def test_factor_matches_per_prime_loop_at_block_edges(monkeypatch):
+    # the first and last prime of every block, alone, squared, in pairs and to
+    # a power, then cofactors past the sieve that take is_prime or rho
+    edges = sorted({p for block, _ in arith._BLOCKS for p in (block[0], block[-1])})
+    cases = [q**k for q in edges for k in (1, 2, 3)]
+    cases += [q * r for i, q in enumerate(edges) for r in edges[i + 1 :]]
+    cases += [q**k for q in edges for k in range(4, 64) if q**k < 10**40]
+    cases += [10007**2, 10007 * 10009, 9973**2, 9973 * 10007, 2 * 3 * 10007 * 10009]
+    cases += list(range(10**8 - 300, 10**8 + 300))
+    for n in cases:
+        got, primes, rho = _calls(monkeypatch, factor, n)
+        want, ref_primes, ref_rho = _calls(monkeypatch, _reference_factor, n)
+        assert (got, rho) == (want, ref_rho), n
+        # the loop proves a cofactor below 9973^2 left by the last sieve primes
+        # (9973 * 10007) with is_prime; the blocks certify it by its size
+        if ref_primes and ref_primes[0] < arith._CERTIFIED_BELOW:
+            ref_primes = ref_primes[1:]
+        assert primes == ref_primes, n
+
+
+def test_factor_run_out_matches_per_prime_loop(cap_rho, monkeypatch):
+    cap_rho(10)
+    for n in (4 * (2**101 - 1), 2**3 * 137 * 9973 * 1000003 * 1000033, -131 * 10007 * 10009 * 10037):
+        got = _calls(monkeypatch, factor, n)
+        assert isinstance(got[0], tuple), n  # the capped rho ran out
+        assert got == _calls(monkeypatch, _reference_factor, n), n
+
+
+def test_is_prime_reads_the_sieve_below_its_bound(monkeypatch):
+    calls = []
+    real = arith._miller_rabin
+
+    def counting(n, bases):
+        calls.append(n)
+        return real(n, bases)
+
+    monkeypatch.setattr(arith, "_miller_rabin", counting)
+    assert sum(is_prime(n) for n in range(10**4)) == 1229
+    assert calls == []
+    assert is_prime(10007) and calls == [10007]

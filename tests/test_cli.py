@@ -270,6 +270,16 @@ def test_ai_takes_a_negative_a1_after_a_space(command):
     assert by_ai.stdout == by_family.stdout
 
 
+def test_t_takes_a_negative_rational_after_a_space(monkeypatch, capsys):
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    assert cli.main(["localdata", "--family", "two-six", "--t=-7/3"]) == cli.EXIT_OK
+    joined = capsys.readouterr().out
+    assert cli.main(["localdata", "--family", "two-six", "--t", "-7/3"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == joined
+
+
 @pytest.mark.parametrize("bound", ["0", "-2"])
 def test_scan_bound_below_one_is_a_usage_error(bound, monkeypatch, capsys):
     from tamagawa import cli

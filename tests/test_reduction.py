@@ -351,8 +351,10 @@ def test_local_datum_json():
 
 
 def test_tate_rejects_composite():
-    with pytest.raises(ValueError):
-        tate(WeierstrassCurve(1, -3, -3, 0, 0), 6)
+    # 9991 = 97 * 103 and 10001 = 73 * 137 sit on either side of the sieve bound 10^4
+    for p in (6, 1, 9991, 10001):
+        with pytest.raises(ValueError):
+            tate(WeierstrassCurve(1, -3, -3, 0, 0), p)
 
 
 def test_tate_minimizes_internally():
