@@ -271,7 +271,8 @@ class CurveAnalysis:
     Holds the global minimal model, the transformation reaching it and the
     factored minimal discriminant, whose exponents are the model's minus
     12 ord_p(u).  Bad primes, Tate's algorithm, torsion and fixture keys
-    all read this instead of minimizing or factoring again.
+    all read this instead of minimizing or factoring again; torsion reads
+    only the minimal model and the transformation.
     """
 
     curve: WeierstrassCurve

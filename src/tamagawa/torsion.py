@@ -1,14 +1,21 @@
 """Rational torsion subgroups with certified structure.
 
-Candidate points come from Lutz-Nagell on the scaled short model
-Y^2 = X^3 - 27c4 X - 54c6, where every rational torsion point is integral and
-Y = 0 or Y^2 | 6^12 disc.  A few good primes p >= 5 are reduced once: the
-point counts #E(F_p) bound the torsion order by their gcd B, and since
-reduction mod p is injective on torsion, the Y residue of every rational
-torsion point lies among those of E'(F_p)[B].  A point count and a residue
-set depend only on (-27c4 mod p, -54c6 mod p, p) and B, so each is computed
-once per process.  Square divisors missing from any residue set are dropped,
-one filter pass per prime, before the cubic-root search.
+Torsion is found on the scaled short model Y^2 = X^3 + A X + B, A = -27c4,
+B = -54c6, where every rational torsion point is integral with Y = 0 or
+Y^2 | 4A^3 + 27B^2 (Lutz-Nagell).  Six good primes q >= 5 are reduced once:
+their point counts bound the torsion order by their gcd, the bound, and a
+point count depends only on (A mod q, B mod q, q), so each is computed once
+per process.  Points of order 2 are the integer roots of X^3 + A X + B.  For
+the others one sieve prime q prime to the bound is taken; one always exists,
+by Hasse's bound.  Reduction mod a good q >= 3 is injective on torsion, so a
+rational point P of order m >= 3 reduces to a point of order m of
+E'(F_q)[bound], whose x is a root of f_m, the m-th division polynomial
+(divided by 2Y for even m).  That root is simple, as q does not divide m, so
+Newton's method lifts it to the one root mod q^N over it, and X(P) is that
+root's residue of least absolute value once q^N > 2 X_max, X_max an integer
+bound on |X| over the integer roots of X^3 + A X + B - Y^2 for every Y^2 the
+bound allows.  A lifted X is kept only when X^3 + A X + B is a nonzero
+square Y^2, and each sign of Y only when its order is certified.
 
 One integer group law serves orders, generators and multiples: the
 chord-tangent law on the scaled model with exact integer slopes
@@ -22,10 +29,9 @@ on the minimal model.  Rational points are built only for the result, once
 each on the model asked about, whose scaled model is the minimal one's under
 X -> u^2 X, Y -> u^3 Y; point_order re-certifies each generator there.
 on_curve compares integers, with denominators cleared.  No floating point:
-the integer roots of the depressed cubic X^3 + A X + B - Y^2 are found by
-bisection on its at most three strictly monotone runs, split at
-isqrt(-A // 3) + 1 and bounded by about twice max(sqrt|A|, cbrt|B - Y^2|),
-and the cubic is solved once per |Y|, as Y and -Y share it.
+the integer roots of a depressed cubic are found by bisection on its at most
+three strictly monotone runs, split at isqrt(-A // 3) + 1, within the
+integer bound _root_bound, which also sets the lift's precision.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import Factorization, is_prime
+from .arith import is_prime
 from .curves import CurveAnalysis, WeierstrassCurve
 
 # (order, points of order 2) -> shape, for Mazur's fifteen groups; a cyclic
@@ -46,9 +52,10 @@ _MAZUR = {
     **{(4 * n, 3): f"Z/2xZ/{2 * n}" for n in (1, 2, 3, 4)},
 }
 MAZUR_SHAPES = frozenset(_MAZUR.values())
-_SIX_TO_12 = Factorization(1, ((2, 12), (3, 12)))
-# good primes reduced per curve: each adds a point count to the bound and a
-# residue set to the sieve; six leave few false candidates on every family
+# the orders above 2 of rational points, whose x the lift looks for
+_LIFTED_ORDERS = (3, 4, 5, 6, 7, 8, 9, 10, 12)
+# good primes reduced per curve, each adding a point count to the bound; at
+# most one of them divides the bound (see _torsion_points)
 _SIEVE_PRIMES = 6
 
 
@@ -233,38 +240,12 @@ def _add_mod_p(p1, p2, a: int, p: int):
     return x3, (lam * (x1 - x3) - y1) % p
 
 
-def _killed_by(n: int, point: tuple[int, int], a: int, p: int) -> bool:
-    """Whether n * point is the point at infinity, by double-and-add over F_p."""
-    result, addend = None, point
-    while n:
-        if n & 1:
-            result = _add_mod_p(result, addend, a, p)
-        addend = _add_mod_p(addend, addend, a, p)
-        n >>= 1
-    return result is None
-
-
-@functools.cache
-def _residue_set(a: int, b: int, p: int, bound: int) -> frozenset[int]:
-    """The Y residues of the affine points of E'(F_p)[bound], E' as in _point_count.
-
-    bound kills (x, y) exactly when it kills its negative (x, -y), so one of
-    each pair is tested.
-    """
-    ys: set[int] = set()
-    for x, y in _scaled_points_mod_p(a, b, p):
-        if y <= p - y and _killed_by(bound, (x, y), a, p):
-            ys.update((y, -y % p))
-    return frozenset(ys)
-
-
-def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, frozenset[int]]]]:
-    """The torsion bound B and, per sieve prime p, the Y residues of E'(F_p)[B].
+def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, int, int]]]:
+    """The torsion bound B and the sieve's reductions (-27c4 mod p, -54c6 mod p, p).
 
     B is the gcd of #E(F_p) over the first _SIEVE_PRIMES primes p >= 5 of
-    good reduction, a multiple of the torsion order.  Reduction mod such p
-    maps rational torsion injectively and homomorphically into E'(F_p)[B],
-    so the Y of every affine rational torsion point reduces into each set.
+    good reduction, a multiple of the torsion order, since reduction mod such
+    p maps rational torsion injectively and homomorphically into E'(F_p).
     """
     disc = curve.disc
     reduced = []
@@ -276,29 +257,36 @@ def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, frozen
     bound = 0
     for key in reduced:
         bound = math.gcd(bound, _point_count(*key))
-    return bound, [(p, _residue_set(a, b, p, bound)) for a, b, p in reduced]
+    return bound, reduced
+
+
+def _root_bound(P: int, Q: int) -> int:
+    """2 + 2 max(2^ceil(bits(P)/2), 2^ceil(bits(Q)/3)), above |X| for every
+    integer root X of X^3 + P X + Q', for every Q' with |Q'| <= |Q|.
+
+    It exceeds 2 max(sqrt|P|, cbrt|Q|) since |P| < 2^bits(P): for
+    |X| > 2 max(sqrt|P|, cbrt|Q|), X^2 > 4|P| and |X|^3 > 8|Q|, so
+    |X|^3 > 2|P X| + 4|Q| >= |P X + Q'| (strictly, as X != 0), and X is no
+    root.  Exact: no floating point.
+    """
+    return 2 + 2 * max(1 << -(-P.bit_length() // 2), 1 << -(-Q.bit_length() // 3))
 
 
 def _depressed_cubic_integer_roots(P: int, Q: int) -> list[int]:
     """All integer roots of f(X) = X^3 + P X + Q in ascending order, by exact
-    bisection on at most three strictly monotone runs.  No floating point.
+    bisection on at most three strictly monotone runs within _root_bound.
 
     f'(X) = 3X^2 + P is negative between +-sqrt(-P/3) and positive off that
     interval.  For P >= 0 that leaves one increasing run.  For P < 0, m = isqrt(-P // 3) + 1 has
     m > sqrt(-P/3) >= m - 1, as -P/3 < floor(-P/3) + 1 <= m^2, so f increases
     on [-bound, -m] and [m, bound] and decreases on [1 - m, m - 1].  Each run
     is strictly monotone on the integers and so holds at most one root.
-
-    Every root lies within bound = 2 + 2 max(2^ceil(bits(P)/2), 2^ceil(bits(Q)/3)),
-    which exceeds 2 max(sqrt|P|, cbrt|Q|) since |P| < 2^bits(P): for
-    |X| > 2 max(sqrt|P|, cbrt|Q|), X^2 > 4|P| and |X|^3 > 8|Q|, so
-    |X|^3 > 2|P X| + 4|Q| >= |P X + Q| (strictly, as X != 0), and f(X) != 0.
     """
 
     def f(x: int) -> int:
         return (x * x + P) * x + Q
 
-    bound = 2 + 2 * max(1 << -(-P.bit_length() // 2), 1 << -(-Q.bit_length() // 3))
+    bound = _root_bound(P, Q)
     if P >= 0:
         runs = [(-bound, bound, 1)]
     else:
@@ -320,35 +308,140 @@ def _depressed_cubic_integer_roots(P: int, Q: int) -> list[int]:
     return roots
 
 
-def _square_divisors(f) -> list[int]:
-    """All y > 0 with y^2 dividing the factored integer."""
-    ys = [1]
-    for p, e in f.factors:
-        ys = [y * p**k for y in ys for k in range(e // 2 + 1)]
-    return ys
+def _lift_seeds(a: int, b: int, q: int, bound: int) -> list[tuple[int, int]]:
+    """(x, m) for one of each pair +-P of affine points of E'(F_q)[bound],
+    E' as in _point_count, whose order m is above 2 and a rational one."""
+    orders = [m for m in _LIFTED_ORDERS if bound % m == 0]
+    if not orders:
+        return []
+    top = max(orders)
+    seeds = []
+    for x, y in _scaled_points_mod_p(a, b, q):
+        # y = 0 is a point of order 2; y and q - y are the pair +-P
+        if 0 < y < q - y:
+            multiple, m = (x, y), 1
+            while multiple is not None and m < top:
+                multiple, m = _add_mod_p(multiple, (x, y), a, q), m + 1
+            if multiple is None and m in orders:
+                seeds.append((x, m))
+    return seeds
 
 
-def _torsion_points(
-    curve: WeierstrassCurve, disc: Factorization
-) -> dict[tuple[int, int], list[tuple[int, int]]]:
+def _division_value(m: int, x: int, A: int, B: int, modulus: int) -> tuple[int, int]:
+    """(f_m(x), f_m'(x)) mod modulus, for m >= 3, f_m the m-th division
+    polynomial psi_m of Y^2 = X^3 + A X + B for odd m and psi_m / (2Y) for
+    even m: a polynomial in X alone.
+
+    Evaluated on dual numbers v + d e, e^2 = 0, at x + e.  With
+    F = (2Y)^2 = 4(X^3 + A X + B), f_1 = f_2 = 1 and f_3, f_4 in closed form,
+    the recurrences for psi_n become, for k >= 2,
+        f_{2k+1} = F^2 f_{k+2} f_k^3 - f_{k-1} f_{k+1}^3   (k even),
+        f_{2k+1} = f_{k+2} f_k^3 - F^2 f_{k-1} f_{k+1}^3   (k odd),
+        f_{2k}   = f_k (f_{k+2} f_{k-1}^2 - f_{k-2} f_{k+1}^2)   (k >= 3),
+    as the two odd-indexed factors of psi_{2k}'s recurrence that meet a
+    2Y each carry F, and its division by 2Y is then exact.
+    """
+
+    def mul(u, v):
+        return u[0] * v[0] % modulus, (u[0] * v[1] + u[1] * v[0]) % modulus
+
+    def sub(u, v):
+        return (u[0] - v[0]) % modulus, (u[1] - v[1]) % modulus
+
+    x2, x3 = x * x, x * x * x
+    one = (1, 0)
+    f3 = (3 * x2 * x2 + 6 * A * x2 + 12 * B * x - A * A, 12 * (x3 + A * x + B))
+    f4 = (
+        2 * (x3 * x3 + 5 * A * x2 * x2 + 20 * B * x3 - 5 * A * A * x2 - 4 * A * B * x - 8 * B * B - A**3),
+        2 * (6 * x2 * x3 + 20 * A * x3 + 60 * B * x2 - 10 * A * A * x - 4 * A * B),
+    )
+    F = (4 * (x3 + A * x + B), 4 * (3 * x2 + A))
+    F2 = mul(F, F)
+    f = [(0, 0), one, one, (f3[0] % modulus, f3[1] % modulus), (f4[0] % modulus, f4[1] % modulus)]
+    for n in range(5, m + 1):
+        k = n // 2
+        if n % 2:
+            left = mul(f[k + 2], mul(f[k], mul(f[k], f[k])))
+            right = mul(f[k - 1], mul(f[k + 1], mul(f[k + 1], f[k + 1])))
+            if k % 2:
+                right = mul(F2, right)
+            else:
+                left = mul(F2, left)
+            f.append(sub(left, right))
+        else:
+            inner = sub(
+                mul(f[k + 2], mul(f[k - 1], f[k - 1])), mul(f[k - 2], mul(f[k + 1], f[k + 1]))
+            )
+            f.append(mul(f[k], inner))
+    return f[m]
+
+
+def _lift_modulus(q: int, bound: int) -> int:
+    """q^N for the least N >= 1 with q^N > 2 bound."""
+    modulus = q
+    while modulus <= 2 * bound:
+        modulus *= q
+    return modulus
+
+
+def _lifted_x(x: int, m: int, A: int, B: int, q: int, modulus: int) -> int:
+    """The root of f_m mod modulus (a power of q) over x, a simple root of f_m
+    mod q, as its residue of least absolute value; Newton's step doubles the
+    q-adic precision each time."""
+    precision = q
+    while precision < modulus:
+        precision = min(precision * precision, modulus)
+        value, slope = _division_value(m, x, A, B, precision)
+        x = (x - value * pow(slope, -1, precision)) % precision
+    return x - modulus if 2 * x > modulus else x
+
+
+def _torsion_points(curve: WeierstrassCurve) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """Each affine rational torsion point of a minimal model, as (X, Y) on its
-    scaled model, mapped to its _scaled_multiples."""
-    bound, residues = _torsion_sieve(curve)
+    scaled model Y^2 = X^3 + A X + B, mapped to its _scaled_multiples.
+
+    Points of order 2 are the integer roots of X^3 + A X + B.  For the rest:
+
+    - Some sieve prime q does not divide the bound.  The bound divides
+      #E(F_q1) <= q1 + 1 + 2 sqrt(q1) < q1^2 (Hasse), q1 >= 5 the first sieve
+      prime, while two sieve primes q1 <= q < q' dividing it would make it at
+      least q q' > q1^2.  So at most one of the six divides it.
+    - Reduction mod a good q >= 3 is injective on torsion, so a rational point
+      P of order m >= 3 reduces to a point of order m of E'(F_q)[bound]: one
+      of the pair +-P~ that _lift_seeds lists, with m a rational order.
+    - f_m mod q has (m^2 - 1)/2 (odd m) or (m^2 - 4)/2 (even m) distinct roots
+      over the algebraic closure, the x of the points of E'[m] outside E'[2],
+      as many as its degree, since its leading coefficient m or m/2 is prime
+      to q as m divides the bound.  So x(P~) is a simple root, and X(P), a
+      root of f_m over it, is its one lift mod q^N (Hensel).
+    - Y^2 = 0 or Y^2 | 4A^3 + 27B^2 (Lutz-Nagell), so X is a root of
+      X^3 + A X + Q' with |Q'| <= |B| + |4A^3 + 27B^2|, and |X| < X_max, its
+      _root_bound.  With q^N > 2 X_max the residue of least absolute value
+      mod q^N is X(P).
+    """
+    bound, reduced = _torsion_sieve(curve)
     found: dict[tuple[int, int], list[tuple[int, int]]] = {}
     if bound == 1:
         return found
     A, B = -27 * curve.c4, -54 * curve.c6
-    candidates = [0] + _square_divisors(_SIX_TO_12 * disc)
-    # each residue set is closed under Y -> -Y, so one test serves both signs
-    for p, ys in residues:
-        candidates = [yy for yy in candidates if yy % p in ys]
-    # Y and -Y share the cubic X^3 + A X + B - Y^2, so it is solved once per |Y|
-    for yy in candidates:
-        for X in _depressed_cubic_integer_roots(A, B - yy * yy):
-            for Y in {yy, -yy}:
-                multiples = _scaled_multiples(X, Y, A, B)
+    if bound % 2 == 0:
+        for X in _depressed_cubic_integer_roots(A, B):
+            found[X, 0] = _scaled_multiples(X, 0, A, B)
+    a, b, q = next(key for key in reduced if bound % key[2])
+    seeds = _lift_seeds(a, b, q, bound)
+    if not seeds:
+        return found
+    # Lutz-Nagell: Y^2 divides 4A^3 + 27B^2, so X is a root of X^3 + A X + B - Y^2
+    modulus = _lift_modulus(q, _root_bound(A, abs(B) + abs(4 * A**3 + 27 * B * B)))
+    for x, m in seeds:
+        X = _lifted_x(x, m, A, B, q, modulus)
+        yy = (X * X + A) * X + B
+        Y = math.isqrt(yy) if yy > 0 else 0
+        if Y and Y * Y == yy:
+            for signed in (Y, -Y):
+                multiples = _scaled_multiples(X, signed, A, B)
                 if multiples is not None:
-                    found[X, Y] = multiples
+                    found[X, signed] = multiples
     return found
 
 
@@ -371,7 +464,7 @@ def torsion_subgroup(
         u = 1
     else:
         raise ValueError(f"the analysis is of {analysis.curve}, not of {curve}")
-    found = _torsion_points(m, analysis.disc_min)
+    found = _torsion_points(m)
     order = len(found) + 1
     two_torsion = sum(1 for multiples in found.values() if len(multiples) == 1)
     shape = _MAZUR.get((order, two_torsion))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -9,9 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tamagawa import torsion
-from tamagawa.arith import is_prime
+from tamagawa.arith import Factorization, is_prime
 from tamagawa.curves import (
     CurveAnalysis,
+    SingularCurveError,
     Transformation,
     WeierstrassCurve,
     apply_transformation,
@@ -23,15 +25,14 @@ from tamagawa.families import (
     two_torsion_curve,
 )
 from tamagawa.torsion import (
-    _SIX_TO_12,
     Point,
     _depressed_cubic_integer_roots,
-    _killed_by,
+    _division_value,
+    _lift_modulus,
+    _lifted_x,
     _point_count,
-    _residue_set,
+    _root_bound,
     _scaled_multiples,
-    _scaled_points_mod_p,
-    _square_divisors,
     _torsion_points,
     _torsion_sieve,
     _unscaled,
@@ -238,6 +239,19 @@ def _reference_count_mod_p(curve, p):
     return total
 
 
+# The square-divisor search that listed Y candidates before the lift, kept
+# here as the reference the lift is compared against.
+_SIX_TO_12 = Factorization(1, ((2, 12), (3, 12)))
+
+
+def _square_divisors(f):
+    """All y > 0 with y^2 dividing the factored integer."""
+    ys = [1]
+    for p, e in f.factors:
+        ys = [y * p**k for y in ys for k in range(e // 2 + 1)]
+    return ys
+
+
 def _reference_torsion_points(curve, disc):
     """The unsieved Lutz-Nagell search: every Y = 0 or +-y with y^2 | 6^12 disc,
     kept when bound * point = O for the gcd bound of point counts."""
@@ -264,32 +278,6 @@ def _reference_torsion_points(curve, disc):
     return frozenset(points)
 
 
-def _assert_sieve_agrees_with_reference(curve):
-    analysis = CurveAnalysis.of(curve)
-    m, disc = analysis.minimal, analysis.disc_min
-    expected = _reference_torsion_points(m, disc)
-    found = _torsion_points(m, disc)
-    assert frozenset([Point.at_infinity()] + [_unscaled(m, *q) for q in found]) == expected, curve.ai()
-    bound, residues = _torsion_sieve(m)
-    for p, ys in residues:
-        assert _count(m, p) == _reference_count_mod_p(m, p)
-        a, b = -27 * m.c4 % p, -54 * m.c6 % p
-        assert ys == {y for x, y in _scaled_points_mod_p(a, b, p) if _killed_by(bound, (x, y), a, p)}
-    for q in expected:
-        if q.infinity:
-            continue
-        Y = 108 * (2 * q.y + m.a1 * q.x + m.a3)  # the scaled model's Y
-        assert Y.denominator == 1
-        for p, ys in residues:
-            assert Y.numerator % p in ys, (curve.ai(), q, p)
-    orders = set()
-    for X, Y, pt in _lutz_nagell_candidates(m, disc):
-        n = _scaled_order(X, Y, -27 * m.c4, -54 * m.c6)
-        assert n == _reference_point_order(m, pt), (m.ai(), X, Y)
-        orders.add(n)
-    return orders
-
-
 def _lutz_nagell_candidates(m, disc):
     """Every (X, Y) the unsieved search tries, with its point on the minimal model m."""
     y_candidates = {0}
@@ -299,6 +287,38 @@ def _lutz_nagell_candidates(m, disc):
         for X in _depressed_cubic_integer_roots(-27 * m.c4, -54 * m.c6 - Y * Y):
             x = Fraction(X - 3 * m.b2, 36)
             yield X, Y, Point(x, (Fraction(Y, 108) - m.a1 * x - m.a3) / 2)
+
+
+def _reference_torsion_dict(m, disc):
+    """_torsion_points by the square-divisor search: every Lutz-Nagell
+    candidate whose order _scaled_multiples certifies."""
+    A, B = -27 * m.c4, -54 * m.c6
+    found = {}
+    for X, Y, _ in _lutz_nagell_candidates(m, disc):
+        multiples = _scaled_multiples(X, Y, A, B)
+        if multiples is not None:
+            found[X, Y] = multiples
+    return found
+
+
+def _assert_sieve_agrees_with_reference(curve):
+    analysis = CurveAnalysis.of(curve)
+    m, disc = analysis.minimal, analysis.disc_min
+    expected = _reference_torsion_points(m, disc)
+    found = _torsion_points(m)
+    assert frozenset([Point.at_infinity()] + [_unscaled(m, *q) for q in found]) == expected, curve.ai()
+    assert found == _reference_torsion_dict(m, disc), curve.ai()
+    bound, reduced = _torsion_sieve(m)
+    assert len(reduced) == 6 and sum(1 for _, _, p in reduced if bound % p == 0) <= 1
+    for _, _, p in reduced:
+        assert _count(m, p) == _reference_count_mod_p(m, p)
+        assert _count(m, p) % len(expected) == 0
+    orders = set()
+    for X, Y, pt in _lutz_nagell_candidates(m, disc):
+        n = _scaled_order(X, Y, -27 * m.c4, -54 * m.c6)
+        assert n == _reference_point_order(m, pt), (m.ai(), X, Y)
+        orders.add(n)
+    return orders
 
 
 def test_sieve_matches_unsieved_search_on_fixtures():
@@ -323,24 +343,22 @@ def test_sieve_matches_unsieved_search_on_two_six_grid():
 
 
 def test_torsion_sieve_same_on_cold_and_warm_cache():
-    """The memoized point counts and residue sets are keyed by everything they
-    depend on: each curve's sieve, computed alone on cleared caches, comes out
-    the same when the curves share the caches in shuffled order."""
+    """The memoized point counts are keyed by everything they depend on: each
+    curve's sieve, computed alone on a cleared cache, comes out the same when
+    the curves share the cache in shuffled order."""
     curves = [rec.curve for rec in ingest_fixtures(FIXTURES).records]
     curves += [two_six_curve(t) for t in TWO_SIX_GRID]
     minimal = [CurveAnalysis.of(c).minimal for c in curves]
     cold = []
     for m in minimal:
         _point_count.cache_clear()
-        _residue_set.cache_clear()
         cold.append(_torsion_sieve(m))
     _point_count.cache_clear()
-    _residue_set.cache_clear()
     order = list(range(len(minimal)))
     random.Random(10).shuffle(order)
     for i in order:
         assert _torsion_sieve(minimal[i]) == cold[i], minimal[i].ai()
-    assert _residue_set.cache_info().hits > 0
+    assert _point_count.cache_info().hits > 0
 
 
 @given(st.integers(-60, 60), st.integers(-60, 60))
@@ -383,6 +401,12 @@ def _tate_normal_form(b, c):
 def _kubert(n, t):
     """Kubert's (b, c) with (0, 0) of order n on the Tate normal form."""
     t = Fraction(t)
+    if n == 4:
+        return t, 0
+    if n == 5:
+        return t, t
+    if n == 6:
+        return t + t * t, t
     if n == 7:
         return t**3 - t**2, t**2 - t
     if n == 8:
@@ -419,6 +443,141 @@ def test_kubert_tate_normal_forms_reach_the_remaining_mazur_shapes(n, t, shape, 
     assert len(tors.points) == order
     expected_orders = [n, 2] if shape.startswith("Z/2x") else [n]
     assert [point_order(E, g) for g in tors.generators] == expected_orders
+
+
+def _kubert_curves():
+    """(n, E) for the Tate normal form E of Kubert's order n >= 4 at t = a/b,
+    |a| <= 12, 1 <= b <= 4, leaving out each t that is a pole of (b, c) or
+    makes E singular."""
+    curves = []
+    for n in (4, 5, 6, 7, 8, 9, 10, 12):
+        for den in range(1, 5):
+            for num in range(-12, 13):
+                if math.gcd(num, den) != 1:
+                    continue
+                try:
+                    curves.append((n, _tate_normal_form(*_kubert(n, Fraction(num, den)))))
+                except (ZeroDivisionError, SingularCurveError):
+                    continue
+    return curves
+
+
+def _span(curve, generators):
+    """The subgroup the points of finite order generate, by the Fraction law."""
+    span, frontier = {Point.at_infinity()}, [Point.at_infinity()]
+    while frontier:
+        point = frontier.pop()
+        for g in generators:
+            q = group_law_add(curve, point, g)
+            if q not in span:
+                assert len(span) < 16, "not a rational torsion subgroup"
+                span.add(q)
+                frontier.append(q)
+    return span
+
+
+def test_lift_matches_kubert_tate_normal_forms_of_every_order():
+    """On Tate normal forms of every order n >= 4, Z/2 x Z/2N included, the
+    lift finds the group that (0, 0), of order n, and the rational points of
+    order 2 generate by the Fraction law: all the torsion when its order
+    reaches the sieve's bound.  Elsewhere it matches the square-divisor search."""
+    curves = _kubert_curves()
+    assert len(curves) == 503
+    shapes = set()
+    for n, E in curves:
+        analysis = CurveAnalysis.of(E)
+        m = analysis.minimal
+        A, B = -27 * m.c4, -54 * m.c6
+        origin = _carry(analysis.transformation, Point(0, 0))
+        assert _reference_point_order(m, origin) == n
+        group = _span(m, [origin] + [_unscaled(m, X, 0) for X in _depressed_cubic_integer_roots(A, B)])
+        if len(group) == _torsion_sieve(m)[0]:
+            keys = [_scaled(m, q)[:2] for q in group if not q.infinity]
+            expected = {(int(X), int(Y)): _scaled_multiples(int(X), int(Y), A, B) for X, Y in keys}
+        else:
+            expected = _reference_torsion_dict(m, analysis.disc_min)
+        found = _torsion_points(m)
+        assert found == expected, E.ai()
+        shapes.add(torsion._MAZUR[len(found) + 1, sum(1 for _, Y in found if Y == 0)])
+    assert shapes == set(torsion.MAZUR_SHAPES) - {"Z/1", "Z/2", "Z/3", "Z/2xZ/2"}
+
+
+@given(st.tuples(*[st.integers(-12, 12)] * 5))
+@settings(max_examples=80, deadline=None)
+def test_sieve_matches_unsieved_search_on_small_models(ai):
+    try:
+        curve = WeierstrassCurve(*ai)
+    except SingularCurveError:
+        assume(False)
+    _assert_sieve_agrees_with_reference(curve)
+
+
+LIFT_CASES = [(4, 3), (5, 2), (6, 2), (7, 2), (8, 3), (9, 2), (10, 2), (12, 2), (12, Fraction(-10, 3))]
+LIFT_IDS = [f"{n}-{t}" for n, t in LIFT_CASES]
+
+
+def _lifted_points(n, t):
+    """(A, B, q, [(X, order)]) for the points of order above 2 that (0, 0)
+    generates on a Tate normal form, by the Fraction law, taken to the
+    scaled minimal model; q is the sieve prime the lift works at."""
+    analysis = CurveAnalysis.of(_tate_normal_form(*_kubert(n, t)))
+    m = analysis.minimal
+    bound, reduced = _torsion_sieve(m)
+    q = next(p for _, _, p in reduced if bound % p)
+    group = _span(m, [_carry(analysis.transformation, Point(0, 0))])
+    points = [(int(_scaled(m, P)[0]), _reference_point_order(m, P)) for P in group if not P.infinity]
+    points = [(X, order) for X, order in points if order > 2]
+    assert len(points) == n - 1 - (n % 2 == 0)
+    return -27 * m.c4, -54 * m.c6, q, points
+
+
+@pytest.mark.parametrize("n, t", LIFT_CASES, ids=LIFT_IDS)
+def test_lift_recovers_x_at_the_least_precision(n, t):
+    """Each X of order above 2 lies below the proven X_max, and the lift from
+    X mod q recovers it at the least precision q^N above 2|X|."""
+    A, B, q, points = _lifted_points(n, t)
+    x_max = _root_bound(A, abs(B) + abs(4 * A**3 + 27 * B * B))
+    for X, order in points:
+        assert abs(X) < x_max
+        assert _lifted_x(X % q, order, A, B, q, _lift_modulus(q, abs(X))) == X
+
+
+def test_lift_modulus_is_the_least_power_above_twice_the_bound():
+    for q in (5, 7, 11, 13):
+        for bound in [*range(200), 10**20, 3**50]:
+            modulus, power = _lift_modulus(q, bound), q
+            while power < modulus:
+                power *= q
+            assert power == modulus > 2 * bound
+            assert modulus == q or modulus // q <= 2 * bound
+
+
+# a Mersenne prime: a nonzero division value is a nonzero residue
+_M521 = 2**521 - 1
+
+
+@pytest.mark.parametrize("n, t", LIFT_CASES, ids=LIFT_IDS)
+def test_division_values_vanish_at_the_points_whose_order_divides(n, t):
+    """f_m(X) = 0 for a point of order d >= 3 exactly when d divides m."""
+    A, B, _, points = _lifted_points(n, t)
+    for X, order in points:
+        for m in torsion._LIFTED_ORDERS:
+            assert (_division_value(m, X, A, B, _M521)[0] == 0) == (m % order == 0), (X, order, m)
+
+
+@given(
+    st.sampled_from(torsion._LIFTED_ORDERS),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**6), 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_division_value_slope_is_the_derivative(m, A, B, x):
+    """f(x + h) = f(x) + h f'(x) mod h^2 for an integer polynomial f."""
+    h = 1009**3
+    value, slope = _division_value(m, x, A, B, h * h)
+    shifted, _ = _division_value(m, x + h, A, B, h * h)
+    assert (shifted - value - h * slope) % (h * h) == 0
 
 
 def _scaled(curve, point):
@@ -563,7 +722,8 @@ def _fixture_and_two_six_curves():
 
 
 def test_torsion_points_solve_each_cubic_once(monkeypatch):
-    """Y and -Y share the cubic X^3 + A X + B - Y^2, so no (P, Q) repeats in one call."""
+    """The lift finds every point of order above 2, so the one cubic solved is
+    X^3 + A X + B, at Y = 0: once on each curve whose bound is even, else never."""
     search, calls = torsion._depressed_cubic_integer_roots, []
 
     def counted(P, Q):
@@ -573,12 +733,21 @@ def test_torsion_points_solve_each_cubic_once(monkeypatch):
     monkeypatch.setattr(torsion, "_depressed_cubic_integer_roots", counted)
     searched = 0
     for curve in _fixture_and_two_six_curves():
-        analysis = CurveAnalysis.of(curve)
+        m = CurveAnalysis.of(curve).minimal
         calls.clear()
-        _torsion_points(analysis.minimal, analysis.disc_min)
-        assert len(calls) == len(set(calls)), curve.ai()
-        searched += sum(1 for _, Q in calls if Q != -54 * analysis.minimal.c6)
-    assert searched > 0  # some Y != 0 reached the search
+        _torsion_points(m)
+        even = _torsion_sieve(m)[0] % 2 == 0
+        assert calls == ([(-27 * m.c4, -54 * m.c6)] if even else []), curve.ai()
+        searched += len(calls)
+    assert searched > 0
+
+
+def test_torsion_does_not_read_the_minimal_discriminant():
+    for curve in _fixture_and_two_six_curves():
+        a = CurveAnalysis.of(curve)
+        without = dataclasses.replace(a, disc_min=None)
+        assert torsion_subgroup(a.minimal, analysis=without) == torsion_subgroup(a.minimal, analysis=a)
+        assert torsion_subgroup(curve, analysis=without) == torsion_subgroup(curve, analysis=a)
 
 
 def test_scaled_coordinate_order_is_rational_coordinate_order():
@@ -587,7 +756,7 @@ def test_scaled_coordinate_order_is_rational_coordinate_order():
     for curve in _fixture_and_two_six_curves():
         analysis = CurveAnalysis.of(curve)
         m = analysis.minimal
-        keys = set(_torsion_points(m, analysis.disc_min))
+        keys = set(_torsion_points(m))
         keys |= {(X, Y) for X, Y, _ in _lutz_nagell_candidates(m, analysis.disc_min)}
         pts = [_unscaled(m, *q) for q in sorted(keys)]
         assert pts == sorted(pts, key=lambda q: (q.x, q.y)), m.ai()
