@@ -5,12 +5,13 @@ B = -54c6, where every rational torsion point is integral with Y = 0 or
 Y^2 | 4A^3 + 27B^2 (Lutz-Nagell).  Six good primes q >= 5 are reduced once:
 their point counts bound the torsion order by their gcd, the bound, and a
 point count depends only on (A mod q, B mod q, q), so each is computed once
-per process.  Points of order 2 are the integer roots of X^3 + A X + B.  For
-the others one sieve prime q prime to the bound is taken; one always exists,
-by Hasse's bound.  Reduction mod a good q >= 3 is injective on torsion, so a
-rational point P of order m >= 3 reduces to a point of order m of
-E'(F_q)[bound], whose x is a root of f_m, the m-th division polynomial
-(divided by 2Y for even m).  That root is simple, as q does not divide m, so
+per process, as a sum over X of the number of square roots of X^3 + A X + B,
+read from a table made once per q.  Points of order 2 are the integer roots
+of X^3 + A X + B.  For the others one sieve prime q prime to the bound is
+taken; one always exists, by Hasse's bound.  Reduction mod a good q >= 3 is
+injective on torsion, so a rational point P of order m >= 3 reduces to a
+point of order m of E'(F_q)[bound], whose x is a root of f_m, the m-th
+division polynomial (divided by 2Y for even m).  That root is simple, as q does not divide m, so
 Newton's method lifts it to the one root mod q^N over it, and X(P) is that
 root's residue of least absolute value once q^N > 2 X_max, X_max an integer
 bound on |X| over the integer roots of X^3 + A X + B - Y^2 for every Y^2 the
@@ -25,9 +26,12 @@ of a torsion point is torsion and so integral.  Each surviving point's
 multiples are computed once; its order is their count plus one, and the
 point of order 2 under a generator of Z/2 x Z/2N is one of them.  Generators
 are the first points of their order in (X, Y) order, which is (x, y) order
-on the minimal model.  Rational points are built only for the result, once
-each on the model asked about, whose scaled model is the minimal one's under
-X -> u^2 X, Y -> u^3 Y; point_order re-certifies each generator there.
+on the minimal model.  Only the generators are built as rational points when
+the group is found, on the model asked about, whose scaled model is the
+minimal one's under X -> u^2 X, Y -> u^3 Y; point_order checks each on that
+model and re-certifies its order there, taking the scaled image from the
+point's numerators and denominators.  TorsionStructure.points is built the
+same way on first read, each point checked on the curve there.
 on_curve compares integers, with denominators cleared.  No floating point:
 the integer roots of a depressed cubic are found by bisection on its at most
 three strictly monotone runs, split at isqrt(-A // 3) + 1, within the
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -72,8 +76,10 @@ class Point:
             if self.x is not None or self.y is not None:
                 raise ValueError("the point at infinity has no coordinates")
         else:
-            object.__setattr__(self, "x", Fraction(self.x))
-            object.__setattr__(self, "y", Fraction(self.y))
+            if type(self.x) is not Fraction:
+                object.__setattr__(self, "x", Fraction(self.x))
+            if type(self.y) is not Fraction:
+                object.__setattr__(self, "y", Fraction(self.y))
 
     @staticmethod
     def at_infinity() -> "Point":
@@ -85,12 +91,31 @@ class Point:
 
 @dataclass(frozen=True)
 class TorsionStructure:
-    """One of the fifteen possible group shapes, with certified generators."""
+    """One of the fifteen possible group shapes, with certified generators.
+
+    shape, order and generators determine the point set, so they alone are
+    compared and hashed.  The points are built on first read from plain data
+    (so a structure pickles): the curve asked about, the scaling u from its
+    minimal model, and the affine points' (X, Y) on the minimal scaled model.
+    """
 
     shape: str  # "Z/N" or "Z/2xZ/2N"
     order: int
     generators: tuple[Point, ...]
-    points: frozenset[Point]
+    _curve: WeierstrassCurve = field(compare=False, repr=False)
+    _u: int = field(compare=False, repr=False)
+    _keys: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def points(self) -> frozenset[Point]:
+        """Every torsion point on the curve asked about, each checked on it."""
+        curve, u = self._curve, self._u
+        points = [Point.at_infinity()]
+        for X, Y in self._keys:
+            point = _unscaled(curve, u * u * X, u**3 * Y)
+            _require_on_curve(curve, point)
+            points.append(point)
+        return frozenset(points)
 
     def to_json(self) -> dict:
         return {
@@ -170,20 +195,28 @@ def _scaled_multiples(X: int, Y: int, A: int, B: int) -> Optional[list[tuple[int
 
 
 def _unscaled(curve: WeierstrassCurve, X: int, Y: int) -> Point:
-    """The point of curve whose image on the scaled model is (X, Y)."""
-    x = Fraction(X - 3 * curve.b2, 36)
-    return Point(x, (Fraction(Y, 108) - curve.a1 * x - curve.a3) / 2)
+    """The point of curve whose image on the scaled model is (X, Y):
+    x = (X - 3b2)/36 and y = (Y/108 - a1 x - a3)/2 = (Y - 3a1 (X - 3b2) - 108a3)/216."""
+    X0 = X - 3 * curve.b2
+    return Point(Fraction(X0, 36), Fraction(Y - 3 * curve.a1 * X0 - 108 * curve.a3, 216))
 
 
 def _multiples(curve: WeierstrassCurve, point: Point) -> Optional[list[tuple[int, int]]]:
     """_scaled_multiples of an affine point's image (36x + 3b2, 108(2y + a1 x + a3))
     on curve's scaled model Y^2 = X^3 - 27c4 X - 54c6, or None when that image
-    is not integral, which proves infinite order."""
-    X = 36 * point.x + 3 * curve.b2
-    Y = 108 * (2 * point.y + curve.a1 * point.x + curve.a3)
-    if X.denominator != 1 or Y.denominator != 1:
+    is not integral, which proves infinite order.
+
+    For x = xn/xd and y = yn/yd the image is X = (36 xn + 3 b2 xd)/xd and
+    Y = 108 (2 yn xd + (a1 xn + a3 xd) yd)/(xd yd).  For a point on curve an
+    integral X makes Y integral too, as Y^2 = X^3 + A X + B is then an integer.
+    """
+    xn, xd = point.x.numerator, point.x.denominator
+    yn, yd = point.y.numerator, point.y.denominator
+    X, rem = divmod(36 * xn + 3 * curve.b2 * xd, xd)
+    if rem:
         return None
-    return _scaled_multiples(X.numerator, Y.numerator, -27 * curve.c4, -54 * curve.c6)
+    Y = 108 * (2 * yn * xd + (curve.a1 * xn + curve.a3 * xd) * yd) // (xd * yd)
+    return _scaled_multiples(X, Y, -27 * curve.c4, -54 * curve.c6)
 
 
 def point_order(curve: WeierstrassCurve, point: Point) -> Union[int, float]:
@@ -218,9 +251,19 @@ def _scaled_points_mod_p(a: int, b: int, p: int) -> list[tuple[int, int]]:
 
 
 @functools.cache
+def _square_root_counts(p: int) -> bytes:
+    """The number of square roots mod p of each residue mod p, for odd p."""
+    counts = bytearray(p)
+    for y in range(p):
+        counts[y * y % p] += 1
+    return bytes(counts)
+
+
+@functools.cache
 def _point_count(a: int, b: int, p: int) -> int:
     """#E'(F_p) for E': Y^2 = X^3 + aX + b; keys are residues mod a small prime."""
-    return 1 + len(_scaled_points_mod_p(a, b, p))
+    roots = _square_root_counts(p)
+    return 1 + sum(roots[(x * x * x + a * x + b) % p] for x in range(p))
 
 
 def _add_mod_p(p1, p2, a: int, p: int):
@@ -452,8 +495,10 @@ def torsion_subgroup(
 
     A supplied analysis must be of curve or have curve as its minimal model;
     without one the curve is analysed here by CurveAnalysis.of(curve).  Points
-    found on the minimal model are built once on curve, by X -> u^2 X and
-    Y -> u^3 Y on the scaled models, u the minimal transformation's scaling.
+    found on the minimal model are built on curve, by X -> u^2 X and
+    Y -> u^3 Y on the scaled models, u the minimal transformation's scaling:
+    the generators here, the other points when TorsionStructure.points is
+    first read.
     """
     if analysis is None:
         analysis = CurveAnalysis.of(curve)
@@ -486,11 +531,9 @@ def torsion_subgroup(
             half = found[g1][max_order // 2 - 1]
             generators_min.append(next(q for q in ordered if len(found[q]) == 1 and q != half))
 
-    points = {(X, Y): _unscaled(curve, u * u * X, u**3 * Y) for X, Y in found}
-    for pt in points.values():
-        _require_on_curve(curve, pt)
-    generators = tuple(points[q] for q in generators_min)
+    # point_order checks each generator on curve and re-certifies its order
+    generators = tuple(_unscaled(curve, u * u * X, u**3 * Y) for X, Y in generators_min)
     for g, q in zip(generators, generators_min):
         if point_order(curve, g) != len(found[q]) + 1:
             raise RuntimeError("generator order changed under coordinate transport")
-    return TorsionStructure(shape, order, generators, frozenset([Point.at_infinity(), *points.values()]))
+    return TorsionStructure(shape, order, generators, curve, u, tuple(ordered))

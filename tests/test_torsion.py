@@ -1,15 +1,17 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import torsion
+from tamagawa import torsion, verify
 from tamagawa.arith import Factorization, is_prime
 from tamagawa.curves import (
     CurveAnalysis,
@@ -33,6 +35,8 @@ from tamagawa.torsion import (
     _point_count,
     _root_bound,
     _scaled_multiples,
+    _scaled_points_mod_p,
+    _square_root_counts,
     _torsion_points,
     _torsion_sieve,
     _unscaled,
@@ -352,13 +356,23 @@ def test_torsion_sieve_same_on_cold_and_warm_cache():
     cold = []
     for m in minimal:
         _point_count.cache_clear()
+        _square_root_counts.cache_clear()
         cold.append(_torsion_sieve(m))
     _point_count.cache_clear()
+    _square_root_counts.cache_clear()
     order = list(range(len(minimal)))
     random.Random(10).shuffle(order)
     for i in order:
         assert _torsion_sieve(minimal[i]) == cold[i], minimal[i].ai()
     assert _point_count.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_point_count_matches_the_listed_points(p):
+    """The count from the table of square-root counts is one more than the
+    listed affine points, for every residue pair, singular ones included."""
+    for a, b in itertools.product(range(p), repeat=2):
+        assert _point_count(a, b, p) == 1 + len(_scaled_points_mod_p(a, b, p)), (a, b)
 
 
 @given(st.integers(-60, 60), st.integers(-60, 60))
@@ -688,6 +702,65 @@ def test_integer_order_matches_point_order_on_integral_models(curve, data, u, rs
     assert point_order(model, q) == _reference_point_order(model, q)
 
 
+# (1/36, 649/216) is on y^2 = x^3 + 325x, as 325 * 1296 + 1 = 649^2: carried
+# by u = 1, 2, 3, 6 its x has denominator 36, 9, 4 and 1
+E325 = WeierstrassCurve(0, 0, 0, 325, 0)
+P325 = Point(Fraction(1, 36), Fraction(649, 216))
+# 8P = (21/25, -69/125) for P = (0, 0) here, a denominator prime to 36
+E37 = WeierstrassCurve(0, 0, 1, -1, 0)
+
+
+def _assert_integer_image_matches(model, point):
+    """_multiples hands _scaled_multiples the Fraction image when it is
+    integral, and stops at None when it is not; the order is the Fraction one."""
+    if not point.infinity:
+        X, Y, A, B = _scaled(model, point)
+        with mock.patch.object(torsion, "_scaled_multiples", lambda *image: image):
+            image = torsion._multiples(model, point)
+        assert image == ((X, Y, A, B) if X.denominator == Y.denominator == 1 else None)
+    assert point_order(model, point) == _reference_point_order(model, point)
+
+
+@given(
+    st.one_of(_ON_CURVE_CURVES, st.sampled_from([E325, E37])),
+    st.data(),
+    st.sampled_from([1, 2, 3, 6]),
+    st.tuples(*[st.integers(-9, 9)] * 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_image_matches_the_fraction_image(curve, data, u, rst):
+    """Torsion points, Lutz-Nagell candidates of infinite order, P325 and
+    small multiples, carried by u and (r, s, t): the image from numerators and
+    denominators is the Fraction one, and so is the order."""
+    analysis = CurveAnalysis.of(curve)
+    m = analysis.minimal
+    assert m == curve or curve not in (E325, E37)
+    points = sorted(torsion_subgroup(m, analysis=analysis).points, key=str)
+    points += [pt for _, _, pt in _lutz_nagell_candidates(m, analysis.disc_min)]
+    if m == E325:
+        points.append(P325)
+    point = multiply(m, data.draw(st.integers(1, 3)), data.draw(st.sampled_from(points)))
+    tr = Transformation(Fraction(1, u), *rst)
+    model = apply_transformation(m, tr)
+    _assert_integer_image_matches(model, _carry(tr, point))
+
+
+def test_integer_image_reaches_denominators_in_and_out_of_36():
+    """x denominators 1, 4, 9, 36 (the image is integral and the integer law
+    proves infinite order) and 25 and others (the image is not integral)."""
+    seen = set()
+    pairs = [(E325, P325), (E325, multiply(E325, 2, P325)), (E37, multiply(E37, 8, Point(0, 0)))]
+    for u, rst in itertools.product([1, 2, 3, 6], [(0, 0, 0), (-9, 4, 7), (5, -9, 9)]):
+        tr = Transformation(Fraction(1, u), *rst)
+        for curve, point in pairs:
+            q = _carry(tr, point)
+            model = apply_transformation(curve, tr)
+            _assert_integer_image_matches(model, q)
+            assert point_order(model, q) == math.inf
+            seen.add(q.x.denominator)
+    assert {1, 4, 9, 25, 36} <= seen
+
+
 def test_integer_order_of_non_torsion_points():
     E = WeierstrassCurve(0, 0, 1, -1, 0)  # rank one, trivial torsion
     for k in range(1, 10):
@@ -797,6 +870,70 @@ def test_no_fraction_group_law_in_checks(monkeypatch):
 
     monkeypatch.setattr(torsion, "group_law_add", refuse)
     assert [check_divisibility(c, fixtures=fixtures).to_json() for c in curves] == expected
+
+
+def test_checks_build_only_the_points_they_output(monkeypatch):
+    """A check builds each generator and each point of order 3 it classifies
+    by, and no other torsion point: report.torsion.points is never read."""
+    fixtures = ingest_fixtures(FIXTURES)
+    unscaled, point_of_order = torsion._unscaled, verify._point_of_order
+    calls = {"unscaled": 0, "point_of_order": 0}
+
+    def counted_unscaled(curve, X, Y):
+        calls["unscaled"] += 1
+        return unscaled(curve, X, Y)
+
+    def counted_point_of_order(curve, point, d):
+        calls["point_of_order"] += 1
+        return point_of_order(curve, point, d)
+
+    monkeypatch.setattr(torsion, "_unscaled", counted_unscaled)
+    monkeypatch.setattr(verify, "_point_of_order", counted_point_of_order)
+    classified = 0
+    for curve in _fixture_and_two_six_curves():
+        calls.update(unscaled=0, point_of_order=0)
+        report = check_divisibility(curve, fixtures=fixtures)
+        assert "points" not in report.torsion.__dict__, curve.ai()
+        assert calls["unscaled"] == len(report.torsion.generators) + calls["point_of_order"], curve.ai()
+        classified += calls["point_of_order"]
+    assert classified > 0
+
+
+def test_torsion_structures_pickle_and_compare_whether_or_not_points_were_read():
+    """Equality and hash read shape, order and generators alone; a structure
+    pickled before or after its points are read gives the same points."""
+    tr = Transformation(Fraction(1, 2), 3, -1, 2)
+    curves = _fixture_and_two_six_curves()
+    for curve in curves + [apply_transformation(c, tr) for c in curves]:
+        tors, unread = torsion_subgroup(curve), torsion_subgroup(curve)
+        pickled_unread = pickle.loads(pickle.dumps(tors))
+        assert "points" not in pickled_unread.__dict__
+        points = tors.points
+        assert "points" in tors.__dict__ and "points" not in unread.__dict__
+        assert tors == unread and hash(tors) == hash(unread)
+        assert pickled_unread == tors and hash(pickled_unread) == hash(tors)
+        pickled_read = pickle.loads(pickle.dumps(tors))
+        assert "points" in pickled_read.__dict__
+        assert pickled_read.points == points == pickled_unread.points == unread.points
+        assert len(points) == tors.order and set(tors.generators) <= points
+
+
+def test_points_are_checked_on_the_curve_when_read(monkeypatch):
+    E2 = apply_transformation(E4, Transformation(Fraction(1, 2), 3, -1, 2))
+    tors = torsion_subgroup(E2)
+    off = Point(0, 1)
+    assert not on_curve(E2, off)
+    monkeypatch.setattr(torsion, "_unscaled", lambda curve, X, Y: off)
+    with pytest.raises(ValueError, match="is not on"):
+        tors.points
+
+
+def test_point_keeps_a_given_fraction():
+    x, y = Fraction(-1, 4), Fraction(1, 8)
+    point = Point(x, y)
+    assert point.x is x and point.y is y
+    assert Point(0, 1).x == Fraction(0) and type(Point(0, 1).y) is Fraction
+    assert Point(x, y) == Point(Fraction(-2, 8), Fraction(2, 16)) and str(point) == "(-1/4, 1/8)"
 
 
 def test_transport_check_catches_a_wrong_map(monkeypatch):
