@@ -6,17 +6,17 @@ Y^2 | 4A^3 + 27B^2 (Lutz-Nagell).  Six good primes q >= 5 are reduced once:
 their point counts bound the torsion order by their gcd, the bound, and a
 point count depends only on (A mod q, B mod q, q), so each is computed once
 per process, as a sum over X of the number of square roots of X^3 + A X + B,
-read from a table made once per q.  Points of order 2 are the integer roots
-of X^3 + A X + B.  For the others one sieve prime q prime to the bound is
+read from a table made once per q.  One sieve prime q prime to the bound is
 taken; one always exists, by Hasse's bound.  Reduction mod a good q >= 3 is
-injective on torsion, so a rational point P of order m >= 3 reduces to a
-point of order m of E'(F_q)[bound], whose x is a root of f_m, the m-th
-division polynomial (divided by 2Y for even m).  That root is simple, as q does not divide m, so
+injective on torsion, so a rational point P of order m >= 2 reduces to a
+point of order m of E'(F_q)[bound], whose x is a root of f_m: X^3 + A X + B
+for m = 2, else the m-th division polynomial (divided by 2Y for even m).
+That root is simple, as q divides neither m nor the discriminant, so
 Newton's method lifts it to the one root mod q^N over it, and X(P) is that
 root's residue of least absolute value once q^N > 2 X_max, X_max an integer
 bound on |X| over the integer roots of X^3 + A X + B - Y^2 for every Y^2 the
-bound allows.  A lifted X is kept only when X^3 + A X + B is a nonzero
-square Y^2, and each sign of Y only when its order is certified.
+bound allows.  A lifted X is kept only when X^3 + A X + B is a square Y^2,
+and each sign of Y only when its order is certified.
 
 One integer group law serves orders, generators and multiples: the
 chord-tangent law on the scaled model with exact integer slopes
@@ -32,10 +32,7 @@ minimal one's under X -> u^2 X, Y -> u^3 Y; point_order checks each on that
 model and re-certifies its order there, taking the scaled image from the
 point's numerators and denominators.  TorsionStructure.points is built the
 same way on first read, each point checked on the curve there.
-on_curve compares integers, with denominators cleared.  No floating point:
-the integer roots of a depressed cubic are found by bisection on its at most
-three strictly monotone runs, split at isqrt(-A // 3) + 1, within the
-integer bound _root_bound, which also sets the lift's precision.
+on_curve compares integers, with denominators cleared.  No floating point.
 """
 
 from __future__ import annotations
@@ -56,8 +53,9 @@ _MAZUR = {
     **{(4 * n, 3): f"Z/2xZ/{2 * n}" for n in (1, 2, 3, 4)},
 }
 MAZUR_SHAPES = frozenset(_MAZUR.values())
-# the orders above 2 of rational points, whose x the lift looks for
-_LIFTED_ORDERS = (3, 4, 5, 6, 7, 8, 9, 10, 12)
+# the orders of affine rational points, whose x the lift looks for; the x of
+# a point of order 2 is a root of X^3 + A X + B, simple mod every good q >= 5
+_LIFTED_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 # good primes reduced per curve, each adding a point count to the bound; at
 # most one of them divides the bound (see _torsion_points)
 _SIEVE_PRIMES = 6
@@ -242,28 +240,26 @@ def _point_of_order(curve: WeierstrassCurve, point: Point, d: int) -> Point:
     return _unscaled(curve, *multiples[(len(multiples) + 1) // d - 1])
 
 
+@functools.cache
+def _square_roots(p: int) -> tuple[tuple[int, ...], ...]:
+    """The square roots mod p of each residue mod p, in ascending order."""
+    roots: list[list[int]] = [[] for _ in range(p)]
+    for y in range(p):
+        roots[y * y % p].append(y)
+    return tuple(map(tuple, roots))
+
+
 def _scaled_points_mod_p(a: int, b: int, p: int) -> list[tuple[int, int]]:
     """Affine points of Y^2 = X^3 + aX + b over F_p, for p > 3."""
-    roots: dict[int, list[int]] = {}
-    for y in range(p):
-        roots.setdefault(y * y % p, []).append(y)
-    return [(x, y) for x in range(p) for y in roots.get((x * x * x + a * x + b) % p, ())]
-
-
-@functools.cache
-def _square_root_counts(p: int) -> bytes:
-    """The number of square roots mod p of each residue mod p, for odd p."""
-    counts = bytearray(p)
-    for y in range(p):
-        counts[y * y % p] += 1
-    return bytes(counts)
+    roots = _square_roots(p)
+    return [(x, y) for x in range(p) for y in roots[(x * x * x + a * x + b) % p]]
 
 
 @functools.cache
 def _point_count(a: int, b: int, p: int) -> int:
     """#E'(F_p) for E': Y^2 = X^3 + aX + b; keys are residues mod a small prime."""
-    roots = _square_root_counts(p)
-    return 1 + sum(roots[(x * x * x + a * x + b) % p] for x in range(p))
+    roots = _square_roots(p)
+    return 1 + sum(len(roots[(x * x * x + a * x + b) % p]) for x in range(p))
 
 
 def _add_mod_p(p1, p2, a: int, p: int):
@@ -305,7 +301,8 @@ def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, int, i
 
 def _root_bound(P: int, Q: int) -> int:
     """2 + 2 max(2^ceil(bits(P)/2), 2^ceil(bits(Q)/3)), above |X| for every
-    integer root X of X^3 + P X + Q', for every Q' with |Q'| <= |Q|.
+    integer root X of X^3 + P X + Q', for every Q' with |Q'| <= |Q|; it sets
+    the lift's precision (see _torsion_points).
 
     It exceeds 2 max(sqrt|P|, cbrt|Q|) since |P| < 2^bits(P): for
     |X| > 2 max(sqrt|P|, cbrt|Q|), X^2 > 4|P| and |X|^3 > 8|Q|, so
@@ -315,53 +312,18 @@ def _root_bound(P: int, Q: int) -> int:
     return 2 + 2 * max(1 << -(-P.bit_length() // 2), 1 << -(-Q.bit_length() // 3))
 
 
-def _depressed_cubic_integer_roots(P: int, Q: int) -> list[int]:
-    """All integer roots of f(X) = X^3 + P X + Q in ascending order, by exact
-    bisection on at most three strictly monotone runs within _root_bound.
-
-    f'(X) = 3X^2 + P is negative between +-sqrt(-P/3) and positive off that
-    interval.  For P >= 0 that leaves one increasing run.  For P < 0, m = isqrt(-P // 3) + 1 has
-    m > sqrt(-P/3) >= m - 1, as -P/3 < floor(-P/3) + 1 <= m^2, so f increases
-    on [-bound, -m] and [m, bound] and decreases on [1 - m, m - 1].  Each run
-    is strictly monotone on the integers and so holds at most one root.
-    """
-
-    def f(x: int) -> int:
-        return (x * x + P) * x + Q
-
-    bound = _root_bound(P, Q)
-    if P >= 0:
-        runs = [(-bound, bound, 1)]
-    else:
-        m = math.isqrt(-P // 3) + 1
-        runs = [(-bound, -m, 1), (1 - m, m - 1, -1), (m, bound, 1)]
-    roots = []
-    for lo, hi, sign in runs:
-        if sign * f(lo) > 0 or sign * f(hi) < 0:
-            continue
-        # the first x of the run with sign * f(x) >= 0 is its only possible root
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sign * f(mid) >= 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        if f(lo) == 0:
-            roots.append(lo)
-    return roots
-
-
 def _lift_seeds(a: int, b: int, q: int, bound: int) -> list[tuple[int, int]]:
     """(x, m) for one of each pair +-P of affine points of E'(F_q)[bound],
-    E' as in _point_count, whose order m is above 2 and a rational one."""
+    E' as in _point_count, whose order m is a rational one: a point with
+    y = 0 is its own pair, of order 2."""
     orders = [m for m in _LIFTED_ORDERS if bound % m == 0]
     if not orders:
         return []
     top = max(orders)
     seeds = []
     for x, y in _scaled_points_mod_p(a, b, q):
-        # y = 0 is a point of order 2; y and q - y are the pair +-P
-        if 0 < y < q - y:
+        # y and q - y are the pair +-P, one point when y = 0
+        if y <= q - y:
             multiple, m = (x, y), 1
             while multiple is not None and m < top:
                 multiple, m = _add_mod_p(multiple, (x, y), a, q), m + 1
@@ -371,13 +333,14 @@ def _lift_seeds(a: int, b: int, q: int, bound: int) -> list[tuple[int, int]]:
 
 
 def _division_value(m: int, x: int, A: int, B: int, modulus: int) -> tuple[int, int]:
-    """(f_m(x), f_m'(x)) mod modulus, for m >= 3, f_m the m-th division
-    polynomial psi_m of Y^2 = X^3 + A X + B for odd m and psi_m / (2Y) for
-    even m: a polynomial in X alone.
+    """(f_m(x), f_m'(x)) mod modulus, for m >= 2; f_2 = X^3 + A X + B, whose
+    roots are the x of E'[2] outside O, and for m >= 3 f_m is the m-th
+    division polynomial psi_m of Y^2 = X^3 + A X + B for odd m and
+    psi_m / (2Y) for even m: a polynomial in X alone.
 
     Evaluated on dual numbers v + d e, e^2 = 0, at x + e.  With
-    F = (2Y)^2 = 4(X^3 + A X + B), f_1 = f_2 = 1 and f_3, f_4 in closed form,
-    the recurrences for psi_n become, for k >= 2,
+    F = (2Y)^2 = 4(X^3 + A X + B), f_1 = 1, f_3 and f_4 in closed form and
+    f_2 read as psi_2 / (2Y) = 1, the recurrences for psi_n become, for k >= 2,
         f_{2k+1} = F^2 f_{k+2} f_k^3 - f_{k-1} f_{k+1}^3   (k even),
         f_{2k+1} = f_{k+2} f_k^3 - F^2 f_{k-1} f_{k+1}^3   (k odd),
         f_{2k}   = f_k (f_{k+2} f_{k-1}^2 - f_{k-2} f_{k+1}^2)   (k >= 3),
@@ -392,6 +355,8 @@ def _division_value(m: int, x: int, A: int, B: int, modulus: int) -> tuple[int, 
         return (u[0] - v[0]) % modulus, (u[1] - v[1]) % modulus
 
     x2, x3 = x * x, x * x * x
+    if m == 2:
+        return (x3 + A * x + B) % modulus, (3 * x2 + A) % modulus
     one = (1, 0)
     f3 = (3 * x2 * x2 + 6 * A * x2 + 12 * B * x - A * A, 12 * (x3 + A * x + B))
     f4 = (
@@ -443,45 +408,45 @@ def _torsion_points(curve: WeierstrassCurve) -> dict[tuple[int, int], list[tuple
     """Each affine rational torsion point of a minimal model, as (X, Y) on its
     scaled model Y^2 = X^3 + A X + B, mapped to its _scaled_multiples.
 
-    Points of order 2 are the integer roots of X^3 + A X + B.  For the rest:
-
     - Some sieve prime q does not divide the bound.  The bound divides
       #E(F_q1) <= q1 + 1 + 2 sqrt(q1) < q1^2 (Hasse), q1 >= 5 the first sieve
       prime, while two sieve primes q1 <= q < q' dividing it would make it at
       least q q' > q1^2.  So at most one of the six divides it.
     - Reduction mod a good q >= 3 is injective on torsion, so a rational point
-      P of order m >= 3 reduces to a point of order m of E'(F_q)[bound]: one
-      of the pair +-P~ that _lift_seeds lists, with m a rational order.
-    - f_m mod q has (m^2 - 1)/2 (odd m) or (m^2 - 4)/2 (even m) distinct roots
-      over the algebraic closure, the x of the points of E'[m] outside E'[2],
-      as many as its degree, since its leading coefficient m or m/2 is prime
-      to q as m divides the bound.  So x(P~) is a simple root, and X(P), a
-      root of f_m over it, is its one lift mod q^N (Hensel).
+      P of order m >= 2 reduces to a point of order m of E'(F_q)[bound]: one
+      of the pair +-P~ that _lift_seeds lists, with m a rational order (m = 2
+      when P = (X, 0), as 2 then divides the bound).
+    - For m = 2, x(P~) is a root of X^3 + A X + B mod q, which is separable
+      as q does not divide its discriminant -(4A^3 + 27B^2).  For m >= 3,
+      f_m mod q has (m^2 - 1)/2 (odd m) or (m^2 - 4)/2 (even m) distinct
+      roots over the algebraic closure, the x of the points of E'[m] outside
+      E'[2], as many as its degree, since its leading coefficient m or m/2
+      is prime to q as m divides the bound.  So x(P~) is a simple root, and
+      X(P), a root of f_m over it, is its one lift mod q^N (Hensel).
     - Y^2 = 0 or Y^2 | 4A^3 + 27B^2 (Lutz-Nagell), so X is a root of
       X^3 + A X + Q' with |Q'| <= |B| + |4A^3 + 27B^2|, and |X| < X_max, its
       _root_bound.  With q^N > 2 X_max the residue of least absolute value
       mod q^N is X(P).
+    - A lift from a root mod q that no rational point reduces to is kept
+      only if X^3 + A X + B is a square Y^2 and _scaled_multiples certifies
+      (X, Y) or (X, -Y) as torsion, as it certifies every point kept.
     """
     bound, reduced = _torsion_sieve(curve)
-    found: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    if bound == 1:
-        return found
-    A, B = -27 * curve.c4, -54 * curve.c6
-    if bound % 2 == 0:
-        for X in _depressed_cubic_integer_roots(A, B):
-            found[X, 0] = _scaled_multiples(X, 0, A, B)
     a, b, q = next(key for key in reduced if bound % key[2])
     seeds = _lift_seeds(a, b, q, bound)
+    found: dict[tuple[int, int], list[tuple[int, int]]] = {}
     if not seeds:
         return found
-    # Lutz-Nagell: Y^2 divides 4A^3 + 27B^2, so X is a root of X^3 + A X + B - Y^2
+    A, B = -27 * curve.c4, -54 * curve.c6
+    # Lutz-Nagell: Y = 0 or Y^2 divides 4A^3 + 27B^2, so X is a root of
+    # X^3 + A X + B - Y^2
     modulus = _lift_modulus(q, _root_bound(A, abs(B) + abs(4 * A**3 + 27 * B * B)))
     for x, m in seeds:
         X = _lifted_x(x, m, A, B, q, modulus)
         yy = (X * X + A) * X + B
-        Y = math.isqrt(yy) if yy > 0 else 0
-        if Y and Y * Y == yy:
-            for signed in (Y, -Y):
+        Y = math.isqrt(max(yy, 0))
+        if Y * Y == yy:
+            for signed in {Y, -Y}:
                 multiples = _scaled_multiples(X, signed, A, B)
                 if multiples is not None:
                     found[X, signed] = multiples

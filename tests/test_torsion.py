@@ -28,7 +28,6 @@ from tamagawa.families import (
 )
 from tamagawa.torsion import (
     Point,
-    _depressed_cubic_integer_roots,
     _division_value,
     _lift_modulus,
     _lifted_x,
@@ -36,7 +35,7 @@ from tamagawa.torsion import (
     _root_bound,
     _scaled_multiples,
     _scaled_points_mod_p,
-    _square_root_counts,
+    _square_roots,
     _torsion_points,
     _torsion_sieve,
     _unscaled,
@@ -274,7 +273,7 @@ def _reference_torsion_points(curve, disc):
     for yy in _square_divisors(_SIX_TO_12 * disc):
         y_candidates.update((yy, -yy))
     for Y in y_candidates:
-        for X in _depressed_cubic_integer_roots(-27 * c4, -54 * c6 - Y * Y):
+        for X in _reference_cubic_roots(-27 * c4, -54 * c6 - Y * Y):
             x = Fraction(X - 3 * b2, 36)
             pt = Point(x, (Fraction(Y, 108) - curve.a1 * x - curve.a3) / 2)
             if on_curve(curve, pt) and multiply(curve, bound, pt).infinity:
@@ -288,7 +287,7 @@ def _lutz_nagell_candidates(m, disc):
     for yy in _square_divisors(_SIX_TO_12 * disc):
         y_candidates.update((yy, -yy))
     for Y in sorted(y_candidates):
-        for X in _depressed_cubic_integer_roots(-27 * m.c4, -54 * m.c6 - Y * Y):
+        for X in _reference_cubic_roots(-27 * m.c4, -54 * m.c6 - Y * Y):
             x = Fraction(X - 3 * m.b2, 36)
             yield X, Y, Point(x, (Fraction(Y, 108) - m.a1 * x - m.a3) / 2)
 
@@ -356,10 +355,10 @@ def test_torsion_sieve_same_on_cold_and_warm_cache():
     cold = []
     for m in minimal:
         _point_count.cache_clear()
-        _square_root_counts.cache_clear()
+        _square_roots.cache_clear()
         cold.append(_torsion_sieve(m))
     _point_count.cache_clear()
-    _square_root_counts.cache_clear()
+    _square_roots.cache_clear()
     order = list(range(len(minimal)))
     random.Random(10).shuffle(order)
     for i in order:
@@ -504,7 +503,7 @@ def test_lift_matches_kubert_tate_normal_forms_of_every_order():
         A, B = -27 * m.c4, -54 * m.c6
         origin = _carry(analysis.transformation, Point(0, 0))
         assert _reference_point_order(m, origin) == n
-        group = _span(m, [origin] + [_unscaled(m, X, 0) for X in _depressed_cubic_integer_roots(A, B)])
+        group = _span(m, [origin] + [_unscaled(m, X, 0) for X in _reference_cubic_roots(A, B)])
         if len(group) == _torsion_sieve(m)[0]:
             keys = [_scaled(m, q)[:2] for q in group if not q.infinity]
             expected = {(int(X), int(Y)): _scaled_multiples(int(X), int(Y), A, B) for X, Y in keys}
@@ -532,23 +531,27 @@ LIFT_IDS = [f"{n}-{t}" for n, t in LIFT_CASES]
 
 def _lifted_points(n, t):
     """(A, B, q, [(X, order)]) for the points of order above 2 that (0, 0)
-    generates on a Tate normal form, by the Fraction law, taken to the
-    scaled minimal model; q is the sieve prime the lift works at."""
+    generates on a Tate normal form, by the Fraction law, and for each
+    rational point of order 2, taken to the scaled minimal model; q is the
+    sieve prime the lift works at."""
     analysis = CurveAnalysis.of(_tate_normal_form(*_kubert(n, t)))
     m = analysis.minimal
+    A, B = -27 * m.c4, -54 * m.c6
     bound, reduced = _torsion_sieve(m)
     q = next(p for _, _, p in reduced if bound % p)
     group = _span(m, [_carry(analysis.transformation, Point(0, 0))])
     points = [(int(_scaled(m, P)[0]), _reference_point_order(m, P)) for P in group if not P.infinity]
+    two = _reference_cubic_roots(A, B)
+    assert {X for X, order in points if order == 2} <= set(two)
     points = [(X, order) for X, order in points if order > 2]
     assert len(points) == n - 1 - (n % 2 == 0)
-    return -27 * m.c4, -54 * m.c6, q, points
+    return A, B, q, points + [(X, 2) for X in two]
 
 
 @pytest.mark.parametrize("n, t", LIFT_CASES, ids=LIFT_IDS)
 def test_lift_recovers_x_at_the_least_precision(n, t):
-    """Each X of order above 2 lies below the proven X_max, and the lift from
-    X mod q recovers it at the least precision q^N above 2|X|."""
+    """Each X of a rational point lies below the proven X_max, and the lift
+    from X mod q recovers it at the least precision q^N above 2|X|."""
     A, B, q, points = _lifted_points(n, t)
     x_max = _root_bound(A, abs(B) + abs(4 * A**3 + 27 * B * B))
     for X, order in points:
@@ -572,9 +575,14 @@ _M521 = 2**521 - 1
 
 @pytest.mark.parametrize("n, t", LIFT_CASES, ids=LIFT_IDS)
 def test_division_values_vanish_at_the_points_whose_order_divides(n, t):
-    """f_m(X) = 0 for a point of order d >= 3 exactly when d divides m."""
+    """f_m(X) = 0 for a point of order d >= 3 exactly when d divides m, and
+    f_2 = X^3 + A X + B vanishes at each point of order 2."""
     A, B, _, points = _lifted_points(n, t)
+    assert any(order == 2 for _, order in points) == (n % 2 == 0)
     for X, order in points:
+        if order == 2:
+            assert _division_value(2, X, A, B, _M521)[0] == 0, X
+            continue
         for m in torsion._LIFTED_ORDERS:
             assert (_division_value(m, X, A, B, _M521)[0] == 0) == (m % order == 0), (X, order, m)
 
@@ -794,25 +802,56 @@ def _fixture_and_two_six_curves():
     return curves + [two_six_curve(t) for t in TWO_SIX_GRID]
 
 
-def test_torsion_points_solve_each_cubic_once(monkeypatch):
-    """The lift finds every point of order above 2, so the one cubic solved is
-    X^3 + A X + B, at Y = 0: once on each curve whose bound is even, else never."""
-    search, calls = torsion._depressed_cubic_integer_roots, []
+def _record_lifts(monkeypatch):
+    """A list that gets (X, m) for each X that torsion._lifted_x returns for f_m."""
+    lift, lifted = torsion._lifted_x, []
 
-    def counted(P, Q):
-        calls.append((P, Q))
-        return search(P, Q)
+    def recorded(x, m, A, B, q, modulus):
+        X = lift(x, m, A, B, q, modulus)
+        lifted.append((X, m))
+        return X
 
-    monkeypatch.setattr(torsion, "_depressed_cubic_integer_roots", counted)
-    searched = 0
+    monkeypatch.setattr(torsion, "_lifted_x", recorded)
+    return lifted
+
+
+def test_points_of_order_two_come_from_the_order_two_lift(monkeypatch):
+    """Each (X, 0) that _torsion_points finds is a lift of a root of
+    X^3 + A X + B mod q: the one lift finds the points of every order."""
+    lifted = _record_lifts(monkeypatch)
+    two_torsion = 0
     for curve in _fixture_and_two_six_curves():
-        m = CurveAnalysis.of(curve).minimal
-        calls.clear()
-        _torsion_points(m)
-        even = _torsion_sieve(m)[0] % 2 == 0
-        assert calls == ([(-27 * m.c4, -54 * m.c6)] if even else []), curve.ai()
-        searched += len(calls)
-    assert searched > 0
+        lifted.clear()
+        for X, Y in _torsion_points(CurveAnalysis.of(curve).minimal):
+            if Y == 0:
+                assert (X, 2) in lifted, curve.ai()
+                two_torsion += 1
+    assert two_torsion > 0
+
+
+def test_a_root_of_the_cubic_mod_q_without_a_rational_point_is_rejected(monkeypatch):
+    """On the first two-torsion curve, in a search, whose X^3 + A X + B has
+    three roots mod the lift's prime q but one integer root, each root mod q
+    is lifted and only the integer one is kept as a point."""
+
+    def searched():
+        for a, b in itertools.product(range(-30, 31), range(1, 31)):
+            if math.gcd(a, b) != 1 or a * a == 4 * b:
+                continue
+            m = CurveAnalysis.of(two_torsion_curve(a, b)).minimal
+            A, B = -27 * m.c4, -54 * m.c6
+            bound, reduced = _torsion_sieve(m)
+            q = next(p for _, _, p in reduced if bound % p)
+            roots_mod_q = sum((x**3 + A * x + B) % q == 0 for x in range(q))
+            if roots_mod_q == 3 and len(_reference_cubic_roots(A, B)) == 1:
+                return m, A, B
+        raise AssertionError("no such curve in the search range")
+
+    m, A, B = searched()
+    lifted = _record_lifts(monkeypatch)
+    found = _torsion_points(m)
+    assert sum(1 for _, k in lifted if k == 2) == 3
+    assert [key for key in found if key[1] == 0] == [(_reference_cubic_roots(A, B)[0], 0)]
 
 
 def test_torsion_does_not_read_the_minimal_discriminant():
@@ -975,12 +1014,13 @@ def _reference_cubic_roots(P, Q):
     """Integer roots of X^3 + P X + Q within the old bound |X| <= 2 + max(|P|, |Q|).
 
     f is monotone between the integers next to its critical points
-    +-sqrt(-P/3); on each such run a binary search finds the first x with
-    f(x) on the far side of 0, and the roots are the zeros from there on.
+    +-sqrt(-P/3); a run whose ends are on one side of 0 has no root, and on
+    each other run a binary search finds the first x with f(x) on the far
+    side of 0, and the roots are the zeros from there on.
     """
 
     def f(x):
-        return x**3 + P * x + Q
+        return (x * x + P) * x + Q
 
     bound = 2 + max(abs(P), abs(Q))
     cuts = {-bound, bound}
@@ -991,6 +1031,8 @@ def _reference_cubic_roots(P, Q):
     roots = set()
     for lo, hi in zip(cuts, cuts[1:]):
         sign = 1 if f(hi) >= f(lo) else -1
+        if sign * f(lo) > 0 or sign * f(hi) < 0:
+            continue
         a, b = lo, hi
         while a < b:
             mid = (a + b) // 2
@@ -1011,14 +1053,23 @@ def _bit_edges(kmax):
     return sorted(set(edges))
 
 
+def _roots_within_root_bound(P, Q):
+    """_reference_cubic_roots(P, Q), after checking each is a root below
+    _root_bound(P, Q), the bound that sets the lift's precision."""
+    roots = _reference_cubic_roots(P, Q)
+    for X in roots:
+        assert X**3 + P * X + Q == 0 and abs(X) < _root_bound(P, Q), (P, Q, X)
+    return roots
+
+
 def test_cubic_roots_at_bit_length_edges():
     edges = _bit_edges(20)
     for P in edges:
         for Q in edges:
-            assert _depressed_cubic_integer_roots(P, Q) == _reference_cubic_roots(P, Q), (P, Q)
+            _roots_within_root_bound(P, Q)
     for v in _bit_edges(90):
         for P, Q in ((v, 0), (0, v), (-abs(v), 0), (v, v)):
-            assert _depressed_cubic_integer_roots(P, Q) == _reference_cubic_roots(P, Q), (P, Q)
+            _roots_within_root_bound(P, Q)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 1000, 2**20 + 1, 3**40, 10**30, 2**100 - 1])
@@ -1029,8 +1080,7 @@ def test_cubic_roots_of_chosen_cubics(k):
         (-k * k, 0): [-k, 0, k],  # roots k, -k, 0
     }
     for (P, Q), roots in cases.items():
-        assert _depressed_cubic_integer_roots(P, Q) == roots
-        assert _reference_cubic_roots(P, Q) == roots
+        assert _roots_within_root_bound(P, Q) == roots
 
 
 @pytest.mark.parametrize("j", [8, 20, 41, 64])
@@ -1041,28 +1091,26 @@ def test_cubic_roots_with_one_real_root_beyond_both_radicals(j, tenths):
     r, P = tenths * 2**j // 10, -(4**j - 1)
     Q = -(r**3 + P * r)
     assert r > 2 + max(1 << -(-P.bit_length() // 2), 1 << -(-Q.bit_length() // 3))
-    assert _depressed_cubic_integer_roots(P, Q) == [r] == _reference_cubic_roots(P, Q)
+    assert _roots_within_root_bound(P, Q) == [r]
 
 
 @given(st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80))
 @settings(max_examples=200, deadline=None)
 def test_cubic_roots_match_reference_on_draws(P, Q):
-    assert _depressed_cubic_integer_roots(P, Q) == _reference_cubic_roots(P, Q)
+    _roots_within_root_bound(P, Q)
 
 
 @given(st.integers(-(2**40), 2**40), st.integers(-(2**80), 2**80))
 @settings(max_examples=200, deadline=None)
 def test_cubic_roots_match_reference_with_a_root(r, P):
     Q = -(r**3 + P * r)
-    roots = _depressed_cubic_integer_roots(P, Q)
-    assert r in roots
-    assert roots == _reference_cubic_roots(P, Q)
+    assert r in _roots_within_root_bound(P, Q)
 
 
 def test_cubic_roots_match_a_scan_of_every_integer():
     """Every |P|, |Q| <= 100 against a plain scan of every X with |X| <= 101,
     Cauchy's bound 1 + max(|P|, |Q|) on the roots: an oracle that shares
-    neither the search's cut at the critical points nor its root bound."""
+    neither the reference's cut at the critical points nor its root bound."""
     for P in range(-100, 101):
         expected = {Q: [] for Q in range(-100, 101)}
         for X in range(-101, 102):
@@ -1070,4 +1118,4 @@ def test_cubic_roots_match_a_scan_of_every_integer():
             if Q in expected:
                 expected[Q].append(X)
         for Q, roots in expected.items():
-            assert _depressed_cubic_integer_roots(P, Q) == roots, (P, Q)
+            assert _reference_cubic_roots(P, Q) == roots, (P, Q)
