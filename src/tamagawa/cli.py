@@ -136,11 +136,13 @@ def main(argv=None) -> int:
             curve = _curve_from_args(args)
             if args.p:
                 # the named primes need no factored discriminant
-                primes, minimal = args.p, minimal_model(curve)[0]
+                minimal = minimal_model(curve)[0]
+                data = local_data(curve, primes=args.p)
             else:
+                # tate gives the same data on every integral model of the curve
                 analysis = CurveAnalysis.of(curve)
-                primes, minimal = analysis.bad_primes, analysis.minimal
-            data = local_data(curve, primes=primes)
+                minimal = analysis.minimal
+                data = local_data(minimal, disc=analysis.disc_min)
             payload = {
                 "curve": list(curve.ai()),
                 "minimal": list(minimal.ai()),

@@ -258,13 +258,15 @@ def hadano_quotient(source: ThreeTorsionNormalForm) -> IsogenyPair:
             "dividing b forces 3 | c(E) and needs no quotient argument"
         )
     a = source.a
+    curve = source.curve
     quotient = WeierstrassCurve(a + 6, 0, a * a + 3 * a + 9, 0, 0)
-    if quotient.disc != (a**3 - 27) ** 3:
-        raise RuntimeError("quotient discriminant identity failed; arithmetic bug")
+    if curve.disc != a**3 - 27 or quotient.disc != (a**3 - 27) ** 3:
+        raise RuntimeError("discriminant identity failed; arithmetic bug")
     if quotient.c4 != a * (a**3 + 216):
         raise RuntimeError("quotient c4 identity failed; arithmetic bug")
-    primes = factor(a**3 - 27).primes()
-    local = tuple((tate(source.curve, p), tate(quotient, p)) for p in primes)
+    # a^3 - 27 factored once: ord_p of the quotient's discriminant is 3 ord_p of the source's
+    disc = factor(a**3 - 27)
+    local = tuple((tate(curve, p, e), tate(quotient, p, 3 * e)) for p, e in disc.factors)
     return IsogenyPair(source, quotient, local)
 
 

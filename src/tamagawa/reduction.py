@@ -285,18 +285,24 @@ def _tate_above_3(c4: int, c6: int, disc: int, n: int, p: int) -> LocalDatum:
     return LocalDatum(p, kodaira, cp, ADDITIVE, n)
 
 
-def tate(curve: WeierstrassCurve, p: int) -> LocalDatum:
+def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum:
     """Kodaira type, Tamagawa number and reduction class of curve at p.
 
     Total: the model is made minimal at p by `minimal_exponent` first, so
     any integral model of the curve gives the same answer.  Additive
     reduction is read off c4, c6 and disc at p >= 5 and found by Tate's
     steps at p = 2 and 3 (module docstring).
+
+    Given n, the caller vouches that p is a prime certified by `arith.factor`
+    and that n = ord_p(curve.disc), as for a pair (p, n) of a factorization
+    of curve.disc; neither is proved again.  Without n, p is proved prime
+    (ValueError if it is not) and n is computed.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    if n is None:
+        if p < 2 or not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        n = _int_valuation(curve.disc, p)
     c4, c6, disc = curve.c4, curve.c6, curve.disc
-    n = _int_valuation(disc, p)
     k = minimal_exponent(c4, c6, n, p) if n >= 12 else 0
     if k:
         c4, c6, disc, n = c4 // p ** (4 * k), c6 // p ** (6 * k), disc // p ** (12 * k), n - 12 * k
@@ -420,8 +426,26 @@ def bad_primes(curve: WeierstrassCurve) -> list[int]:
     return list(CurveAnalysis.of(curve).bad_primes)
 
 
-def local_data(curve: WeierstrassCurve, primes: Optional[Iterable[int]] = None) -> list[LocalDatum]:
-    """LocalDatum at the given primes, or at every bad prime when omitted."""
+def local_data(
+    curve: WeierstrassCurve,
+    primes: Optional[Iterable[int]] = None,
+    *,
+    disc: Optional[Factorization] = None,
+) -> list[LocalDatum]:
+    """LocalDatum at the given primes, or at every bad prime when omitted.
+
+    Given disc, a factorization of curve.disc from `arith.factor`, the data
+    are at each of its primes, and `tate` trusts each (p, e) of it: p is not
+    proved prime again and ord_p(curve.disc) is not recomputed.  A disc that
+    does not multiply out to curve.disc, or one given with primes, raises
+    ValueError, so a wrong exponent is never used.
+    """
+    if disc is not None:
+        if primes is not None:
+            raise ValueError("local_data takes primes or disc, not both")
+        if disc.value != curve.disc:
+            raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
+        return [tate(curve, p, e) for p, e in disc.factors]
     ps = sorted(set(primes)) if primes is not None else bad_primes(curve)
     return [tate(curve, p) for p in ps]
 

@@ -283,7 +283,7 @@ def check_divisibility(
 def _fill_local_data(report: VerdictReport, analysis: CurveAnalysis) -> list[LocalDatum]:
     """Set the minimal model, key, c and c_inf of report; return the local data."""
     m = analysis.minimal
-    data = local_data(m, primes=analysis.bad_primes)
+    data = local_data(m, disc=analysis.disc_min)
     report.minimal_ai, report.key = m.ai(), analysis.key
     report.tamagawa = math.prod(d.tamagawa for d in data)
     report.c_inf = c_infinity(m)
@@ -540,7 +540,7 @@ def _three_torsion_local(params: dict) -> list[LocalDatum]:
     The c_p multiply to c(E): tate minimizes at p itself, and c_p = 1 at a good prime.
     """
     family = FAMILIES["three-torsion"]
-    return local_data(family.curve(params), family.disc(params).primes())
+    return local_data(family.curve(params), disc=family.disc(params))
 
 
 def _normalized_three_torsion_range(bound: int):

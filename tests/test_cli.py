@@ -57,6 +57,13 @@ def test_localdata_single_prime():
     ]
 
 
+def test_localdata_rejects_a_negative_prime():
+    proc = run_cli("localdata", "--ai", "1,-3,-3,0,0", "--p", "-5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": "-5 is not prime"}
+
+
 def test_localdata_family_flag():
     proc = run_cli("localdata", "--family", "two-six", "--t", "7/3")
     assert proc.returncode == 0

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter
@@ -9,8 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tamagawa import reduction
-from tamagawa.arith import _int_valuation, is_prime, valuation
+from tamagawa.arith import _int_valuation, factor, is_prime, valuation
 from tamagawa.curves import (
+    CurveAnalysis,
     SingularCurveError,
     Transformation,
     WeierstrassCurve,
@@ -19,7 +21,7 @@ from tamagawa.curves import (
     invariants,
     minimal_model,
 )
-from tamagawa.families import ThreeTorsionNormalForm, two_six_curve
+from tamagawa.families import FAMILIES, ThreeTorsionNormalForm, two_six_curve
 from tamagawa.reduction import (
     ADDITIVE,
     GOOD,
@@ -352,8 +354,8 @@ def test_local_datum_json():
 
 def test_tate_rejects_composite():
     # 9991 = 97 * 103 and 10001 = 73 * 137 sit on either side of the sieve bound 10^4
-    for p in (6, 1, 9991, 10001):
-        with pytest.raises(ValueError):
+    for p in (6, 1, 9991, 10001, -5, 0):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
             tate(WeierstrassCurve(1, -3, -3, 0, 0), p)
 
 
@@ -856,3 +858,90 @@ def test_tate_steps_run_once_on_a_scaled_model(p, ai, k, monkeypatch):
     assert d.reduction_class == ADDITIVE
     assert _summary(d) == _reference_tate(E, p)
     assert len(calls) == 1, calls
+
+
+# --- tate on a (p, ord_p(disc)) pair of a factored discriminant ------------------
+
+
+def _assert_trusting_tate_agrees(curve, disc=None):
+    """tate(curve, p, e) == tate(curve, p) at every (p, e) of the factored discriminant.
+
+    local_data(curve, disc=disc) gives the same list as local_data at disc's primes.
+    """
+    disc = factor(curve.disc) if disc is None else disc
+    for p, e in disc.factors:
+        assert tate(curve, p, e) == tate(curve, p), (curve.ai(), p, e)
+    assert local_data(curve, disc=disc) == local_data(curve, disc.primes())
+
+
+def test_trusting_tate_agrees_on_the_fixtures_and_their_minimal_models():
+    for rec in ingest_fixtures(FIXTURES).records:
+        analysis = CurveAnalysis.of(rec.curve)
+        _assert_trusting_tate_agrees(rec.curve)
+        _assert_trusting_tate_agrees(analysis.minimal, analysis.disc_min)
+
+
+def test_trusting_tate_agrees_on_seeded_family_curves():
+    rng = random.Random(24)
+    for _ in range(30):
+        # coprime x, y with |x| <= 10^4 and 0 < y <= 10^4
+        x, y = rng.randint(-10**4, 10**4), rng.randint(1, 10**4)
+        g = math.gcd(x, y)
+        x, y = x // g, y // g
+        draws = {
+            "four-torsion": {"s": y, "t": x},
+            "two-six": {"t": str(Fraction(x, y))},
+            "two-torsion": {"a": x, "b": y if x % 2 else -y},
+        }
+        for name, params in draws.items():
+            family = FAMILIES[name]
+            try:
+                curve = family.curve(params)
+            except (ValueError, SingularCurveError):
+                continue
+            _assert_trusting_tate_agrees(curve, family.disc(params))
+
+
+# three-torsion normal forms with an exponent >= 12 at 2, at 3 and at primes above 3:
+# b = p^k with p prime to a, and (11, 201) with a^3 - 27 b = -2^12
+_DEEP_THREE_TORSION = [(1, 16), (3, 32), (1, 81), (2, 243), (1, 625), (2, 2401), (11, 201)]
+
+
+def test_trusting_tate_agrees_where_minimal_exponent_runs(monkeypatch):
+    seen = []
+    real = reduction.minimal_exponent
+
+    def recording(c4, c6, e, p):
+        seen.append(p)
+        return real(c4, c6, e, p)
+
+    monkeypatch.setattr(reduction, "minimal_exponent", recording)
+    family = FAMILIES["three-torsion"]
+    for a, b in _DEEP_THREE_TORSION:
+        form = ThreeTorsionNormalForm(a, b)
+        _assert_trusting_tate_agrees(form.curve, family.disc({"a": a, "b": b}))
+        # scaled by u the model is not minimal at u's primes, so tate divides by u^12 first
+        for u in (2, 3, 5):
+            _assert_trusting_tate_agrees(_scaled(form.curve.ai(), u))
+    assert {2, 3} <= set(seen) and max(seen) >= 5
+
+
+@given(_small, _small, _small, _small, _small, st.sampled_from([1, 2, 3, 5, 6]))
+@settings(max_examples=150, deadline=None)
+def test_trusting_tate_agrees_on_random_models(a1, a2, a3, a4, a6, u):
+    try:
+        curve = _scaled((a1, a2, a3, a4, a6), u)
+    except SingularCurveError:
+        assume(False)
+    _assert_trusting_tate_agrees(curve)
+
+
+def test_local_data_rejects_a_factorization_of_another_discriminant():
+    curve = _scaled((1, -3, -3, 0, 0), 2)
+    analysis = CurveAnalysis.of(curve)
+    assert analysis.minimal != curve
+    with pytest.raises(ValueError, match="is not the discriminant of"):
+        local_data(curve, disc=analysis.disc_min)
+    with pytest.raises(ValueError, match="primes or disc, not both"):
+        local_data(curve, [2, 3], disc=factor(curve.disc))
+    assert local_data(analysis.minimal, disc=analysis.disc_min) == local_data(curve)

@@ -1,8 +1,9 @@
-"""Each module keeps its private names to itself.
+"""Each module keeps its private names to itself, and factorizations come from `factor`.
 
 Walks the syntax tree of every module under src/tamagawa and fails on an
 import of a _-prefixed name from another module of the package, apart from
-the few shared helpers listed in SHARED_PRIVATE.
+the few shared helpers listed in SHARED_PRIVATE, and on a Factorization
+built anywhere but in FACTORIZATION_BUILDERS.
 """
 
 import ast
@@ -10,6 +11,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tamagawa"
 SHARED_PRIVATE = {"arith._int_valuation", "torsion._point_of_order"}
+# the functions that build a Factorization: each prime in it was certified by
+# arith.factor, which is why reduction.tate may trust a (p, e) pair of one
+FACTORIZATION_BUILDERS = {
+    "arith.factor",
+    "arith.factor_product",
+    "arith.Factorization.__mul__",
+    "curves.CurveAnalysis.of",
+}
 
 
 def _private_imports(module: str, tree: ast.AST) -> list[str]:
@@ -40,3 +49,40 @@ def test_the_walk_finds_private_imports_across_modules():
         "from tamagawa.arith import _small_primes\nfrom .verify import _own\n"
     )
     assert _private_imports("verify", ast.parse(code)) == ["torsion._MAZUR", "arith._small_primes"]
+
+
+def _factorization_builders(module: str, tree: ast.AST) -> list[str]:
+    """module.qualname of the function around each call of Factorization(...)."""
+    found = []
+
+    def walk(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Factorization":
+                    found.append(scope)
+            walk(child, inner)
+
+    walk(tree, module)
+    return found
+
+
+def test_only_the_factoring_functions_build_a_factorization():
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        builders += _factorization_builders(path.stem, ast.parse(path.read_text()))
+    assert set(builders) == FACTORIZATION_BUILDERS
+
+
+def test_the_walk_finds_each_factorization_call_in_its_function():
+    code = (
+        "from .arith import Factorization\nfrom . import arith\n"
+        "class A:\n    def f(self):\n        return Factorization(1, ())\n"
+        "def g():\n    return arith.Factorization(-1, ())\n"
+        "x = Factorization(1, ())\n"
+    )
+    assert _factorization_builders("m", ast.parse(code)) == ["m.A.f", "m.g", "m"]

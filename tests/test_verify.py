@@ -438,3 +438,28 @@ def test_budget_is_settable_only_on_factor():
         assert len(inspect.signature(family.disc).parameters) == 1, name
     for name, preset in PRESETS.items():
         assert list(inspect.signature(preset.run).parameters) == ["fixtures", "jobs", "bound"], name
+
+
+def test_no_prime_certified_by_factor_is_proved_again(monkeypatch):
+    """The scans and check_divisibility hand tate the factored discriminant's (p, e) pairs."""
+    from tamagawa import reduction
+
+    fixtures = ingest_fixtures(FIXTURES)
+
+    def run():
+        scans = [
+            scan_four_torsion([(1, -3), (5, 7), (12, -1), (997, 3)], fixtures),
+            scan_three_torsion_nonunits(bound=6),
+        ]
+        out = [[r.to_json() for r in scan.reports] + [scan.summary()] for scan in scans]
+        for label in ("14a4", "27a4", "90c6"):
+            out.append(check_divisibility(fixtures.by_label[label].curve, fixtures).to_json())
+        return json.dumps(out)
+
+    expected = run()
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called from reduction")
+
+    monkeypatch.setattr(reduction, "is_prime", refuse)
+    assert run() == expected
