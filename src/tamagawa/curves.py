@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 from .arith import Factorization, _int_valuation, factor
 
@@ -76,25 +76,28 @@ class WeierstrassCurve:
 class Transformation:
     """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
-    Scales the discriminant by u^-12 and c4 by u^-4; j is untouched.
+    Scales the discriminant by u^-12 and c4 by u^-4; j is untouched.  An
+    int or Fraction field is kept as given (`minimal_model` passes ints, and
+    int arithmetic is the cheaper); any other value is made a Fraction.  An
+    int and its Fraction twin compare and hash alike.
     """
 
-    u: Fraction
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    u: Union[int, Fraction]
+    r: Union[int, Fraction]
+    s: Union[int, Fraction]
+    t: Union[int, Fraction]
 
     def __post_init__(self):
         for name in ("u", "r", "s", "t"):
             v = getattr(self, name)
-            if not isinstance(v, Fraction):
+            if not isinstance(v, (int, Fraction)):
                 object.__setattr__(self, name, Fraction(v))
         if self.u == 0:
             raise ValueError("u must be nonzero")
 
     @staticmethod
     def identity() -> "Transformation":
-        return Transformation(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        return Transformation(1, 0, 0, 0)
 
     def is_identity(self) -> bool:
         return self.u == 1 and self.r == 0 and self.s == 0 and self.t == 0
@@ -111,7 +114,8 @@ class Transformation:
         )
 
     def inverse(self) -> "Transformation":
-        u, r, s, t = self.u, self.r, self.s, self.t
+        # through Fraction: 1 / u with an int u would be a float
+        u, r, s, t = Fraction(self.u), self.r, self.s, self.t
         return Transformation(1 / u, -r / u**2, -s / u, (r * s - t) / u**3)
 
     def unmap_point(self, xp: Fraction, yp: Fraction) -> tuple[Fraction, Fraction]:

@@ -438,7 +438,10 @@ def local_data(
     are at each of its primes, and `tate` trusts each (p, e) of it: p is not
     proved prime again and ord_p(curve.disc) is not recomputed.  A disc that
     does not multiply out to curve.disc, or one given with primes, raises
-    ValueError, so a wrong exponent is never used.
+    ValueError, so a wrong exponent is never used.  Given neither, the data
+    are at each (p, e) of the minimal discriminant that `CurveAnalysis.of`
+    factors, read on the minimal model, which gives the same data as any
+    integral model.
     """
     if disc is not None:
         if primes is not None:
@@ -446,8 +449,10 @@ def local_data(
         if disc.value != curve.disc:
             raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
         return [tate(curve, p, e) for p, e in disc.factors]
-    ps = sorted(set(primes)) if primes is not None else bad_primes(curve)
-    return [tate(curve, p) for p in ps]
+    if primes is None:
+        analysis = CurveAnalysis.of(curve)
+        return [tate(analysis.minimal, p, e) for p, e in analysis.disc_min.factors]
+    return [tate(curve, p) for p in sorted(set(primes))]
 
 
 def global_tamagawa(curve: WeierstrassCurve) -> Factorization:

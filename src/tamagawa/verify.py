@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -456,8 +455,18 @@ def _scan(
 
 
 def _parallel_map(fn: Callable, items: list, jobs: int) -> list:
+    """[fn(it) for it in items], in one process when jobs <= 1, else over a pool.
+
+    The pool module is imported here, only when jobs >= 2: at import it
+    loads multiprocessing, logging, subprocess, socket and pickle, which
+    took about 40% of a fresh `import tamagawa` plus fixture load (about
+    20 ms) while `check`, `localdata`, `torsion`, `dual3` and every scan at
+    the default --jobs 1 never start a pool.
+    """
     if jobs <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 

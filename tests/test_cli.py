@@ -160,14 +160,19 @@ def test_pretty_flag_changes_format_not_content():
 
 
 def test_scan_runs_in_one_process_without_jobs(monkeypatch, capsys):
-    from tamagawa import cli, verify
+    import concurrent.futures
+
+    from tamagawa import cli
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a scan without --jobs started a process pool")
 
     monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert cli.main(["scan", "--preset", "prop2.1-negative-t", "--summary"]) == 0
+    # the patch sits where a pool is made: --jobs 2 reaches it
+    with pytest.raises(AssertionError, match="started a process pool"):
+        cli.main(["scan", "--preset", "prop2.1-negative-t", "--summary", "--jobs", "2"])
 
 
 def test_scan_with_incomplete_curve_prints_all_and_exits_3(monkeypatch, capsys, cap_rho):
@@ -339,13 +344,15 @@ def test_fixture_file_that_is_not_utf8_is_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_scan_jobs_below_one_is_a_usage_error(jobs, monkeypatch, capsys):
+    import concurrent.futures
+
     from tamagawa import cli, verify
 
     def no_scan(*args, **kwargs):
         raise AssertionError("a scan with --jobs below 1 ran")
 
     monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_scan)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_scan)
     monkeypatch.setitem(cli.PRESETS, "prop2.2", verify.Preset(no_scan, no_scan, "never run"))
     assert cli.main(["scan", "--preset", "prop2.2", f"--jobs={jobs}"]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()

@@ -113,6 +113,45 @@ def test_transformation_inverse():
     assert T.inverse().compose(T).is_identity()
 
 
+# a Transformation field: an int, or a Fraction with a small denominator
+_field = st.one_of(
+    small_int,
+    st.builds(Fraction, small_int, st.integers(min_value=1, max_value=6)),
+)
+_unit_field = _field.filter(lambda v: v != 0)
+
+
+def _no_float(tr):
+    return all(isinstance(v, (int, Fraction)) for v in (tr.u, tr.r, tr.s, tr.t))
+
+
+@given(_unit_field, _field, _field, _field, _unit_field, _field, _field, _field, _field, _field)
+@settings(max_examples=200)
+def test_transformation_fields_stay_exact(u1, r1, s1, t1, u2, r2, s2, t2, xp, yp):
+    T1, T2 = Transformation(u1, r1, s1, t1), Transformation(u2, r2, s2, t2)
+    # ints and Fractions are kept as given
+    assert (T1.u, T1.r, T1.s, T1.t) == (u1, r1, s1, t1)
+    assert [type(v) for v in (T1.u, T1.r, T1.s, T1.t)] == [type(v) for v in (u1, r1, s1, t1)]
+    for tr in (T1.compose(T2), T1.inverse(), T2.inverse().compose(T1)):
+        assert _no_float(tr)
+    assert T1.compose(T1.inverse()) == Transformation.identity()
+    assert T1.inverse().compose(T1).is_identity()
+    x, y = T1.unmap_point(xp, yp)
+    assert isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))
+    # T1 carries the point T1.inverse() brings back
+    assert T1.inverse().unmap_point(x, y) == (xp, yp)
+
+
+def test_int_and_fraction_transformations_are_equal():
+    ints = Transformation(2, 0, 0, 0)
+    fractions = Transformation(Fraction(2), Fraction(0), Fraction(0), Fraction(0))
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert Transformation.identity() == Transformation(Fraction(1), 0, 0, 0)
+    assert hash(Transformation.identity()) == hash(Transformation(Fraction(1), 0, 0, 0))
+    assert ints.inverse() == Transformation(Fraction(1, 2), 0, 0, 0)
+    assert Transformation(0.5, 0, 0, 0).u == Fraction(1, 2)
+
+
 def test_minimal_model_two_torsion_family_example():
     # y^2 = x^3 + x^2 + 4x is already minimal: no 12th power can leave (Kraus at 2)
     E = WeierstrassCurve(0, 1, 0, 4, 0)

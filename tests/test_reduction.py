@@ -881,25 +881,31 @@ def test_trusting_tate_agrees_on_the_fixtures_and_their_minimal_models():
         _assert_trusting_tate_agrees(analysis.minimal, analysis.disc_min)
 
 
-def test_trusting_tate_agrees_on_seeded_family_curves():
-    rng = random.Random(24)
-    for _ in range(30):
+def _seeded_family_curves(seed, draws):
+    """(curve, family disc) of four-torsion, two-six and two-torsion curves at seeded parameters."""
+    rng = random.Random(seed)
+    for _ in range(draws):
         # coprime x, y with |x| <= 10^4 and 0 < y <= 10^4
         x, y = rng.randint(-10**4, 10**4), rng.randint(1, 10**4)
         g = math.gcd(x, y)
         x, y = x // g, y // g
-        draws = {
+        params_of = {
             "four-torsion": {"s": y, "t": x},
             "two-six": {"t": str(Fraction(x, y))},
             "two-torsion": {"a": x, "b": y if x % 2 else -y},
         }
-        for name, params in draws.items():
+        for name, params in params_of.items():
             family = FAMILIES[name]
             try:
                 curve = family.curve(params)
             except (ValueError, SingularCurveError):
                 continue
-            _assert_trusting_tate_agrees(curve, family.disc(params))
+            yield curve, family.disc(params)
+
+
+def test_trusting_tate_agrees_on_seeded_family_curves():
+    for curve, disc in _seeded_family_curves(24, 30):
+        _assert_trusting_tate_agrees(curve, disc)
 
 
 # three-torsion normal forms with an exponent >= 12 at 2, at 3 and at primes above 3:
@@ -934,6 +940,31 @@ def test_trusting_tate_agrees_on_random_models(a1, a2, a3, a4, a6, u):
     except SingularCurveError:
         assume(False)
     _assert_trusting_tate_agrees(curve)
+
+
+def _global_data(curve):
+    """local_data, conductor, global_tamagawa and the semi-stable root number of curve."""
+    try:
+        w = global_root_number_semistable(curve)
+    except UnsupportedDomainError as e:
+        w = str(e)
+    return local_data(curve), conductor(curve), global_tamagawa(curve), w
+
+
+def test_global_data_prove_no_prime_again(monkeypatch):
+    """Without primes or disc, local_data reads the (p, e) pairs CurveAnalysis.of factored."""
+    curves = [rec.curve for rec in ingest_fixtures(FIXTURES).records]
+    curves += [curve for curve, _ in _seeded_family_curves(25, 20)]
+    assert len(curves) > 60
+    expected = [_global_data(curve) for curve in curves]
+    # the data at the bad primes, each proved prime by tate's guard
+    assert [e[0] for e in expected] == [local_data(c, bad_primes(c)) for c in curves]
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called from reduction")
+
+    monkeypatch.setattr(reduction, "is_prime", refuse)
+    assert [_global_data(curve) for curve in curves] == expected
 
 
 def test_local_data_rejects_a_factorization_of_another_discriminant():

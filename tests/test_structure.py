@@ -3,10 +3,16 @@
 Walks the syntax tree of every module under src/tamagawa and fails on an
 import of a _-prefixed name from another module of the package, apart from
 the few shared helpers listed in SHARED_PRIVATE, and on a Factorization
-built anywhere but in FACTORIZATION_BUILDERS.
+built anywhere but in FACTORIZATION_BUILDERS.  Also starts fresh
+interpreters to check that importing the package loads no module of the
+process-pool stack, which only a scan with --jobs >= 2 needs.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tamagawa"
@@ -86,3 +92,28 @@ def test_the_walk_finds_each_factorization_call_in_its_function():
         "x = Factorization(1, ())\n"
     )
     assert _factorization_builders("m", ast.parse(code)) == ["m.A.f", "m.g", "m"]
+
+
+# what `from concurrent.futures import ProcessPoolExecutor` loads; none of it
+# is needed unless a scan starts a pool
+POOL_STACK = ("multiprocessing", "concurrent.futures", "logging", "subprocess", "socket", "pickle")
+
+
+def _modules_after(code: str) -> set[str]:
+    """sys.modules of a fresh interpreter, with src on the path, after running code."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    return set(json.loads(proc.stdout))
+
+
+def test_importing_the_package_loads_no_process_pool_module():
+    # compared with a bare interpreter started the same way, since site may
+    # preload modules of its own
+    baseline = _modules_after("")
+    loaded = _modules_after("import tamagawa, tamagawa.verify, tamagawa.cli")
+    assert "tamagawa.cli" in loaded
+    new = loaded - baseline
+    assert sorted(m for m in new if any(m == s or m.startswith(s + ".") for s in POOL_STACK)) == []
