@@ -15,9 +15,10 @@ point is used anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .record import Record
 
 Rational = Union[int, Fraction]
 
@@ -65,21 +66,21 @@ class IncompleteFactorizationError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Signed prime factorization: sign * prod(p^e), primes strictly increasing."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    _fields = ("sign", "factors")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1:
                 raise ValueError("factors must be (prime, exponent>=1), primes increasing")
             last = p
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def value(self) -> int:

@@ -11,12 +11,12 @@ never needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .arith import Factorization, factor, factor_product, valuation
 from .curves import SingularCurveError, WeierstrassCurve
+from .record import Record
 from .reduction import LocalDatum, tate
 
 Rational = Union[int, Fraction]
@@ -93,28 +93,26 @@ def two_torsion_disc(a: int, b: int) -> Factorization:
     return factor_product(((2, 4), (b, 2), (a * a - 4 * b, 1)))
 
 
-@dataclass(frozen=True)
-class ThreeTorsionNormalForm:
+class ThreeTorsionNormalForm(Record):
     """y^2 + a xy + b y = x^3 with b > 0 and no prime q with q | a and q^3 | b.
 
     (0, 0) has order 3; the discriminant is b^3 (a^3 - 27 b).
     """
 
-    a: int
-    b: int
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if self.b <= 0:
+    def __init__(self, a: int, b: int):
+        if b <= 0:
             raise ValueError("b must be positive")
-        if self.a**3 == 27 * self.b:
-            raise SingularCurveError(f"(a={self.a}, b={self.b}) is singular")
-        g = math.gcd(self.a, self.b)
+        if a**3 == 27 * b:
+            raise SingularCurveError(f"(a={a}, b={b}) is singular")
+        g = math.gcd(a, b)
         if g > 1:
             for p in factor(g).primes():
-                if self.b % p**3 == 0:
-                    raise ValueError(
-                        f"not normalized: {p} divides a={self.a} and {p}^3 divides b={self.b}"
-                    )
+                if b % p**3 == 0:
+                    raise ValueError(f"not normalized: {p} divides a={a} and {p}^3 divides b={b}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def d_value(self) -> int:
@@ -162,8 +160,7 @@ def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:
     return ThreeTorsionNormalForm(ci, di)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One parametrized torsion family and the divisibility the paper claims for it.
 
     Parameters are a dict keyed by ``params`` (the CLI flags of the same
@@ -211,8 +208,7 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class IsogenyPair:
+class IsogenyPair(NamedTuple):
     """A b = 1 three-torsion curve and its 3-isogeny quotient.
 
     The quotient of y^2 + a xy + y = x^3 by the order-3 subgroup generated

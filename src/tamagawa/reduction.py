@@ -75,8 +75,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .arith import Factorization, _int_valuation, factor, is_prime
 from .curves import (
@@ -87,6 +86,7 @@ from .curves import (
     invariants,
     minimal_exponent,
 )
+from .record import Record
 
 GOOD = "good"
 SPLIT = "split"
@@ -106,17 +106,20 @@ class AlgorithmError(RuntimeError):
     """Internal consistency violation; indicates an arithmetic bug."""
 
 
-@dataclass(frozen=True)
-class KodairaType:
-    """Kodaira symbol: I0, In (n>=1), II, III, IV, In* (n>=0), IV*, III*, II*."""
+class KodairaType(Record):
+    """Kodaira symbol: I0, In (n>=1), II, III, IV, In* (n>=0), IV*, III*, II*.
 
-    symbol: str
-    n: Optional[int] = field(init=False, repr=False, compare=False)
+    n is the n of In and In*, None for the others; a type is compared,
+    hashed and shown by its symbol alone.
+    """
 
-    def __post_init__(self):
-        m = _KODAIRA_RE.match(self.symbol)
+    _fields = ("symbol",)
+
+    def __init__(self, symbol: str):
+        m = _KODAIRA_RE.match(symbol)
         if not m:
-            raise ValueError(f"bad Kodaira symbol {self.symbol!r}")
+            raise ValueError(f"bad Kodaira symbol {symbol!r}")
+        object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "n", int(m.group(2)) if m.group(2) else None)
 
     @staticmethod
@@ -162,8 +165,7 @@ _I0, _II, _III, _IV = (KodairaType(k) for k in ("I0", "II", "III", "IV"))
 _IV_STAR, _III_STAR, _II_STAR = (KodairaType(k) for k in ("IV*", "III*", "II*"))
 
 
-@dataclass(frozen=True)
-class LocalDatum:
+class LocalDatum(NamedTuple):
     """Reduction data of a curve at one prime, computed on the local minimal model."""
 
     prime: int
@@ -182,8 +184,7 @@ class LocalDatum:
         }
 
 
-@dataclass(frozen=True)
-class RootNumberDatum:
+class RootNumberDatum(NamedTuple):
     place: Union[int, str]  # prime or "infinity"
     value: Union[int, str]  # +1, -1, or "unsupported"
 

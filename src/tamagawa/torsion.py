@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import is_prime
 from .curves import CurveAnalysis, WeierstrassCurve
+from .record import Record
 
 # (order, points of order 2) -> shape, for Mazur's fifteen groups; a cyclic
 # group has one point of order 2 exactly when its order is even
@@ -61,23 +61,25 @@ _LIFTED_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
 _SIEVE_PRIMES = 6
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """Affine rational point or the point at infinity."""
 
-    x: Optional[Fraction] = None
-    y: Optional[Fraction] = None
-    infinity: bool = False
+    _fields = ("x", "y", "infinity")
 
-    def __post_init__(self):
-        if self.infinity:
-            if self.x is not None or self.y is not None:
+    def __init__(
+        self, x: Optional[Fraction] = None, y: Optional[Fraction] = None, infinity: bool = False
+    ):
+        if infinity:
+            if x is not None or y is not None:
                 raise ValueError("the point at infinity has no coordinates")
         else:
-            if type(self.x) is not Fraction:
-                object.__setattr__(self, "x", Fraction(self.x))
-            if type(self.y) is not Fraction:
-                object.__setattr__(self, "y", Fraction(self.y))
+            if type(x) is not Fraction:
+                x = Fraction(x)
+            if type(y) is not Fraction:
+                y = Fraction(y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "infinity", infinity)
 
     @staticmethod
     def at_infinity() -> "Point":
@@ -87,22 +89,33 @@ class Point:
         return "O" if self.infinity else f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True)
-class TorsionStructure:
+class TorsionStructure(Record):
     """One of the fifteen possible group shapes, with certified generators.
 
-    shape, order and generators determine the point set, so they alone are
-    compared and hashed.  The points are built on first read from plain data
-    (so a structure pickles): the curve asked about, the scaling u from its
-    minimal model, and the affine points' (X, Y) on the minimal scaled model.
+    shape ("Z/N" or "Z/2xZ/2N"), order and generators determine the point
+    set, so they alone are compared, hashed and shown.  The points are built
+    on first read from plain data (so a structure pickles): the curve asked
+    about, the scaling u from its minimal model, and the affine points'
+    (X, Y) on the minimal scaled model.
     """
 
-    shape: str  # "Z/N" or "Z/2xZ/2N"
-    order: int
-    generators: tuple[Point, ...]
-    _curve: WeierstrassCurve = field(compare=False, repr=False)
-    _u: int = field(compare=False, repr=False)
-    _keys: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    _fields = ("shape", "order", "generators")
+
+    def __init__(
+        self,
+        shape: str,
+        order: int,
+        generators: tuple[Point, ...],
+        _curve: WeierstrassCurve,
+        _u: int,
+        _keys: tuple[tuple[int, int], ...],
+    ):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_curve", _curve)
+        object.__setattr__(self, "_u", _u)
+        object.__setattr__(self, "_keys", _keys)
 
     @functools.cached_property
     def points(self) -> frozenset[Point]:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import random
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .arith import IncompleteFactorizationError, _int_valuation, factor, is_prime
 from .curves import (
@@ -32,6 +32,7 @@ from .families import (
     quotient_split_prime,
     three_torsion_normalize,
 )
+from .record import Record
 from .reduction import (
     ADDITIVE,
     GOOD,
@@ -59,44 +60,45 @@ class FixtureValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FixtureCurve:
+class FixtureCurve(Record):
     """One exported database curve with its expected data.
 
     Construction checks every field and raises FixtureValidationError naming
     the label on the first bad one; ai becomes a tuple, local a tuple of dicts.
     """
 
-    label: str
-    ai: tuple[int, int, int, int, int]
-    torsion: Optional[str] = None
-    local: Optional[tuple[dict, ...]] = None
-    c_inf: Optional[int] = None
-    sha: Optional[int] = None
-    optimal: Optional[bool] = None
-    manin: Optional[int] = None
-    analytic_rank: Optional[int] = None
-    w3: Optional[int] = None
-    lmfdb: Optional[str] = None
+    _fields = (
+        "label", "ai", "torsion", "local", "c_inf", "sha",
+        "optimal", "manin", "analytic_rank", "w3", "lmfdb",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        label: str,
+        ai: tuple[int, int, int, int, int],
+        torsion: Optional[str] = None,
+        local: Optional[tuple[dict, ...]] = None,
+        c_inf: Optional[int] = None,
+        sha: Optional[int] = None,
+        optimal: Optional[bool] = None,
+        manin: Optional[int] = None,
+        analytic_rank: Optional[int] = None,
+        w3: Optional[int] = None,
+        lmfdb: Optional[str] = None,
+    ):
         def bad(msg: str):
-            raise FixtureValidationError(f"fixture {self.label!r}: {msg}")
+            raise FixtureValidationError(f"fixture {label!r}: {msg}")
 
-        if not (isinstance(self.label, str) and self.label):
+        if not (isinstance(label, str) and label):
             bad("'label' must be a non-empty string")
-        ai = self.ai
         if not (isinstance(ai, (list, tuple)) and len(ai) == 5 and all(_is_int(k) for k in ai)):
             bad("'ai' must be a list of 5 integers")
         try:
             WeierstrassCurve(*ai)
         except SingularCurveError:
             bad("coefficients define a singular curve")
-        object.__setattr__(self, "ai", tuple(ai))
-        torsion = self.torsion
         if torsion is not None and not (isinstance(torsion, str) and torsion in MAZUR_SHAPES):
             bad(f"torsion shape {torsion!r} is not a possible rational torsion group")
-        local = self.local
         if local is not None:
             if not (isinstance(local, (list, tuple)) and all(isinstance(i, dict) for i in local)):
                 bad("'local' must be a list of objects")
@@ -112,22 +114,26 @@ class FixtureCurve:
                     bad("local entry needs a positive integer 'cp'")
                 if item.get("class") not in (None, GOOD, SPLIT, NONSPLIT, ADDITIVE):
                     bad(f"bad reduction class {item.get('class')!r}")
-            object.__setattr__(self, "local", tuple(dict(item) for item in local))
-        if self.c_inf is not None and not (_is_int(self.c_inf) and self.c_inf in (1, 2)):
+            local = tuple(dict(item) for item in local)
+        if c_inf is not None and not (_is_int(c_inf) and c_inf in (1, 2)):
             bad("'c_inf' must be 1 or 2")
-        if self.sha is not None and not (_is_int(self.sha) and self.sha >= 1):
+        if sha is not None and not (_is_int(sha) and sha >= 1):
             bad("'sha' must be a positive integer")
-        if self.manin is not None and not (_is_int(self.manin) and self.manin >= 1):
+        if manin is not None and not (_is_int(manin) and manin >= 1):
             bad("'manin' must be a positive integer")
-        if self.w3 is not None and not (_is_int(self.w3) and self.w3 in (1, -1)):
+        if w3 is not None and not (_is_int(w3) and w3 in (1, -1)):
             bad("'w3' must be +1 or -1")
-        if self.optimal is not None and not isinstance(self.optimal, bool):
+        if optimal is not None and not isinstance(optimal, bool):
             bad("'optimal' must be true or false")
-        rank = self.analytic_rank
-        if rank is not None and not (_is_int(rank) and rank >= 0):
+        if analytic_rank is not None and not (_is_int(analytic_rank) and analytic_rank >= 0):
             bad("'analytic_rank' must be a non-negative integer")
-        if self.lmfdb is not None and not isinstance(self.lmfdb, str):
+        if lmfdb is not None and not isinstance(lmfdb, str):
             bad("'lmfdb' must be a string")
+        values = (
+            label, tuple(ai), torsion, local, c_inf, sha, optimal, manin, analytic_rank, w3, lmfdb
+        )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     @property
     def curve(self) -> WeierstrassCurve:
@@ -177,7 +183,7 @@ def ingest_fixtures(path) -> FixtureTable:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, list):
         raise FixtureValidationError("fixture file must contain a JSON array")
-    names = {f.name for f in fields(FixtureCurve)} - {"label", "ai"}
+    names = set(FixtureCurve._fields) - {"label", "ai"}
     records = []
     for index, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -192,23 +198,49 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass
-class VerdictReport:
-    """Per-curve verdict on |torsion| dividing c_inf * c(E), plus classification."""
+class VerdictReport(Record):
+    """Per-curve verdict on |torsion| dividing c_inf * c(E), plus classification.
 
-    minimal_ai: Optional[tuple] = None
-    key: Optional[tuple[int, int]] = None
-    torsion: Optional[TorsionStructure] = None
-    c_inf: Optional[int] = None
-    tamagawa: Optional[int] = None
-    tamagawa_factors: Optional[tuple] = None
-    divides: Optional[bool] = None
-    label: Optional[str] = None
-    # the matched fixture record, set by check_divisibility only; scans keep the label alone
-    fixture: Optional[FixtureCurve] = None
-    classification: Optional[str] = None
-    incomplete: bool = False
-    params: Optional[dict] = None
+    Filled in field by field as the checks run, so it is mutable: compared
+    field-wise and unhashable.
+    """
+
+    _fields = (
+        "minimal_ai", "key", "torsion", "c_inf", "tamagawa", "tamagawa_factors",
+        "divides", "label", "fixture", "classification", "incomplete", "params",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        minimal_ai: Optional[tuple] = None,
+        key: Optional[tuple[int, int]] = None,
+        torsion: Optional[TorsionStructure] = None,
+        c_inf: Optional[int] = None,
+        tamagawa: Optional[int] = None,
+        tamagawa_factors: Optional[tuple] = None,
+        divides: Optional[bool] = None,
+        label: Optional[str] = None,
+        fixture: Optional[FixtureCurve] = None,
+        classification: Optional[str] = None,
+        incomplete: bool = False,
+        params: Optional[dict] = None,
+    ):
+        self.minimal_ai = minimal_ai
+        self.key = key
+        self.torsion = torsion
+        self.c_inf = c_inf
+        self.tamagawa = tamagawa
+        self.tamagawa_factors = tamagawa_factors
+        self.divides = divides
+        self.label = label
+        # the matched fixture record, set by check_divisibility only; scans keep the label alone
+        self.fixture = fixture
+        self.classification = classification
+        self.incomplete = incomplete
+        self.params = params
 
     def to_json(self) -> dict:
         tors, rec = self.torsion, self.fixture
@@ -349,14 +381,25 @@ def _classify_three_torsion(
     return EXCEPTION_A_CANDIDATE
 
 
-@dataclass
-class ExceptionClass:
-    """One isomorphism class found violating a divisibility statement."""
+class ExceptionClass(Record):
+    """One isomorphism class found violating a divisibility statement; mutable."""
 
-    key: tuple[int, int]
-    minimal_ai: tuple
-    witnesses: list = field(default_factory=list)
-    label: Optional[str] = None
+    _fields = ("key", "minimal_ai", "witnesses", "label")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        key: tuple[int, int],
+        minimal_ai: tuple,
+        witnesses: Optional[list] = None,
+        label: Optional[str] = None,
+    ):
+        self.key = key
+        self.minimal_ai = minimal_ai
+        self.witnesses = [] if witnesses is None else witnesses
+        self.label = label
 
     def to_json(self) -> dict:
         return {
@@ -368,14 +411,25 @@ class ExceptionClass:
         }
 
 
-@dataclass
-class ScanReport:
-    """Outcome of one scan: per-curve reports plus deduped exception classes."""
+class ScanReport(Record):
+    """Outcome of one scan: per-curve reports plus deduped exception classes; mutable."""
 
-    name: str
-    reports: list[VerdictReport] = field(default_factory=list)
-    exceptions: dict[tuple[int, int], ExceptionClass] = field(default_factory=dict)
-    mismatches: list[dict] = field(default_factory=list)
+    _fields = ("name", "reports", "exceptions", "mismatches")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        reports: Optional[list[VerdictReport]] = None,
+        exceptions: Optional[dict[tuple[int, int], ExceptionClass]] = None,
+        mismatches: Optional[list[dict]] = None,
+    ):
+        self.name = name
+        self.reports = [] if reports is None else reports
+        self.exceptions = {} if exceptions is None else exceptions
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def incomplete(self) -> bool:
@@ -461,14 +515,17 @@ def _parallel_map(fn: Callable, items: list, jobs: int) -> list:
     loads multiprocessing, logging, subprocess, socket and pickle, which
     took about 40% of a fresh `import tamagawa` plus fixture load (about
     20 ms) while `check`, `localdata`, `torsion`, `dual3` and every scan at
-    the default --jobs 1 never start a pool.
+    the default --jobs 1 never start a pool.  The pool gets no more workers
+    than there are items or CPUs: a pool started by fork launches all its
+    workers at the first submit, so --jobs 5000 would otherwise fork 5000.
     """
     if jobs <= 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+    workers = max(1, min(jobs, len(items), os.cpu_count() or 1))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
 def scan_four_torsion(
@@ -693,8 +750,7 @@ TWO_TORSION_EXCEPTIONS = frozenset({KEY_15A8, KEY_39A4, KEY_55A4})
 NEGATIVE_T_EXPECTED = frozenset({KEY_15A8, KEY_21A4, KEY_24A4})
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     """One scan of PRESETS: run(fixtures, jobs, bound) and the verdict it must reach."""
 
     run: Callable

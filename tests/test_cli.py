@@ -175,6 +175,44 @@ def test_scan_runs_in_one_process_without_jobs(monkeypatch, capsys):
         cli.main(["scan", "--preset", "prop2.1-negative-t", "--summary", "--jobs", "2"])
 
 
+@pytest.mark.parametrize("cpus, workers", [(64, 23), (3, 3), (None, 1)])
+def test_scan_pool_has_no_more_workers_than_curves_or_cpus(cpus, workers, monkeypatch, capsys):
+    import concurrent.futures
+
+    from tamagawa import cli
+
+    pools = []
+
+    class InProcessPool:
+        """Records what a pool would be given and maps in this process."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            self.items, self.chunksize = len(items), chunksize
+            return map(fn, items)
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    assert cli.main(["scan", "--preset", "prop2.4", "--summary", "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cli.main(["scan", "--preset", "prop2.4", "--summary", "--jobs", "5000"]) == 0
+    assert capsys.readouterr().out == serial
+    # prop2.4 has 23 curves
+    [pool] = pools
+    assert (pool.items, pool.max_workers) == (23, workers)
+    assert pool.chunksize == max(1, 23 // (4 * workers))
+
+
 def test_scan_with_incomplete_curve_prints_all_and_exits_3(monkeypatch, capsys, cap_rho):
     from tamagawa import cli
     from tamagawa.verify import Preset, scan_four_torsion

@@ -5,10 +5,12 @@ import of a _-prefixed name from another module of the package, apart from
 the few shared helpers listed in SHARED_PRIVATE, and on a Factorization
 built anywhere but in FACTORIZATION_BUILDERS.  Also starts fresh
 interpreters to check that importing the package loads no module of the
-process-pool stack, which only a scan with --jobs >= 2 needs.
+process-pool stack, which only a scan with --jobs >= 2 needs, and none of
+the dataclass machinery, which the records do without.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -97,6 +99,8 @@ def test_the_walk_finds_each_factorization_call_in_its_function():
 # what `from concurrent.futures import ProcessPoolExecutor` loads; none of it
 # is needed unless a scan starts a pool
 POOL_STACK = ("multiprocessing", "concurrent.futures", "logging", "subprocess", "socket", "pickle")
+# what `import dataclasses` loads: the records are built without it
+DATACLASS_STACK = ("dataclasses", "inspect", "ast", "dis")
 
 
 def _modules_after(code: str) -> set[str]:
@@ -109,11 +113,24 @@ def _modules_after(code: str) -> set[str]:
     return set(json.loads(proc.stdout))
 
 
-def test_importing_the_package_loads_no_process_pool_module():
+@functools.cache
+def _modules_the_package_adds() -> frozenset[str]:
     # compared with a bare interpreter started the same way, since site may
     # preload modules of its own
     baseline = _modules_after("")
     loaded = _modules_after("import tamagawa, tamagawa.verify, tamagawa.cli")
     assert "tamagawa.cli" in loaded
-    new = loaded - baseline
-    assert sorted(m for m in new if any(m == s or m.startswith(s + ".") for s in POOL_STACK)) == []
+    return frozenset(loaded - baseline)
+
+
+def _in_stack(stack: tuple[str, ...]) -> list[str]:
+    new = _modules_the_package_adds()
+    return sorted(m for m in new if any(m == s or m.startswith(s + ".") for s in stack))
+
+
+def test_importing_the_package_loads_no_process_pool_module():
+    assert _in_stack(POOL_STACK) == []
+
+
+def test_importing_the_package_loads_no_dataclass_machinery():
+    assert _in_stack(DATACLASS_STACK) == []

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import pickle
@@ -857,7 +856,7 @@ def test_a_root_of_the_cubic_mod_q_without_a_rational_point_is_rejected(monkeypa
 def test_torsion_does_not_read_the_minimal_discriminant():
     for curve in _fixture_and_two_six_curves():
         a = CurveAnalysis.of(curve)
-        without = dataclasses.replace(a, disc_min=None)
+        without = a._replace(disc_min=None)
         assert torsion_subgroup(a.minimal, analysis=without) == torsion_subgroup(a.minimal, analysis=a)
         assert torsion_subgroup(curve, analysis=without) == torsion_subgroup(curve, analysis=a)
 
