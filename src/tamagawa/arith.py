@@ -10,6 +10,13 @@ with a block's product clears a block that shares no prime with n.  Trial
 division proves a cofactor prime once p^2 exceeds it, and Miller-Rabin uses
 only as many bases as OEIS A014233 needs for the size of n.  No floating
 point is used anywhere.
+
+`factor` keeps each int n with 0 < |n| < 10^4 it has factored in a table
+for the life of the process, since the family discriminants split into
+such values and the scans factor each of them many times.  Below 10^4 trial
+division always finishes: it never calls Brent's rho or is_prime, so an
+entry does not depend on the budget.  The table holds at most 19,998
+entries (7.1 MB by tracemalloc); one preset sweep fills 2,311 (0.70 MB).
 """
 
 from __future__ import annotations
@@ -120,6 +127,10 @@ _BLOCKS = tuple(
 )
 # a cofactor below this with no prime factor up to the last small prime is prime
 _CERTIFIED_BELOW = _SMALL_PRIMES[-1] ** 2
+# factor's result for each int n with 0 < |n| < _TRIAL_BOUND it has seen; keyed
+# only by exact ints, since 12.0 and Fraction(12) hash and compare equal to 12
+# but factor rejects them
+_SMALL_FACTORED: dict[int, Factorization] = {}
 
 
 def _miller_rabin(n: int, bases) -> bool:
@@ -272,10 +283,15 @@ def factor(n: int, budget: int = 2_000_000) -> Factorization:
     prime; a cofactor below 10^4 is read off the sieve; any other passes
     is_prime.  If the rho budget is exhausted while a composite
     cofactor remains, IncompleteFactorizationError is raised carrying the
-    partial result.
+    partial result.  Each int 0 < |n| < 10^4 is factored once per process,
+    then read from _SMALL_FACTORED.
     """
+    small = type(n) is int and -_TRIAL_BOUND < n < _TRIAL_BOUND
+    if small and (known := _SMALL_FACTORED.get(n)) is not None:
+        return known
     if n == 0:
         raise ValueError("cannot factor 0")
+    key = n
     sign = 1 if n > 0 else -1
     n = abs(n)
     found: dict[int, int] = {}
@@ -316,7 +332,10 @@ def factor(n: int, budget: int = 2_000_000) -> Factorization:
             raise IncompleteFactorizationError(sign, sorted(found.items()), cof)
         stack.append(g)
         stack.append(m // g)
-    return Factorization(sign, tuple(sorted(found.items())))
+    result = Factorization(sign, tuple(sorted(found.items())))
+    if small:
+        _SMALL_FACTORED[key] = result
+    return result
 
 
 def factor_product(terms) -> Factorization:

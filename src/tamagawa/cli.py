@@ -24,11 +24,15 @@ EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
 
 
+# built once, since json.dumps builds a new encoder on each call that passes an
+# argument; encode gives the bytes json.dumps gives with the same arguments
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_PRETTY = json.JSONEncoder(indent=2, sort_keys=True).encode
+_SCAN_ORDER = json.JSONEncoder(sort_keys=True).encode
+
+
 def _emit(payload, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    sys.stdout.write((_PRETTY if pretty else _COMPACT)(payload) + "\n")
 
 
 def _parse_ai(text: str) -> WeierstrassCurve:
@@ -185,9 +189,7 @@ def main(argv=None) -> int:
             if args.summary:
                 _emit(report.summary(), args.pretty)
             else:
-                for r in sorted(
-                    report.reports, key=lambda r: json.dumps(r.params, sort_keys=True)
-                ):
+                for r in sorted(report.reports, key=lambda r: _SCAN_ORDER(r.params)):
                     _emit(r.to_json(), args.pretty)
                 _emit(report.summary(), args.pretty)
             if report.incomplete:

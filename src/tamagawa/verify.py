@@ -135,6 +135,11 @@ class FixtureCurve(Record):
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
+    def __hash__(self):
+        # local holds dicts, which do not hash; records equal on every field
+        # are equal on the others too, so the hash still agrees with ==
+        return hash(tuple(getattr(self, name) for name in self._fields if name != "local"))
+
     @property
     def curve(self) -> WeierstrassCurve:
         return WeierstrassCurve(*self.ai)

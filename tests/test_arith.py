@@ -328,3 +328,55 @@ def test_is_prime_reads_the_sieve_below_its_bound(monkeypatch):
     assert sum(is_prime(n) for n in range(10**4)) == 1229
     assert calls == []
     assert is_prime(10007) and calls == [10007]
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty small-factor table for the test; the process's own is put back after."""
+    memo = {}
+    monkeypatch.setattr(arith, "_SMALL_FACTORED", memo)
+    return memo
+
+
+def test_factor_memo_gives_the_trial_division_result_cold_and_warm(cold_memo):
+    span = [n for n in range(-2000, 2001) if n]
+    cold = [factor(n) for n in span]
+    assert len(cold_memo) == len(span)
+    warm = [factor(n) for n in span]
+    for n, c, w in zip(span, cold, warm):
+        assert c == w == _reference_factor(n), n
+        assert repr(c) == repr(w), n
+
+
+def test_factor_memo_keeps_only_small_exact_ints(cold_memo):
+    bound = arith._TRIAL_BOUND
+    for n in (1, -1, 12, bound - 1, -(bound - 1), bound, -bound, bound + 7, 2**20, True):
+        factor(n)
+    assert set(cold_memo) == {1, -1, 12, bound - 1, -(bound - 1)}
+    assert all(type(n) is int and 0 < abs(n) < bound for n in cold_memo)
+
+
+def test_factor_memo_does_not_answer_equal_non_ints(cold_memo):
+    # 12.0 and Fraction(12) hash and compare equal to 12, which is in the table
+    assert factor(12).factors == ((2, 2), (3, 1))
+    for n in (12.0, Fraction(12)):
+        with pytest.raises(TypeError):
+            factor(n)
+    assert factor(True) == Factorization(1, ())
+    assert all(type(n) is int for n in cold_memo)
+
+
+def test_factor_memo_does_not_depend_on_the_budget(cold_memo):
+    for n in (9973, -9972, 2**13, 3**8, 9991):  # 9991 = 97 * 103
+        assert factor(n, budget=0) == _reference_factor(n), n
+        assert factor(n) == factor(n, budget=0) == _reference_factor(n), n
+
+
+def test_factor_memo_never_keeps_an_incomplete_factorization(cold_memo):
+    n = 4 * (2**101 - 1)
+    for _ in range(2):
+        with pytest.raises(IncompleteFactorizationError) as ei:
+            factor(n, budget=1)
+        assert (2, 2) in ei.value.partial
+        assert ei.value.cofactor * 4 == n
+    assert cold_memo == {}

@@ -159,6 +159,32 @@ def test_pretty_flag_changes_format_not_content():
     assert compact != pretty
 
 
+EMITTING = {
+    "localdata": ["localdata", "--ai", "1,-3,-3,0,0"],
+    "check": ["check", "--ai", "0,1,1,-9,-15", "--fixtures", str(FIXTURES)],
+    "dual3": ["dual3", "--a", "2"],
+    "fixtures": ["fixtures", "--fixtures", str(FIXTURES)],
+    "scan --summary": ["scan", "--preset", "prop2.4", "--summary"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMITTING))
+def test_output_is_what_json_dumps_wrote(command, monkeypatch, capsys):
+    # the golden digests cover compact scan lines only; these are the other
+    # commands' bytes, against json.dumps with the arguments the CLI used
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    assert cli.main(EMITTING[command]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) + "\n"
+    assert cli.main([*EMITTING[command], "--pretty"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_scan_runs_in_one_process_without_jobs(monkeypatch, capsys):
     import concurrent.futures
 

@@ -34,6 +34,7 @@ from tamagawa.verify import (
 )
 
 E = WeierstrassCurve(1, -3, -3, 0, 0)
+LOCAL_19A1 = {"p": 19, "kodaira": "I3", "cp": 3, "class": "split"}
 MUTABLE = (VerdictReport, ExceptionClass, ScanReport)
 
 
@@ -155,11 +156,15 @@ RECORDS = {
         "infinity=False)))",
     ),
     "FixtureCurve": (
-        lambda: FixtureCurve("19a1", [0, 1, 1, -9, -15], torsion="Z/3", sha=1),
-        lambda: FixtureCurve("19a1", (0, 1, 1, -9, -15), torsion="Z/3", sha=1),
-        lambda: FixtureCurve("19a1", [0, 1, 1, -9, -15], torsion="Z/3", sha=2),
-        "FixtureCurve(label='19a1', ai=(0, 1, 1, -9, -15), torsion='Z/3', local=None, "
-        "c_inf=None, sha=1, optimal=None, manin=None, analytic_rank=None, w3=None, lmfdb=None)",
+        lambda: FixtureCurve("19a1", [0, 1, 1, -9, -15], torsion="Z/3", local=[LOCAL_19A1], sha=1),
+        lambda: FixtureCurve("19a1", (0, 1, 1, -9, -15), torsion="Z/3", local=(LOCAL_19A1,), sha=1),
+        # differs only in local, which equality compares though the hash leaves it out
+        lambda: FixtureCurve(
+            "19a1", [0, 1, 1, -9, -15], torsion="Z/3", local=[dict(LOCAL_19A1, cp=1)], sha=1
+        ),
+        "FixtureCurve(label='19a1', ai=(0, 1, 1, -9, -15), torsion='Z/3', local=({'p': 19, "
+        "'kodaira': 'I3', 'cp': 3, 'class': 'split'},), c_inf=None, sha=1, optimal=None, "
+        "manin=None, analytic_rank=None, w3=None, lmfdb=None)",
     ),
     "VerdictReport": (
         lambda: VerdictReport(params={"a": 1}, incomplete=True),
