@@ -220,7 +220,10 @@ def is_prime(n: int) -> bool:
     the first k prime bases, with k the least that OEIS A014233 proves
     enough for n (4 bases below 3.2e9, all 13 below 3.3e24).  Above 3.3e24,
     BPSW (no counterexample is known, and the scans never reach that range).
+    Raises TypeError for an n that is not an int.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"is_prime expects an int, got {n!r}")
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
     if n < _TRIAL_BOUND:
@@ -284,11 +287,14 @@ def factor(n: int, budget: int = 2_000_000) -> Factorization:
     is_prime.  If the rho budget is exhausted while a composite
     cofactor remains, IncompleteFactorizationError is raised carrying the
     partial result.  Each int 0 < |n| < 10^4 is factored once per process,
-    then read from _SMALL_FACTORED.
+    then read from _SMALL_FACTORED.  Raises TypeError for an n that is not an
+    int; a bool is one.
     """
     small = type(n) is int and -_TRIAL_BOUND < n < _TRIAL_BOUND
     if small and (known := _SMALL_FACTORED.get(n)) is not None:
         return known
+    if not isinstance(n, int):
+        raise TypeError(f"factor expects an int, got {n!r}")
     if n == 0:
         raise ValueError("cannot factor 0")
     key = n
@@ -358,8 +364,11 @@ def valuation(x: Rational, p: int) -> Union[int, float]:
     """ord_p(x) for a rational x; math.inf for x = 0.
 
     p must be prime (checked): the case splits downstream compare valuations
-    and a composite p would corrupt them silently.
+    and a composite p would corrupt them silently.  Raises TypeError for an x
+    that is neither an int nor a Fraction, and for a p that is not an int.
     """
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"valuation expects an int or a Fraction, got {x!r}")
     if p < 2 or not is_prime(p):
         raise ValueError(f"valuation requires a prime, got {p}")
     if x == 0:

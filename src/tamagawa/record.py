@@ -9,8 +9,6 @@ full dict, about twice the memory per curve.)  ``_fields`` names, in order,
 the fields that are compared, hashed and shown by ``repr``, as
 ``typing.NamedTuple`` does for the plain records.  A record pickles by its
 ``__dict__``, so a ``cached_property`` read before pickling travels with it.
-The mutable scan reports share the comparison and ``repr`` but restore
-``object.__setattr__`` and are unhashable.
 """
 
 from operator import attrgetter

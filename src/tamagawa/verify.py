@@ -206,16 +206,14 @@ def _is_int(value) -> bool:
 class VerdictReport(Record):
     """Per-curve verdict on |torsion| dividing c_inf * c(E), plus classification.
 
-    Filled in field by field as the checks run, so it is mutable: compared
-    field-wise and unhashable.
+    Built once per curve by the check that analysed it; a field the check
+    does not compute stays None.  Unhashable, since params is a dict.
     """
 
     _fields = (
         "minimal_ai", "key", "torsion", "c_inf", "tamagawa", "tamagawa_factors",
         "divides", "label", "fixture", "classification", "incomplete", "params",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
@@ -233,19 +231,21 @@ class VerdictReport(Record):
         incomplete: bool = False,
         params: Optional[dict] = None,
     ):
-        self.minimal_ai = minimal_ai
-        self.key = key
-        self.torsion = torsion
-        self.c_inf = c_inf
-        self.tamagawa = tamagawa
-        self.tamagawa_factors = tamagawa_factors
-        self.divides = divides
-        self.label = label
+        # unrolled, as in WeierstrassCurve: a loop over the names is slower
+        set_ = object.__setattr__
+        set_(self, "minimal_ai", minimal_ai)
+        set_(self, "key", key)
+        set_(self, "torsion", torsion)
+        set_(self, "c_inf", c_inf)
+        set_(self, "tamagawa", tamagawa)
+        set_(self, "tamagawa_factors", tamagawa_factors)
+        set_(self, "divides", divides)
+        set_(self, "label", label)
         # the matched fixture record, set by check_divisibility only; scans keep the label alone
-        self.fixture = fixture
-        self.classification = classification
-        self.incomplete = incomplete
-        self.params = params
+        set_(self, "fixture", fixture)
+        set_(self, "classification", classification)
+        set_(self, "incomplete", incomplete)
+        set_(self, "params", params)
 
     def to_json(self) -> dict:
         tors, rec = self.torsion, self.fixture
@@ -295,35 +295,24 @@ def check_divisibility(
     curve: WeierstrassCurve, fixtures: Optional[FixtureTable] = None
 ) -> VerdictReport:
     """Exact divisibility verdict for one curve, fixture-matched when possible."""
-    report = VerdictReport()
     try:
         analysis = CurveAnalysis.of(curve)
         m = analysis.minimal
-        data = _fill_local_data(report, analysis)
-        c = report.tamagawa
-        report.tamagawa_factors = factor(c).factors
+        data = local_data(m, disc=analysis.disc_min)
+        c = math.prod(d.tamagawa for d in data)
+        c_factors = factor(c).factors
         tors = torsion_subgroup(m, analysis=analysis)
     except IncompleteFactorizationError:
-        report.incomplete = True
-        return report
-    report.torsion = tors
-    report.divides = (report.c_inf * c) % tors.order == 0
-    rec = fixtures.by_key.get(report.key) if fixtures else None
-    if rec is not None:
-        report.label, report.fixture = rec.label, rec
+        return VerdictReport(incomplete=True)
+    c_inf = c_infinity(m)
+    rec = fixtures.by_key.get(analysis.key) if fixtures else None
+    classification = None
     if tors.order % 3 == 0 and m.j not in (0, 1728):
-        report.classification = _classify_three_torsion(report, m, data)
-    return report
-
-
-def _fill_local_data(report: VerdictReport, analysis: CurveAnalysis) -> list[LocalDatum]:
-    """Set the minimal model, key, c and c_inf of report; return the local data."""
-    m = analysis.minimal
-    data = local_data(m, disc=analysis.disc_min)
-    report.minimal_ai, report.key = m.ai(), analysis.key
-    report.tamagawa = math.prod(d.tamagawa for d in data)
-    report.c_inf = c_infinity(m)
-    return data
+        classification = _classify_three_torsion(m, data, c, tors, rec)
+    return VerdictReport(
+        m.ai(), analysis.key, tors, c_inf, c, c_factors, (c_inf * c) % tors.order == 0,
+        rec.label if rec else None, rec, classification,
+    )
 
 
 def classify_three_torsion(
@@ -342,16 +331,22 @@ def classify_three_torsion(
 
 
 def _classify_three_torsion(
-    report: VerdictReport, m: WeierstrassCurve, data: list[LocalDatum]
+    m: WeierstrassCurve,
+    data: list[LocalDatum],
+    c: int,
+    tors: TorsionStructure,
+    rec: Optional[FixtureCurve],
 ) -> str:
-    """Exception family of a complete report on m, whose torsion order 3 divides."""
-    c = report.tamagawa
+    """Exception family of minimal m, with local data, c(E) = c, torsion tors and fixture rec.
+
+    3 divides the order of tors.
+    """
     if c % 3 == 0:
         return DIVISIBLE
 
     # 3 does not divide c(E): the normal form must have b = 1.  The first
     # generator has the largest order, which 3 divides; the second, if any, has order 2
-    p3 = _point_of_order(m, report.torsion.generators[0], 3)
+    p3 = _point_of_order(m, tors.generators[0], 3)
     form = three_torsion_form_of(m, (p3.x, p3.y))
     if form.b != 1:
         raise RuntimeError(
@@ -374,7 +369,7 @@ def _classify_three_torsion(
         # split multiplicative at 3 with 3-torsion forces 3 | c_3
         raise RuntimeError("split at 3 with 3 not dividing c(E); arithmetic bug")
     else:
-        w3 = report.fixture.w3 if report.fixture else None
+        w3 = rec.w3 if rec else None
     if split_count > 1:
         raise RuntimeError(
             "ratio < 2 with two or more split places; contradicts the ledger rules"
@@ -387,11 +382,12 @@ def _classify_three_torsion(
 
 
 class ExceptionClass(Record):
-    """One isomorphism class found violating a divisibility statement; mutable."""
+    """One isomorphism class found violating a divisibility statement.
+
+    Unhashable, since witnesses is a list: the scan appends each witness's params.
+    """
 
     _fields = ("key", "minimal_ai", "witnesses", "label")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
@@ -401,10 +397,11 @@ class ExceptionClass(Record):
         witnesses: Optional[list] = None,
         label: Optional[str] = None,
     ):
-        self.key = key
-        self.minimal_ai = minimal_ai
-        self.witnesses = [] if witnesses is None else witnesses
-        self.label = label
+        set_ = object.__setattr__
+        set_(self, "key", key)
+        set_(self, "minimal_ai", minimal_ai)
+        set_(self, "witnesses", [] if witnesses is None else witnesses)
+        set_(self, "label", label)
 
     def to_json(self) -> dict:
         return {
@@ -417,11 +414,12 @@ class ExceptionClass(Record):
 
 
 class ScanReport(Record):
-    """Outcome of one scan: per-curve reports plus deduped exception classes; mutable."""
+    """Outcome of one scan: per-curve reports plus deduped exception classes.
+
+    Unhashable, since it holds a dict and lists, which the scan fills.
+    """
 
     _fields = ("name", "reports", "exceptions", "mismatches")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
@@ -431,10 +429,11 @@ class ScanReport(Record):
         exceptions: Optional[dict[tuple[int, int], ExceptionClass]] = None,
         mismatches: Optional[list[dict]] = None,
     ):
-        self.name = name
-        self.reports = [] if reports is None else reports
-        self.exceptions = {} if exceptions is None else exceptions
-        self.mismatches = [] if mismatches is None else mismatches
+        set_ = object.__setattr__
+        set_(self, "name", name)
+        set_(self, "reports", [] if reports is None else reports)
+        set_(self, "exceptions", {} if exceptions is None else exceptions)
+        set_(self, "mismatches", [] if mismatches is None else mismatches)
 
     @property
     def incomplete(self) -> bool:
@@ -454,57 +453,55 @@ class ScanReport(Record):
 
 
 def _scan_item(item: tuple[Callable, dict]) -> tuple[VerdictReport, bool, list]:
-    """check(report) on a fresh report of one item's params.
+    """check(params) on a copy of one item's params: (report, exception, mismatches).
 
-    The check fills the report and returns (exception, mismatches).  A curve
-    whose factoring budget runs out comes back marked incomplete with only
-    its parameters; it never aborts the scan.
+    A curve whose factoring budget runs out comes back marked incomplete
+    with only its parameters; it never aborts the scan.
     """
     check, params = item
-    report = VerdictReport(params=dict(params))
     try:
-        exception, mismatches = check(report)
+        return check(dict(params))
     except IncompleteFactorizationError:
-        return VerdictReport(params=dict(params), incomplete=True), False, []
-    return report, exception, mismatches
+        return VerdictReport(params=params, incomplete=True), False, []
 
 
-def _family_check(name: str, report: VerdictReport) -> tuple[bool, list]:
+def _family_check(
+    name: str, fixtures: Optional[FixtureTable], params: dict
+) -> tuple[VerdictReport, bool, list]:
     """Minimal model, c(E), c_inf and the family's claim of one curve, analysed once.
 
-    In a family whose claim is semistable_only, a curve with additive
-    reduction gets params["semistable"] = False; a semi-stable one failing
-    the claim is an exception.
+    The report is labelled from fixtures.  In a family whose claim is
+    semistable_only, a curve with additive reduction gets params["semistable"]
+    = False; a semi-stable one failing the claim is an exception.
     """
-    family, params = FAMILIES[name], report.params
+    family = FAMILIES[name]
     analysis = CurveAnalysis.of(family.curve(params), family.disc(params))
-    data = _fill_local_data(report, analysis)
+    m = analysis.minimal
+    data = local_data(m, disc=analysis.disc_min)
+    c = math.prod(d.tamagawa for d in data)
+    c_inf = c_infinity(m)
     n, with_c_inf = family.claim
-    report.divides = report.tamagawa * (report.c_inf if with_c_inf else 1) % n == 0
+    divides = c * (c_inf if with_c_inf else 1) % n == 0
     if family.semistable_only and any(d.reduction_class == ADDITIVE for d in data):
         params["semistable"] = False
-    return report.divides is False and "semistable" not in params, []
+    rec = fixtures.by_key.get(analysis.key) if fixtures else None
+    report = VerdictReport(
+        m.ai(), analysis.key, None, c_inf, c, None, divides, rec.label if rec else None,
+        params=params,
+    )
+    return report, not divides and "semistable" not in params, []
 
 
-def _scan(
-    name: str,
-    check: Callable,
-    params: list[dict],
-    fixtures: Optional[FixtureTable],
-    jobs: int,
-) -> ScanReport:
+def _scan(name: str, check: Callable, params: list[dict], jobs: int) -> ScanReport:
     """The one scan loop: _scan_item((check, p)) for every params p, on up to jobs processes.
 
     A check is a top-level function, bare or bound with functools.partial, so
-    that it pickles.  It fills one curve's report, fixture-labelled here, and
-    returns whether the curve joins the exception class of its minimal
-    (c4, c6) and the mismatches it found.
+    that it pickles.  It builds one curve's report from its params and
+    returns it with whether the curve joins the exception class of its
+    minimal (c4, c6) and the mismatches it found.
     """
     scan = ScanReport(name)
     for r, exception, mismatches in _parallel_map(_scan_item, [(check, p) for p in params], jobs):
-        rec = fixtures.by_key.get(r.key) if fixtures and r.key else None
-        if rec:
-            r.label = rec.label
         scan.reports.append(r)
         scan.mismatches.extend(mismatches)
         if exception:
@@ -544,8 +541,8 @@ def scan_four_torsion(
         for s, t in pairs
         if s > 0 and math.gcd(s, t) == 1 and t != 0 and 16 * s + t != 0
     ]
-    check = functools.partial(_family_check, "four-torsion")
-    return _scan("four-torsion", check, params, fixtures, jobs)
+    check = functools.partial(_family_check, "four-torsion", fixtures)
+    return _scan("four-torsion", check, params, jobs)
 
 
 def scan_two_six(
@@ -560,8 +557,8 @@ def scan_two_six(
         for a in range(-bound, bound + 1)
         if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b)
     ]
-    check = functools.partial(_family_check, "two-six")
-    return _scan("two-six", check, params, fixtures, jobs)
+    check = functools.partial(_family_check, "two-six", fixtures)
+    return _scan("two-six", check, params, jobs)
 
 
 def scan_two_torsion(
@@ -582,8 +579,8 @@ def scan_two_torsion(
         for a in (0, 1, -1, 3, -3, 5, -5, 7, -7)
         if a * a - 4 * b < 0 and math.gcd(a, b) == 1
     ]
-    check = functools.partial(_family_check, "two-torsion")
-    return _scan("two-torsion", check, params, fixtures, jobs)
+    check = functools.partial(_family_check, "two-torsion", fixtures)
+    return _scan("two-torsion", check, params, jobs)
 
 
 def scan_three_torsion_nonunits(bound: int = 40, jobs: int = 1) -> ScanReport:
@@ -592,17 +589,18 @@ def scan_three_torsion_nonunits(bound: int = 40, jobs: int = 1) -> ScanReport:
     Violations mean bugs.
     """
     params = [{"a": a, "b": b} for a, b in _normalized_three_torsion_range(bound) if b != 1]
-    return _scan("three-torsion-nonunit-b", _nonunit_check, params, None, jobs)
+    return _scan("three-torsion-nonunit-b", _nonunit_check, params, jobs)
 
 
-def _nonunit_check(report: VerdictReport) -> tuple[bool, list]:
+def _nonunit_check(params: dict) -> tuple[VerdictReport, bool, list]:
     """c(E) of one normal form and the family's claim on it; nothing else is reported."""
-    a, b = report.params["a"], report.params["b"]
-    data = _three_torsion_local(report.params)
-    report.tamagawa = c = math.prod(d.tamagawa for d in data)
-    report.divides = c % FAMILIES["three-torsion"].claim[0] == 0
-    mismatch = {"a": a, "b": b, "c": c, "error": "3 does not divide c"}
-    return False, [] if report.divides else [mismatch]
+    c = math.prod(d.tamagawa for d in _three_torsion_local(params))
+    divides = c % FAMILIES["three-torsion"].claim[0] == 0
+    report = VerdictReport(tamagawa=c, divides=divides, params=params)
+    if divides:
+        return report, False, []
+    mismatch = {"a": params["a"], "b": params["b"], "c": c, "error": "3 does not divide c"}
+    return report, False, [mismatch]
 
 
 def _three_torsion_local(params: dict) -> list[LocalDatum]:
@@ -632,13 +630,13 @@ def reduction_table_cross_check(bound: int = 40, jobs: int = 1) -> ScanReport:
     II and III and either is accepted.
     """
     params = [{"a": a, "b": b} for a, b in _normalized_three_torsion_range(bound)]
-    return _scan("reduction-table", _cross_check, params, None, jobs)
+    return _scan("reduction-table", _cross_check, params, jobs)
 
 
-def _cross_check(report: VerdictReport) -> tuple[bool, list]:
+def _cross_check(params: dict) -> tuple[VerdictReport, bool, list]:
     """Mismatches against the table at every prime of the discriminant."""
-    a, b = report.params["a"], report.params["b"]
-    data = _three_torsion_local(report.params)
+    a, b = params["a"], params["b"]
+    data = _three_torsion_local(params)
     D = a**3 - 27 * b
     mismatches = []
     for datum in data:
@@ -662,7 +660,7 @@ def _cross_check(report: VerdictReport) -> tuple[bool, list]:
                     "got": datum.to_json(),
                 }
             )
-    return False, mismatches
+    return VerdictReport(params=params), False, mismatches
 
 
 def _expected_row(a: int, b: int, D: int, p: int):
@@ -704,12 +702,12 @@ def scan_dual_curves(a_values: Iterable[int], jobs: int = 1) -> ScanReport:
     hadano_quotient itself raises if the quotient's invariant identities fail.
     """
     params = [{"a": a} for a in a_values if a != 3]
-    return _scan("three-torsion-dual", _dual_check, params, None, jobs)
+    return _scan("three-torsion-dual", _dual_check, params, jobs)
 
 
-def _dual_check(report: VerdictReport) -> tuple[bool, list]:
+def _dual_check(params: dict) -> tuple[VerdictReport, bool, list]:
     """Mismatches of the b = 1 normal form at a against its 3-isogeny quotient."""
-    a = report.params["a"]
+    a = params["a"]
     pair = hadano_quotient(ThreeTorsionNormalForm(a, 1))
     mismatches = []
     # q divides a^2 + 3a + 9, a factor of a^3 - 27, so pair.local covers it
@@ -735,7 +733,7 @@ def _dual_check(report: VerdictReport) -> tuple[bool, list]:
             mismatches.append({"a": a, "p": p, "error": f"unexpected class {cls} away from 3"})
         elif e != (1 if cls == SPLIT else 0):
             mismatches.append({"a": a, "p": p, "error": f"ledger entry {e} for class {cls}"})
-    return False, mismatches
+    return VerdictReport(params=params), False, mismatches
 
 
 # --- presets -----------------------------------------------------------------
@@ -760,7 +758,6 @@ class Preset(NamedTuple):
 
     run: Callable
     expected: Callable[[ScanReport], bool]
-    description: str
 
     def validate(self, report: ScanReport) -> bool:
         """Every curve was analysed and the scan found what the statement expects."""
@@ -784,67 +781,46 @@ def _random_four_torsion_pairs():
     return pairs
 
 
-def _presets() -> dict[str, Preset]:
-    def negative_t(fixtures, jobs, bound):
-        return scan_four_torsion(((1, t) for t in range(-15, 0)), fixtures, jobs)
-
-    def random_region(fixtures, jobs, bound):
-        return scan_four_torsion(_random_four_torsion_pairs(), fixtures, jobs)
-
-    def two_six(fixtures, jobs, bound):
-        return scan_two_six(bound or 30, fixtures, jobs)
-
-    def two_tors(fixtures, jobs, bound):
-        return scan_two_torsion(fixtures, jobs=jobs)
-
-    def nonunit(fixtures, jobs, bound):
-        return scan_three_torsion_nonunits(bound or 40, jobs)
-
-    def table(fixtures, jobs, bound):
-        return reduction_table_cross_check(bound or 40, jobs)
-
-    def dual(fixtures, jobs, bound):
-        n = bound or 100
-        return scan_dual_curves(range(-n, n + 1), jobs)
-
-    return {
-        "prop2.1-negative-t": Preset(
-            negative_t,
-            lambda rep: set(rep.exceptions) == set(NEGATIVE_T_EXPECTED),
-            "order-4 family at s=1, t in {-15..-1}",
+PRESETS = {
+    # order-4 family at s=1, t in {-15..-1}
+    "prop2.1-negative-t": Preset(
+        lambda fixtures, jobs, bound: scan_four_torsion(
+            ((1, t) for t in range(-15, 0)), fixtures, jobs
         ),
-        "prop2.1-random": Preset(
-            random_region,
-            lambda rep: set(rep.exceptions) <= set(FOUR_TORSION_EXCEPTIONS),
-            "order-4 family on 1000 seeded coprime (s,t), |s|,|t| <= 200",
+        lambda rep: set(rep.exceptions) == NEGATIVE_T_EXPECTED,
+    ),
+    # order-4 family on 1000 seeded coprime (s,t), |s|,|t| <= 200
+    "prop2.1-random": Preset(
+        lambda fixtures, jobs, bound: scan_four_torsion(
+            _random_four_torsion_pairs(), fixtures, jobs
         ),
-        "prop2.2": Preset(
-            two_six,
-            lambda rep: not rep.exceptions,
-            "Z/2xZ/6 family, all t = a/b up to the bound",
+        lambda rep: set(rep.exceptions) <= FOUR_TORSION_EXCEPTIONS,
+    ),
+    # Z/2xZ/6 family, all t = a/b up to the bound
+    "prop2.2": Preset(
+        lambda fixtures, jobs, bound: scan_two_six(bound or 30, fixtures, jobs),
+        lambda rep: not rep.exceptions,
+    ),
+    # semi-stable 2-torsion enumeration region
+    "prop2.4": Preset(
+        lambda fixtures, jobs, bound: scan_two_torsion(fixtures, jobs),
+        lambda rep: set(rep.exceptions) == TWO_TORSION_EXCEPTIONS and not rep.mismatches,
+    ),
+    # 3 | c(E) whenever the normalized cubic has b > 1
+    "three-torsion-nonunit-b": Preset(
+        lambda fixtures, jobs, bound: scan_three_torsion_nonunits(bound or 40, jobs),
+        lambda rep: not rep.mismatches,
+    ),
+    # Tate output versus the three-torsion reduction-type table
+    "kozuma-table": Preset(
+        lambda fixtures, jobs, bound: reduction_table_cross_check(bound or 40, jobs),
+        lambda rep: not rep.mismatches,
+    ),
+    # quotient identities, split primes, and the Tamagawa-ratio ledger
+    "dual-ledger": Preset(
+        lambda fixtures, jobs, bound: scan_dual_curves(
+            range(-(bound or 100), (bound or 100) + 1), jobs
         ),
-        "prop2.4": Preset(
-            two_tors,
-            lambda rep: set(rep.exceptions) == set(TWO_TORSION_EXCEPTIONS)
-            and not rep.mismatches,
-            "semi-stable 2-torsion enumeration region",
-        ),
-        "three-torsion-nonunit-b": Preset(
-            nonunit,
-            lambda rep: not rep.mismatches,
-            "3 | c(E) whenever the normalized cubic has b > 1",
-        ),
-        "kozuma-table": Preset(
-            table,
-            lambda rep: not rep.mismatches,
-            "Tate output versus the three-torsion reduction-type table",
-        ),
-        "dual-ledger": Preset(
-            dual,
-            lambda rep: not rep.mismatches,
-            "quotient identities, split primes, and the Tamagawa-ratio ledger",
-        ),
-    }
-
-
-PRESETS = _presets()
+        lambda rep: not rep.mismatches,
+    ),
+}

@@ -380,3 +380,23 @@ def test_factor_memo_never_keeps_an_incomplete_factorization(cold_memo):
         assert (2, 2) in ei.value.partial
         assert ei.value.cofactor * 4 == n
     assert cold_memo == {}
+
+
+@pytest.mark.parametrize("n", [2.5, 7.0, Fraction(7)], ids=repr)
+def test_factor_refuses_a_non_int(n):
+    # 7.0 and Fraction(7) equal a sieve prime, and 2.5 is below 2^2, where
+    # trial division stops: each would come back as its own prime factor
+    with pytest.raises(TypeError):
+        factor(n)
+
+
+def test_is_prime_refuses_a_non_int():
+    with pytest.raises(TypeError):
+        is_prime(7.0)
+    assert is_prime(7) and not is_prime(True)
+
+
+@pytest.mark.parametrize("x, p", [(9, 3.0), (4.5, 3)], ids=["float p", "float x"])
+def test_valuation_refuses_a_float(x, p):
+    with pytest.raises(TypeError):
+        valuation(x, p)

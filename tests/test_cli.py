@@ -19,9 +19,16 @@ REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "data" / "fixtures.json"
 
 
-def run_cli(*args, env_fixtures=None):
-    env = dict(os.environ)
+def _child_env(**extra) -> dict:
+    """The environment of a child interpreter: src first on its path, no fixture file."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **extra)
     env.pop("TAMAGAWA_FIXTURES", None)
+    return env
+
+
+def run_cli(*args, env_fixtures=None):
+    env = _child_env()
     if env_fixtures:
         env["TAMAGAWA_FIXTURES"] = str(env_fixtures)
     proc = subprocess.run(
@@ -132,8 +139,7 @@ def test_output_independent_of_hash_seed():
     # byte-identical output even under different hash randomization
     outs = set()
     for seed in ("0", "1", "31337"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env.pop("TAMAGAWA_FIXTURES", None)
+        env = _child_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "tamagawa.cli", "torsion", "--ai", "1,1,1,-5,2"],
             capture_output=True, text=True, env=env, cwd=REPO,
@@ -243,10 +249,10 @@ def test_scan_with_incomplete_curve_prints_all_and_exits_3(monkeypatch, capsys, 
     from tamagawa import cli
     from tamagawa.verify import Preset, scan_four_torsion
 
+    # a four-torsion scan whose second curve outruns its rho budget
     preset = Preset(
         lambda fixtures, jobs, bound: scan_four_torsion([(1, -3), (6260003, 15)], fixtures),
         lambda rep: True,
-        "a four-torsion scan whose second curve outruns its rho budget",
     )
     monkeypatch.setitem(cli.PRESETS, "prop2.2", preset)
     cap_rho(1)
@@ -417,7 +423,7 @@ def test_scan_jobs_below_one_is_a_usage_error(jobs, monkeypatch, capsys):
 
     monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_scan)
-    monkeypatch.setitem(cli.PRESETS, "prop2.2", verify.Preset(no_scan, no_scan, "never run"))
+    monkeypatch.setitem(cli.PRESETS, "prop2.2", verify.Preset(no_scan, no_scan))
     assert cli.main(["scan", "--preset", "prop2.2", f"--jobs={jobs}"]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == ""
