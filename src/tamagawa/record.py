@@ -1,7 +1,8 @@
 """The one base of the package's hand-written records.
 
-A record that validates its fields or derives state from them is a small
-class: its ``__init__`` checks the arguments and stores each attribute with
+Record is only for a record that validates its fields or derives state
+from them; a plain record is a ``typing.NamedTuple``.  A Record subclass's
+``__init__`` checks the arguments and stores each attribute with
 ``object.__setattr__``, and afterwards every assignment raises
 AttributeError.  (``object.__setattr__`` keeps the attributes in the compact
 layout an instance starts with; a ``self.__dict__.update`` would build a

@@ -94,7 +94,7 @@ class FixtureCurve(Record):
         if not (isinstance(ai, (list, tuple)) and len(ai) == 5 and all(_is_int(k) for k in ai)):
             bad("'ai' must be a list of 5 integers")
         try:
-            WeierstrassCurve(*ai)
+            curve = WeierstrassCurve(*ai)
         except SingularCurveError:
             bad("coefficients define a singular curve")
         if torsion is not None and not (isinstance(torsion, str) and torsion in MAZUR_SHAPES):
@@ -134,15 +134,13 @@ class FixtureCurve(Record):
         )
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
+        # the checked curve, kept outside _fields as WeierstrassCurve keeps its invariants
+        object.__setattr__(self, "curve", curve)
 
     def __hash__(self):
         # local holds dicts, which do not hash; records equal on every field
         # are equal on the others too, so the hash still agrees with ==
         return hash(tuple(getattr(self, name) for name in self._fields if name != "local"))
-
-    @property
-    def curve(self) -> WeierstrassCurve:
-        return WeierstrassCurve(*self.ai)
 
 
 class FixtureTable:
@@ -203,49 +201,29 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class VerdictReport(Record):
+class VerdictReport(NamedTuple):
     """Per-curve verdict on |torsion| dividing c_inf * c(E), plus classification.
 
     Built once per curve by the check that analysed it; a field the check
-    does not compute stays None.  Unhashable, since params is a dict.
+    does not compute stays None.  Unhashable by declaration: params is a
+    dict, but a check_divisibility verdict has params None and would hash.
     """
 
-    _fields = (
-        "minimal_ai", "key", "torsion", "c_inf", "tamagawa", "tamagawa_factors",
-        "divides", "label", "fixture", "classification", "incomplete", "params",
-    )
-    __hash__ = None
+    minimal_ai: Optional[tuple] = None
+    key: Optional[tuple[int, int]] = None
+    torsion: Optional[TorsionStructure] = None
+    c_inf: Optional[int] = None
+    tamagawa: Optional[int] = None
+    tamagawa_factors: Optional[tuple] = None
+    divides: Optional[bool] = None
+    label: Optional[str] = None
+    # the matched fixture record, set by check_divisibility only; scans keep the label alone
+    fixture: Optional[FixtureCurve] = None
+    classification: Optional[str] = None
+    incomplete: bool = False
+    params: Optional[dict] = None
 
-    def __init__(
-        self,
-        minimal_ai: Optional[tuple] = None,
-        key: Optional[tuple[int, int]] = None,
-        torsion: Optional[TorsionStructure] = None,
-        c_inf: Optional[int] = None,
-        tamagawa: Optional[int] = None,
-        tamagawa_factors: Optional[tuple] = None,
-        divides: Optional[bool] = None,
-        label: Optional[str] = None,
-        fixture: Optional[FixtureCurve] = None,
-        classification: Optional[str] = None,
-        incomplete: bool = False,
-        params: Optional[dict] = None,
-    ):
-        # unrolled, as in WeierstrassCurve: a loop over the names is slower
-        set_ = object.__setattr__
-        set_(self, "minimal_ai", minimal_ai)
-        set_(self, "key", key)
-        set_(self, "torsion", torsion)
-        set_(self, "c_inf", c_inf)
-        set_(self, "tamagawa", tamagawa)
-        set_(self, "tamagawa_factors", tamagawa_factors)
-        set_(self, "divides", divides)
-        set_(self, "label", label)
-        # the matched fixture record, set by check_divisibility only; scans keep the label alone
-        set_(self, "fixture", fixture)
-        set_(self, "classification", classification)
-        set_(self, "incomplete", incomplete)
-        set_(self, "params", params)
+    __hash__ = None
 
     def to_json(self) -> dict:
         tors, rec = self.torsion, self.fixture
@@ -324,8 +302,8 @@ def classify_three_torsion(
         return report
     if report.torsion.order % 3 != 0:
         raise ValueError("curve has no rational point of order 3")
-    m = WeierstrassCurve(*report.minimal_ai)
-    if m.j in (0, 1728):
+    # check_divisibility classifies every 3-torsion curve but those with j in {0, 1728}
+    if report.classification is None:
         raise ValueError("classification requires j not in {0, 1728}")
     return report
 
@@ -381,27 +359,16 @@ def _classify_three_torsion(
     return EXCEPTION_A_CANDIDATE
 
 
-class ExceptionClass(Record):
+class ExceptionClass(NamedTuple):
     """One isomorphism class found violating a divisibility statement.
 
     Unhashable, since witnesses is a list: the scan appends each witness's params.
     """
 
-    _fields = ("key", "minimal_ai", "witnesses", "label")
-    __hash__ = None
-
-    def __init__(
-        self,
-        key: tuple[int, int],
-        minimal_ai: tuple,
-        witnesses: Optional[list] = None,
-        label: Optional[str] = None,
-    ):
-        set_ = object.__setattr__
-        set_(self, "key", key)
-        set_(self, "minimal_ai", minimal_ai)
-        set_(self, "witnesses", [] if witnesses is None else witnesses)
-        set_(self, "label", label)
+    key: tuple[int, int]
+    minimal_ai: tuple
+    witnesses: list
+    label: Optional[str] = None
 
     def to_json(self) -> dict:
         return {
@@ -413,27 +380,16 @@ class ExceptionClass(Record):
         }
 
 
-class ScanReport(Record):
+class ScanReport(NamedTuple):
     """Outcome of one scan: per-curve reports plus deduped exception classes.
 
-    Unhashable, since it holds a dict and lists, which the scan fills.
+    Unhashable, since it holds lists and a dict.
     """
 
-    _fields = ("name", "reports", "exceptions", "mismatches")
-    __hash__ = None
-
-    def __init__(
-        self,
-        name: str,
-        reports: Optional[list[VerdictReport]] = None,
-        exceptions: Optional[dict[tuple[int, int], ExceptionClass]] = None,
-        mismatches: Optional[list[dict]] = None,
-    ):
-        set_ = object.__setattr__
-        set_(self, "name", name)
-        set_(self, "reports", [] if reports is None else reports)
-        set_(self, "exceptions", {} if exceptions is None else exceptions)
-        set_(self, "mismatches", [] if mismatches is None else mismatches)
+    name: str
+    reports: list[VerdictReport]
+    exceptions: dict[tuple[int, int], ExceptionClass]
+    mismatches: list[dict]
 
     @property
     def incomplete(self) -> bool:
@@ -500,14 +456,16 @@ def _scan(name: str, check: Callable, params: list[dict], jobs: int) -> ScanRepo
     returns it with whether the curve joins the exception class of its
     minimal (c4, c6) and the mismatches it found.
     """
-    scan = ScanReport(name)
+    reports, exceptions, found = [], {}, []
     for r, exception, mismatches in _parallel_map(_scan_item, [(check, p) for p in params], jobs):
-        scan.reports.append(r)
-        scan.mismatches.extend(mismatches)
+        reports.append(r)
+        found.extend(mismatches)
         if exception:
-            new = ExceptionClass(r.key, r.minimal_ai, label=r.label)
-            scan.exceptions.setdefault(r.key, new).witnesses.append(dict(r.params))
-    return scan
+            cls = exceptions.get(r.key)
+            if cls is None:
+                cls = exceptions[r.key] = ExceptionClass(r.key, r.minimal_ai, [], r.label)
+            cls.witnesses.append(dict(r.params))
+    return ScanReport(name, reports, exceptions, found)
 
 
 def _parallel_map(fn: Callable, items: list, jobs: int) -> list:

@@ -1,16 +1,21 @@
 """Every record keeps its repr, equality, hashing, immutability and pickling.
 
-The plain records are typing.NamedTuples; the ones that validate or derive
-state are tamagawa.record.Record subclasses.  Every record refuses
-assignment; the scan reports hold dicts and lists, so they are unhashable.
-Each repr below is the text the records printed when they were dataclasses.
+The plain records, the scan records among them, are typing.NamedTuples;
+tamagawa.record.Record is only for the records that validate their fields
+or derive state.  Every record refuses assignment; the scan records are
+unhashable, VerdictReport by declaration and the other two through their
+lists.  Each repr below is the text the records printed when they were
+dataclasses.
 """
 
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import tamagawa
 from tamagawa import (
     CurveAnalysis,
     KodairaType,
@@ -24,6 +29,7 @@ from tamagawa import (
     torsion_subgroup,
 )
 from tamagawa.families import Family
+from tamagawa.record import Record
 from tamagawa.reduction import RootNumberDatum
 from tamagawa.verify import (
     ExceptionClass,
@@ -31,6 +37,7 @@ from tamagawa.verify import (
     Preset,
     ScanReport,
     VerdictReport,
+    check_divisibility,
     scan_four_torsion,
 )
 
@@ -219,3 +226,31 @@ def test_record_keeps_repr_equality_hash_immutability_and_pickling(name):
     assert copy == record and repr(copy) == text
     # derived state travels too: a curve's invariants, a structure's points once read
     assert getattr(copy, "__dict__", None) == getattr(record, "__dict__", None)
+
+
+def test_a_verdict_without_params_is_unhashable():
+    # params is None here, so only the declared __hash__ = None refuses the hash
+    report = check_divisibility(WeierstrassCurve(0, 0, 1, 0, 0))
+    assert report.params is None
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+def _package_records():
+    """Every Record subclass and tuple class with _fields defined in a tamagawa module."""
+    for info in pkgutil.iter_modules(tamagawa.__path__, "tamagawa."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            if (issubclass(cls, Record) and cls is not Record) or (
+                issubclass(cls, tuple) and hasattr(cls, "_fields")
+            ):
+                yield cls
+
+
+def test_every_record_of_the_package_has_a_case():
+    covered = {type(build()) for build, _, _, _ in RECORDS.values()}
+    records = set(_package_records())
+    assert len(records) >= 17
+    assert records <= covered, sorted(cls.__qualname__ for cls in records - covered)

@@ -245,6 +245,12 @@ def test_classify_requires_three_torsion():
         classify_three_torsion(WeierstrassCurve(0, 0, 0, -1, 0))
 
 
+def test_classify_requires_j_not_0_or_1728():
+    # 27a3 has torsion Z/3 and j = 0, so check_divisibility leaves it unclassified
+    with pytest.raises(ValueError, match="j not in"):
+        classify_three_torsion(WeierstrassCurve(0, 0, 1, 0, 0))
+
+
 def test_three_torsion_form_of_roundtrip():
     from fractions import Fraction
 
