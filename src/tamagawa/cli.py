@@ -12,7 +12,7 @@ import os
 import sys
 
 from .arith import IncompleteFactorizationError
-from .curves import CurveAnalysis, SingularCurveError, WeierstrassCurve, minimal_model
+from .curves import CurveAnalysis, WeierstrassCurve, minimal_model
 from .families import FAMILIES, ThreeTorsionNormalForm, hadano_quotient, quotient_split_prime
 from .reduction import c_infinity, local_data
 from .torsion import torsion_subgroup
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     except IncompleteFactorizationError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return EXIT_INCOMPLETE
-    except (ValueError, SingularCurveError) as e:
+    except ValueError as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return EXIT_USAGE
 

@@ -107,9 +107,6 @@ class Transformation(Record):
     def identity() -> "Transformation":
         return Transformation(1, 0, 0, 0)
 
-    def is_identity(self) -> bool:
-        return self.u == 1 and self.r == 0 and self.s == 0 and self.t == 0
-
     def compose(self, other: "Transformation") -> "Transformation":
         """Transformation equal to applying self first, then other."""
         u1, r1, s1, t1 = self.u, self.r, self.s, self.t
@@ -258,22 +255,19 @@ def minimal_model(
     if minimal == curve:
         return curve, Transformation.identity()
 
-    s = _quotient(u * minimal.a1 - curve.a1, 2)
-    r = _quotient(u**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s, 3)
-    t = _quotient(u**3 * minimal.a3 - curve.a3 - r * curve.a1, 2)
+    # An integral model reaches a minimal one by integral u, r, s, t (Silverman,
+    # AEC, VII.1.3(d)), unique once u > 0 as the only automorphisms over Q are
+    # +-1, so each division below is exact.
+    s = (u * minimal.a1 - curve.a1) // 2
+    r = (u**2 * minimal.a2 - curve.a2 + s * curve.a1 + s * s) // 3
+    t = (u**3 * minimal.a3 - curve.a3 - r * curve.a1) // 2
     # transform_coefficients(curve.ai(), u, r, s, t) == minimal.ai(), multiplied
-    # through by the powers of u: integer arithmetic when r, s and t are integers
+    # through by the powers of u; an inexact division would fail it
     a1, a2, a3, a4, a6 = minimal.ai()
     scaled = (u * a1, u**2 * a2, u**3 * a3, u**4 * a4, u**6 * a6)
     if change_coordinates(curve.ai(), r, s, t) != scaled:
         raise RuntimeError(f"minimal-model transformation failed to verify for {curve}")
     return minimal, Transformation(u, r, s, t)
-
-
-def _quotient(n, d: int):
-    """n / d exactly, as an int when d divides n."""
-    q, rem = divmod(n, d)
-    return q if rem == 0 else Fraction(n, d)
 
 
 class CurveAnalysis(NamedTuple):

@@ -115,11 +115,6 @@ class ThreeTorsionNormalForm(Record):
         object.__setattr__(self, "b", b)
 
     @property
-    def d_value(self) -> int:
-        """D = a^3 - 27 b, the odd part of the discriminant story."""
-        return self.a**3 - 27 * self.b
-
-    @property
     def curve(self) -> WeierstrassCurve:
         return WeierstrassCurve(self.a, 0, self.b, 0, 0)
 

@@ -102,10 +102,6 @@ class UnsupportedDomainError(ValueError):
     """A quantity was requested outside the range where it is defined here."""
 
 
-class AlgorithmError(RuntimeError):
-    """Internal consistency violation; indicates an arithmetic bug."""
-
-
 class KodairaType(Record):
     """Kodaira symbol: I0, In (n>=1), II, III, IV, In* (n>=0), IV*, III*, II*.
 
@@ -281,7 +277,7 @@ def _tate_above_3(c4: int, c6: int, disc: int, n: int, p: int) -> LocalDatum:
         cp = 3 if _is_square(-6 * (c6 // p ** (n // 2)), p) else 1
         return LocalDatum(p, _IV if n == 4 else _IV_STAR, cp, ADDITIVE, n)
     if n not in _BY_V_DELTA:
-        raise AlgorithmError(f"no Kodaira type has v(disc_min) = {n} at p={p}")
+        raise RuntimeError(f"no Kodaira type has v(disc_min) = {n} at p={p}")
     kodaira, cp = _BY_V_DELTA[n]
     return LocalDatum(p, kodaira, cp, ADDITIVE, n)
 
@@ -319,7 +315,7 @@ def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum
         if p == 2:
             split = (curve.a2 + curve.a3) % 2 == 0
         elif c6 % p == 0:
-            raise AlgorithmError(f"node with p | c6 at p={p}")
+            raise RuntimeError(f"node with p | c6 at p={p}")
         else:
             split = _is_square(-c6, p)
         cp, cls = (n, SPLIT) if split else (2 if n % 2 == 0 else 1, NONSPLIT)
@@ -333,7 +329,7 @@ def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum
     ai = change_coordinates(curve.ai(), r, 0, t)
     a1, a2, a3, a4, a6 = ai
     if a3 % p or a4 % p or a6 % p:
-        raise AlgorithmError(f"singular point translation failed at p={p}")
+        raise RuntimeError(f"singular point translation failed at p={p}")
     if _int_valuation(a6, p) < 2:
         return LocalDatum(p, _II, 1, ADDITIVE, n)
     _, _, b6t, b8t, _, _, _ = invariants(ai)
@@ -343,7 +339,7 @@ def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum
         # v(b6) = 2, so the quadratic's discriminant b6 / p^2 is a unit
         has_root, root = _quadratic(1, a3 // p, -(a6 // p**2), p)
         if root is not None:
-            raise AlgorithmError(f"type IV quadratic is inseparable at p={p}")
+            raise RuntimeError(f"type IV quadratic is inseparable at p={p}")
         return LocalDatum(p, _IV, 3 if has_root else 1, ADDITIVE, n)
 
     # normalize: p | a1, a2; p^2 | a3, a4; p^3 | a6
@@ -357,7 +353,7 @@ def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum
     ai = change_coordinates(ai, 0, s, t6)
     a1, a2, a3, a4, a6 = ai
     if a1 % p or a2 % p or a3 % p**2 or a4 % p**2 or a6 % p**3:
-        raise AlgorithmError(f"step-6 normalization failed at p={p}")
+        raise RuntimeError(f"step-6 normalization failed at p={p}")
 
     # cubic P(T) = T^3 + b T^2 + c T + d over F_p
     b, c, d = (a2 // p) % p, (a4 // p**2) % p, (a6 // p**3) % p
@@ -379,7 +375,7 @@ def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum
         ai = change_coordinates(ai, p * t0, 0, 0)
         a1, a2, a3, a4, a6 = ai
         if a2 % p or a2 % p**2 == 0 or a3 % p**2 or a4 % p**3 or a6 % p**4:
-            raise AlgorithmError(f"double-root translation failed at p={p}")
+            raise RuntimeError(f"double-root translation failed at p={p}")
         for m in range(1, n + 1):
             # the next shift of x is by p^mxe and of y by p^mye: y moves at odd m, x at even m
             mxe, mye = 2 + (m - 1) // 2, 2 + m // 2
@@ -394,14 +390,14 @@ def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum
             r, t = (0, p**mye * root) if m % 2 == 1 else (p**mxe * root, 0)
             ai = change_coordinates(ai, r, 0, t)
             a1, a2, a3, a4, a6 = ai
-        raise AlgorithmError(f"In* loop exceeded v(delta) at p={p}")
+        raise RuntimeError(f"In* loop exceeded v(delta) at p={p}")
 
     # triple root t0: the constant term -t0^3 of (T - t0)^3 is -t0, as t^3 = t on F_2 and F_3
     t0 = -d % p
     ai = change_coordinates(ai, p * t0, 0, 0)
     a1, a2, a3, a4, a6 = ai
     if a2 % p**2 or a4 % p**3 or a6 % p**4:
-        raise AlgorithmError(f"triple-root translation failed at p={p}")
+        raise RuntimeError(f"triple-root translation failed at p={p}")
 
     has_root, root = _quadratic(1, a3 // p**2, -(a6 // p**4), p)
     if root is None:
@@ -414,7 +410,7 @@ def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum
     if _int_valuation(a6, p) < 6:
         return LocalDatum(p, _II_STAR, 1, ADDITIVE, n)
     # step 11 reached only on a model that is not minimal at p, which minimal_exponent rules out
-    raise AlgorithmError(f"Tate's steps found the p-minimal model not minimal at p={p}")
+    raise RuntimeError(f"Tate's steps found the p-minimal model not minimal at p={p}")
 
 
 def c_infinity(curve: WeierstrassCurve) -> int:

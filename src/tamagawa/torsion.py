@@ -276,11 +276,8 @@ def _point_count(a: int, b: int, p: int) -> int:
 
 
 def _add_mod_p(p1, p2, a: int, p: int):
-    """Sum on Y^2 = X^3 + aX + b over F_p; None is the point at infinity."""
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
+    """Sum of two affine points on Y^2 = X^3 + aX + b over F_p; None if it is
+    the point at infinity."""
     (x1, y1), (x2, y2) = p1, p2
     if x1 == x2:
         if (y1 + y2) % p == 0:

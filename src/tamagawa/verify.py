@@ -183,7 +183,7 @@ def ingest_fixtures(path) -> FixtureTable:
 
     Keys that are not FixtureCurve fields are ignored.
     """
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise FixtureValidationError("fixture file must contain a JSON array")
     names = set(FixtureCurve._fields) - {"label", "ai"}
@@ -575,7 +575,7 @@ def _normalized_three_torsion_range(bound: int):
         for b in range(1, bound + 1):
             try:
                 ThreeTorsionNormalForm(a, b)
-            except (ValueError, SingularCurveError):
+            except ValueError:
                 continue
             yield a, b
 
@@ -598,13 +598,10 @@ def _cross_check(params: dict) -> tuple[VerdictReport, bool, list]:
     D = a**3 - 27 * b
     mismatches = []
     for datum in data:
-        expected = _expected_row(a, b, D, datum.prime)
-        if expected is None:
-            continue
-        kind, symbol, cp, cls = expected
+        kind, symbol, cp, cls = _expected_row(a, b, D, datum.prime)
         symbols = symbol if isinstance(symbol, tuple) else (symbol,)
         ok = (
-            (symbol is None or datum.kodaira.symbol in symbols)
+            datum.kodaira.symbol in symbols
             and (cp is None or datum.tamagawa == cp)
             and (cls is None or datum.reduction_class == cls)
         )
@@ -622,23 +619,23 @@ def _cross_check(params: dict) -> tuple[VerdictReport, bool, list]:
 
 
 def _expected_row(a: int, b: int, D: int, p: int):
-    """(row name, symbol(s), cp or None, class or None) for the table, or None.
+    """(row name, symbol(s), cp or None, class or None) of the table at p.
 
-    p is a prime factor of the discriminant, so it is not re-proved prime;
-    b and D are nonzero on a nonsingular normal form.
+    p is a prime factor of the discriminant b^3 D, so it is not re-proved
+    prime; b and D are nonzero on a nonsingular normal form, and no q has
+    q | a and q^3 | b.  Every such p has a row:
+    - 3 ord_p a = ord_p b only when both are 0 (else p | a and p^3 | b), and
+      then p | D;
+    - 3 ord_p a > ord_p b means p | a, so ord_p b <= 2, and ord_p b = 0 forces
+      p = 3, since D = -27b (mod p) and p divides b^3 D but not b.
     """
     va = _int_valuation(a, p)
     vb = _int_valuation(b, p)
-    if 3 * va <= vb:
-        if 3 * va < vb:
-            return ("split-I3vb", f"I{3 * vb}", 3 * vb, SPLIT)
-        vD = _int_valuation(D, p)
-        if vD > 0:
-            return ("I-vD", f"I{vD}", None, None)
-        return ("good", "I0", 1, GOOD)
+    if 3 * va < vb:
+        return ("split-I3vb", f"I{3 * vb}", 3 * vb, SPLIT)
+    if 3 * va == vb:
+        return ("I-vD", f"I{_int_valuation(D, p)}", None, None)
     if vb == 0:
-        if p != 3:
-            return ("good", "I0", 1, GOOD)
         vD = _int_valuation(D, 3)
         if vD == 3:
             return ("three-ambiguous", ("II", "III"), None, ADDITIVE)
@@ -649,9 +646,7 @@ def _expected_row(a: int, b: int, D: int, p: int):
         return ("three-Istar", f"I{vD - 6}*", None, ADDITIVE)
     if vb == 1:
         return ("IV", "IV", 3, ADDITIVE)
-    if vb == 2:
-        return ("IVstar", "IV*", 3, ADDITIVE)
-    return None
+    return ("IVstar", "IV*", 3, ADDITIVE)
 
 
 def scan_dual_curves(a_values: Iterable[int], jobs: int = 1) -> ScanReport:

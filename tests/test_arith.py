@@ -208,6 +208,24 @@ def test_incomplete_factorization_carries_partial():
     assert reconstructed == n
 
 
+def test_incomplete_factorization_folds_every_unsplit_piece_into_the_cofactor(monkeypatch):
+    # four primes above the sieve, so trial division leaves n whole for rho
+    n = 10007 * 10009 * 10037 * 10039
+    calls = []
+
+    def split_once(m, budget):
+        calls.append(m)
+        return (10007 * 10009, 1) if len(calls) == 1 else (0, budget)
+
+    monkeypatch.setattr(arith, "_brent_rho", split_once)
+    with pytest.raises(IncompleteFactorizationError) as ei:
+        factor(n)
+    # rho gave up on 10037 * 10039 while 10007 * 10009 was still on the stack
+    assert calls == [n, 10037 * 10039]
+    assert ei.value.cofactor == n
+    assert ei.value.partial == []
+
+
 def _reference_factor(n, budget=2_000_000):
     """factor with trial division one sieve prime at a time: the reference for the blocks.
 

@@ -412,6 +412,23 @@ def test_fixture_file_that_is_not_utf8_is_a_usage_error(tmp_path):
         assert "utf-8" in json.loads(proc.stderr)["error"]
 
 
+def test_fixture_file_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    records = json.loads(FIXTURES.read_text(encoding="utf-8"))
+    records[0]["lmfdb"] = "11.a3 \u2013 Cremona 11a3"
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps(records, ensure_ascii=False), encoding="utf-8")
+    env = _child_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamagawa.cli", "fixtures", "--fixtures", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == len(records)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_scan_jobs_below_one_is_a_usage_error(jobs, monkeypatch, capsys):
     import concurrent.futures

@@ -158,7 +158,7 @@ def test_normal_form_validation():
     with pytest.raises(ValueError):
         ThreeTorsionNormalForm(1, -1)
     f = ThreeTorsionNormalForm(1, 2)
-    assert f.curve.disc == f.b**3 * f.d_value
+    assert f.curve.disc == f.b**3 * (f.a**3 - 27 * f.b)
 
 
 def test_three_torsion_point():

@@ -2,7 +2,8 @@
 
 The plain records, the scan records among them, are typing.NamedTuples;
 tamagawa.record.Record is only for the records that validate their fields
-or derive state.  Every record refuses assignment; the scan records are
+or derive state.  Every record refuses assignment, and each validating
+record refuses a bad field with its own message; the scan records are
 unhashable, VerdictReport by declaration and the other two through their
 lists.  Each repr below is the text the records printed when they were
 dataclasses.
@@ -18,6 +19,7 @@ import pytest
 import tamagawa
 from tamagawa import (
     CurveAnalysis,
+    Factorization,
     KodairaType,
     Point,
     ThreeTorsionNormalForm,
@@ -226,6 +228,22 @@ def test_record_keeps_repr_equality_hash_immutability_and_pickling(name):
     assert copy == record and repr(copy) == text
     # derived state travels too: a curve's invariants, a structure's points once read
     assert getattr(copy, "__dict__", None) == getattr(record, "__dict__", None)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: WeierstrassCurve(1.5, 0, 0, 0, 1), TypeError, "a1 must be an integer, got 1.5"),
+        (lambda: Point(1, 2, infinity=True), ValueError, "the point at infinity has no coordinates"),
+        (lambda: Transformation(0, 0, 0, 0), ValueError, "u must be nonzero"),
+        (lambda: Factorization(2, ()), ValueError, "sign must be"),
+        (lambda: Factorization(1, ((3, 1), (2, 1))), ValueError, "primes increasing"),
+    ],
+    ids=["curve", "point", "transformation", "factorization-sign", "factorization-order"],
+)
+def test_a_validating_record_refuses_a_bad_field(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_a_verdict_without_params_is_unhashable():

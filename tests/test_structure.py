@@ -3,7 +3,8 @@
 Walks the syntax tree of every module under src/tamagawa and fails on an
 import of a _-prefixed name from another module of the package, apart from
 the few shared helpers listed in SHARED_PRIVATE, and on a Factorization
-built anywhere but in FACTORIZATION_BUILDERS.  Also starts fresh
+built anywhere but in FACTORIZATION_BUILDERS, and on a file read or write
+that leaves its encoding to the locale.  Also starts fresh
 interpreters to check that importing the package loads no module of the
 process-pool stack, which only a scan with --jobs >= 2 needs, and none of
 the dataclass machinery, which the records do without.
@@ -29,6 +30,19 @@ FACTORIZATION_BUILDERS = {
 }
 
 
+@functools.cache
+def _modules() -> list[tuple[str, ast.AST]]:
+    """(name, syntax tree) of each module under src/tamagawa."""
+    paths = sorted(SRC.glob("*.py"))
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
+
+
+def _call_name(call: ast.Call):
+    """f of a call f(...) or x.f(...); None for any other callee."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _private_imports(module: str, tree: ast.AST) -> list[str]:
     """module.name for each _-prefixed name imported from another package module."""
     found = []
@@ -45,9 +59,7 @@ def _private_imports(module: str, tree: ast.AST) -> list[str]:
 
 
 def test_no_module_imports_another_modules_private_names():
-    crossings = []
-    for path in sorted(SRC.glob("*.py")):
-        crossings += _private_imports(path.stem, ast.parse(path.read_text()))
+    crossings = [name for module, tree in _modules() for name in _private_imports(module, tree)]
     assert sorted(set(crossings) - SHARED_PRIVATE) == []
 
 
@@ -68,11 +80,8 @@ def _factorization_builders(module: str, tree: ast.AST) -> list[str]:
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "Factorization":
-                    found.append(scope)
+            elif isinstance(child, ast.Call) and _call_name(child) == "Factorization":
+                found.append(scope)
             walk(child, inner)
 
     walk(tree, module)
@@ -80,9 +89,9 @@ def _factorization_builders(module: str, tree: ast.AST) -> list[str]:
 
 
 def test_only_the_factoring_functions_build_a_factorization():
-    builders = []
-    for path in sorted(SRC.glob("*.py")):
-        builders += _factorization_builders(path.stem, ast.parse(path.read_text()))
+    builders = [
+        scope for module, tree in _modules() for scope in _factorization_builders(module, tree)
+    ]
     assert set(builders) == FACTORIZATION_BUILDERS
 
 
@@ -94,6 +103,35 @@ def test_the_walk_finds_each_factorization_call_in_its_function():
         "x = Factorization(1, ())\n"
     )
     assert _factorization_builders("m", ast.parse(code)) == ["m.A.f", "m.g", "m"]
+
+
+FILE_IO = {"open", "read_text", "write_text"}
+
+
+def _io_without_encoding(module: str, tree: ast.AST) -> list[str]:
+    """module:line of each call of open, read_text or write_text with no encoding keyword."""
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _call_name(node) in FILE_IO
+        and not any(k.arg == "encoding" for k in node.keywords)
+    )
+    return [f"{module}:{line}" for line in lines]
+
+
+def test_every_file_read_or_write_names_its_encoding():
+    unnamed = [line for module, tree in _modules() for line in _io_without_encoding(module, tree)]
+    assert unnamed == []
+
+
+def test_the_walk_finds_each_file_call_without_an_encoding():
+    code = (
+        "with open(p) as f:\n    pass\nraw = Path(p).read_text()\n"
+        "q.write_text(s, encoding='utf-8')\nopen(p, 'w', encoding='ascii')\n"
+        "out.write_text(s, 'utf-8')\nread(p)\n"
+    )
+    assert _io_without_encoding("m", ast.parse(code)) == ["m:1", "m:3", "m:6"]
 
 
 # what `from concurrent.futures import ProcessPoolExecutor` loads; none of it

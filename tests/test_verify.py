@@ -86,6 +86,13 @@ def test_ingest_rejects_non_object_record(tmp_path):
         ingest_fixtures(bad)
 
 
+def test_ingest_rejects_a_file_that_is_not_an_array(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"label": "x", "ai": [0, 0, 1, -1, 0]}')
+    with pytest.raises(FixtureValidationError, match="fixture file must contain a JSON array"):
+        ingest_fixtures(bad)
+
+
 def test_ingest_rejects_non_list_local(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([{"label": "x", "ai": [0, 1, 1, -9, -15], "local": 5}]))
