@@ -7,32 +7,43 @@ their point counts bound the torsion order by their gcd, the bound, and a
 point count depends only on (A mod q, B mod q, q), so each is computed once
 per process, as a sum over X of the number of square roots of X^3 + A X + B,
 read from a table made once per q.  One sieve prime q prime to the bound is
-taken; one always exists, by Hasse's bound.  Reduction mod a good q >= 3 is
-injective on torsion, so a rational point P of order m >= 2 reduces to a
-point of order m of E'(F_q)[bound], whose x is a root of f_m: X^3 + A X + B
-for m = 2, else the m-th division polynomial (divided by 2Y for even m).
-That root is simple, as q divides neither m nor the discriminant, so
-Newton's method lifts it to the one root mod q^N over it, and X(P) is that
-root's residue of least absolute value once q^N > 2 X_max, X_max an integer
-bound on |X| over the integer roots of X^3 + A X + B - Y^2 for every Y^2 the
-bound allows.  A lifted X is kept only when X^3 + A X + B is a square Y^2,
-and each sign of Y only when its order is certified.
+taken; one always exists, by Hasse's bound.
 
-One integer group law serves orders, generators and multiples: the
-chord-tangent law on the scaled model with exact integer slopes
-(_scaled_multiples, at most 12 additions, each addend checked on the curve).
-A slope that does not divide out proves infinite order, since every multiple
-of a torsion point is torsion and so integral.  Each surviving point's
-multiples are computed once; its order is their count plus one, and the
-point of order 2 under a generator of Z/2 x Z/2N is one of them.  Generators
-are the first points of their order in (X, Y) order, which is (x, y) order
-on the minimal model.  Only the generators are built as rational points when
-the group is found, on the model asked about, whose scaled model is the
-minimal one's under X -> u^2 X, Y -> u^3 Y; point_order checks each on that
-model and re-certifies its order there, taking the scaled image from the
-point's numerators and denominators.  TorsionStructure.points is built the
-same way on first read, each point checked on the curve there.
-on_curve compares integers, with denominators cleared.  No floating point.
+Only points of prime-power order are lifted.  They generate the torsion
+group T, which is the sum of its l-primary parts, as the l-primary part of a
+torsion point P is a multiple of P, so rational, of prime-power order.
+Reduction mod a good q >= 3 is injective on torsion, so a rational point P
+of order m >= 2 reduces to a point of order m of E'(F_q)[bound], whose x is
+a root of f_m: X^3 + A X + B for m = 2, else the m-th division polynomial
+(divided by 2Y for even m).  That root is simple, as q divides neither m nor
+the discriminant, so Newton's method lifts it to the one root mod q^N over
+it, and X(P) is that root's residue of least absolute value once
+q^N > 2 X_max, X_max an integer bound on |X| over the integer roots of
+X^3 + A X + B - Y^2 for every Y^2 the bound allows.  A lifted X is kept only
+when X^3 + A X + B is a square Y^2 and the order of (X, Y) is certified.
+The points found always form a subgroup G (without O).  Seeds go in
+non-increasing order of m, and one whose x is X mod q for a point of G is
+skipped: by injectivity the rational point over it, if any, is +- that
+point.  Each kept lift P extends G to the group G and P generate, every
+g + kP, so T costs one lift per cyclic factor of its primary decomposition.
+
+One integer group law serves orders, generators, multiples and that
+subgroup step: the chord-tangent law on the scaled model with exact integer
+slopes (_scaled_sum, one step; _scaled_multiples, at most 12 of them, each
+addend checked on the curve).  A slope that does not divide out proves
+infinite order, since every multiple of a torsion point is torsion and so
+integral; in a sum of two torsion points it is an arithmetic bug.  Each
+found point's multiples are computed once; its order is their count plus
+one, and the point of order 2 under a generator of Z/2 x Z/2N is one of
+them.  Generators are the first points of their order in (X, Y) order, which
+is (x, y) order on the minimal model.  Only the generators are built as
+rational points when the group is found, on the model asked about, whose
+scaled model is the minimal one's under X -> u^2 X, Y -> u^3 Y; point_order
+checks each on that model and re-certifies its order there, taking the
+scaled image from the point's numerators and denominators.
+TorsionStructure.points is built the same way on first read, each point
+checked on the curve there.  on_curve compares integers, with denominators
+cleared.  No floating point.
 """
 
 from __future__ import annotations
@@ -53,9 +64,11 @@ _MAZUR = {
     **{(4 * n, 3): f"Z/2xZ/{2 * n}" for n in (1, 2, 3, 4)},
 }
 MAZUR_SHAPES = frozenset(_MAZUR.values())
-# the orders of affine rational points, whose x the lift looks for; the x of
-# a point of order 2 is a root of X^3 + A X + B, simple mod every good q >= 5
-_LIFTED_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+# the prime-power orders of rational points, whose x the lift looks for: the
+# points of these orders generate every rational torsion group (see
+# _torsion_points); the x of a point of order 2 is a root of X^3 + A X + B,
+# simple mod every good q >= 5
+_LIFTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 # good primes reduced per curve, each adding a point count to the bound; at
 # most one of them divides the bound (see _torsion_points)
 _SIEVE_PRIMES = 6
@@ -175,6 +188,21 @@ def group_law_add(curve: WeierstrassCurve, p1: Point, p2: Point) -> Point:
     return Point(x3, y3)
 
 
+def _scaled_sum(x1: int, y1: int, x2: int, y2: int, A: int) -> Optional[tuple[int, int]]:
+    """(x1, y1) + (x2, y2) on Y^2 = X^3 + A X + B, in integers, for affine
+    points whose sum is affine; None when the chord or tangent slope is not
+    an integer, which a sum of torsion points never has (see _scaled_multiples)."""
+    if x1 == x2:
+        num, den = 3 * x1 * x1 + A, 2 * y1
+    else:
+        num, den = y2 - y1, x2 - x1
+    lam, rem = divmod(num, den)
+    if rem:
+        return None
+    x3 = lam * lam - x1 - x2
+    return x3, lam * (x1 - x3) - y1
+
+
 def _scaled_multiples(X: int, Y: int, A: int, B: int) -> Optional[list[tuple[int, int]]]:
     """[P, 2P, ..., (n-1)P] for P = (X, Y) of order n on Y^2 = X^3 + A X + B,
     or None when P has infinite order, all in integers.
@@ -190,18 +218,13 @@ def _scaled_multiples(X: int, Y: int, A: int, B: int) -> Optional[list[tuple[int
         # (x, y) == multiples[-1], the addend of this step
         if y * y != (x * x + A) * x + B:
             raise ValueError(f"({x}, {y}) is not on Y^2 = X^3 + {A} X + {B}")
-        if x == X:
-            if y == -Y:
-                return multiples
-            num, den = 3 * x * x + A, 2 * y
-        else:
-            num, den = y - Y, x - X
-        lam, rem = divmod(num, den)
-        if rem:
+        if x == X and y == -Y:
+            return multiples
+        point = _scaled_sum(x, y, X, Y, A)
+        if point is None:
             return None
-        x3 = lam * lam - x - X
-        x, y = x3, lam * (x - x3) - y
-        multiples.append((x, y))
+        x, y = point
+        multiples.append(point)
     return None
 
 
@@ -322,13 +345,15 @@ def _root_bound(P: int, Q: int) -> int:
     return 2 + 2 * max(1 << -(-P.bit_length() // 2), 1 << -(-Q.bit_length() // 3))
 
 
-def _lift_seeds(a: int, b: int, q: int, bound: int) -> list[tuple[int, int]]:
+@functools.cache
+def _lift_seeds(a: int, b: int, q: int, bound: int) -> tuple[tuple[int, int], ...]:
     """(x, m) for one of each pair +-P of affine points of E'(F_q)[bound],
-    E' as in _point_count, whose order m is a rational one: a point with
-    y = 0 is its own pair, of order 2."""
+    E' as in _point_count, whose order m is a prime power in _LIFTED_ORDERS,
+    in non-increasing order of m: a point with y = 0 is its own pair, of
+    order 2.  Keys are residues mod a small prime, as for _point_count."""
     orders = [m for m in _LIFTED_ORDERS if bound % m == 0]
     if not orders:
-        return []
+        return ()
     top = max(orders)
     seeds = []
     for x, y in _scaled_points_mod_p(a, b, q):
@@ -339,7 +364,7 @@ def _lift_seeds(a: int, b: int, q: int, bound: int) -> list[tuple[int, int]]:
                 multiple, m = _add_mod_p(multiple, (x, y), a, q), m + 1
             if multiple is None and m in orders:
                 seeds.append((x, m))
-    return seeds
+    return tuple(sorted(seeds, key=lambda seed: -seed[1]))
 
 
 def _division_value(m: int, x: int, A: int, B: int, modulus: int) -> tuple[int, int]:
@@ -422,9 +447,13 @@ def _torsion_points(curve: WeierstrassCurve) -> dict[tuple[int, int], list[tuple
       #E(F_q1) <= q1 + 1 + 2 sqrt(q1) < q1^2 (Hasse), q1 >= 5 the first sieve
       prime, while two sieve primes q1 <= q < q' dividing it would make it at
       least q q' > q1^2.  So at most one of the six divides it.
+    - The rational points of prime-power order generate the torsion group T:
+      T is the sum of its l-primary parts T[l^inf], and the l-primary part of
+      a torsion point P is a multiple of P, so it is rational, of order a
+      power of l.  Those orders are _LIFTED_ORDERS, by Mazur.
     - Reduction mod a good q >= 3 is injective on torsion, so a rational point
-      P of order m >= 2 reduces to a point of order m of E'(F_q)[bound]: one
-      of the pair +-P~ that _lift_seeds lists, with m a rational order (m = 2
+      P of prime-power order m reduces to a point of order m of
+      E'(F_q)[bound]: one of the pair +-P~ that _lift_seeds lists (m = 2
       when P = (X, 0), as 2 then divides the bound).
     - For m = 2, x(P~) is a root of X^3 + A X + B mod q, which is separable
       as q does not divide its discriminant -(4A^3 + 27B^2).  For m >= 3,
@@ -439,7 +468,16 @@ def _torsion_points(curve: WeierstrassCurve) -> dict[tuple[int, int], list[tuple
       mod q^N is X(P).
     - A lift from a root mod q that no rational point reduces to is kept
       only if X^3 + A X + B is a square Y^2 and _scaled_multiples certifies
-      (X, Y) or (X, -Y) as torsion, as it certifies every point kept.
+      (X, Y) as torsion, as it certifies every point kept; (X, -Y) is then
+      torsion too.
+    - found is always a subgroup G (O left out).  A seed (x, m) with
+      x = X mod q for some (X, Y) in G is skipped: a rational point over it
+      shares its reduction's x with (X, Y), so by injectivity it is
+      +-(X, Y), already in G.  Otherwise a kept lift P extends G to the
+      group G and P generate (_extend).  Seeds go in non-increasing order of
+      m, so a point of order 4 or 8 comes before the point of order 2 under
+      it, and T costs one kept lift per cyclic factor of its primary
+      decomposition: Z/2 x Z/6 = Z/2 x Z/2 x Z/3 costs three.
     """
     bound, reduced = _torsion_sieve(curve)
     a, b, q = next(key for key in reduced if bound % key[2])
@@ -452,15 +490,44 @@ def _torsion_points(curve: WeierstrassCurve) -> dict[tuple[int, int], list[tuple
     # X^3 + A X + B - Y^2
     modulus = _lift_modulus(q, _root_bound(A, abs(B) + abs(4 * A**3 + 27 * B * B)))
     for x, m in seeds:
+        if any((x - X) % q == 0 for X, _ in found):
+            continue
         X = _lifted_x(x, m, A, B, q, modulus)
         yy = (X * X + A) * X + B
         Y = math.isqrt(max(yy, 0))
         if Y * Y == yy:
-            for signed in {Y, -Y}:
-                multiples = _scaled_multiples(X, signed, A, B)
-                if multiples is not None:
-                    found[X, signed] = multiples
+            # (X, -Y) is torsion exactly when (X, Y) is, and then -P is in the extension
+            multiples = _scaled_multiples(X, Y, A, B)
+            if multiples is not None:
+                _extend(found, multiples, A, B)
     return found
+
+
+def _extend(
+    found: dict[tuple[int, int], list[tuple[int, int]]], multiples: list[tuple[int, int]], A: int, B: int
+):
+    """Extend found, the affine points of a subgroup G, each mapped to its
+    _scaled_multiples, to those of the group G and P generate, P = multiples[0]
+    a torsion point outside G: every g + kP, 0 < k < order of P, with g in G
+    or O.  The coset G + kP is new exactly when kP is not yet found; then no
+    g in G is +-kP, so each sum is a chord, and none is O.  A sum of torsion
+    points is torsion, so integral: a slope that does not divide, or a sum
+    _scaled_multiples does not certify, is an arithmetic bug."""
+    group = list(found)
+    for kP in multiples:
+        if kP in found:
+            continue
+        coset = [kP]
+        for g in group:
+            point = _scaled_sum(*g, *kP, A)
+            if point is None:
+                raise RuntimeError(f"{g} + {kP} has a non-integral slope; arithmetic bug")
+            coset.append(point)
+        for point in coset:
+            point_multiples = multiples if point == multiples[0] else _scaled_multiples(*point, A, B)
+            if point_multiples is None:
+                raise RuntimeError(f"{point}, a sum of torsion points, has infinite order; arithmetic bug")
+            found[point] = point_multiples
 
 
 def torsion_subgroup(

@@ -23,7 +23,7 @@ from .curves import (
     CurveAnalysis,
     SingularCurveError,
     WeierstrassCurve,
-    transform_coefficients,
+    change_coordinates,
 )
 from .families import (
     FAMILIES,
@@ -255,15 +255,25 @@ class VerdictReport(NamedTuple):
 def three_torsion_form_of(
     curve: WeierstrassCurve, point_xy: tuple[Fraction, Fraction]
 ) -> ThreeTorsionNormalForm:
-    """Normal form of a curve with the given rational point of order 3."""
+    """Normal form of a curve with the given rational point of order 3.
+
+    The two shifts run in integers when the point is integral, as a point of
+    order 3 on an integral model always is (Silverman, AEC, VIII.7.1), and
+    the second shift s then is too, a root of s^2 + a1 s - a2; a shift that
+    is not integral runs in Fractions.
+    """
     x0, y0 = Fraction(point_xy[0]), Fraction(point_xy[1])
-    a1, a2, a3, a4, a6 = transform_coefficients(curve.ai(), 1, x0, 0, y0)
+    if x0.denominator == 1 == y0.denominator:
+        x0, y0 = x0.numerator, y0.numerator
+    a1, a2, a3, a4, a6 = change_coordinates(curve.ai(), x0, 0, y0)
     if a6 != 0:
         raise ValueError("point is not on the curve")
     if a3 == 0:
         raise ValueError("point has order 2, not 3")
-    s = a4 / a3
-    a1, a2, a3, a4, a6 = transform_coefficients((a1, a2, a3, a4, a6), 1, 0, s, 0)
+    s, rem = divmod(a4, a3)
+    if rem:
+        s = Fraction(a4) / a3
+    a1, a2, a3, a4, a6 = change_coordinates((a1, a2, a3, a4, a6), 0, s, 0)
     if a4 != 0 or a6 != 0 or a2 != 0:
         raise ValueError("point does not have order 3")
     return three_torsion_normalize(a1, a3)
@@ -335,12 +345,17 @@ def _classify_three_torsion(
     for d in data:
         if d.prime != 3 and d.reduction_class == ADDITIVE:
             raise RuntimeError("unit-b curve additive away from 3; arithmetic bug")
+    split_count = sum(1 for d in data if d.reduction_class == SPLIT)
     if pair.ratio_ord3 >= 2:
+        # 9 | Sha follows from BSD at rank 0; a semistable curve has
+        # w = (-1)^(1 + split places), as global_root_number_semistable
+        # computes, and w = -1 puts it outside that hypothesis
+        if split_count % 2 == 0 and all(d.reduction_class != ADDITIVE for d in data):
+            return RANK_VIOLATED
         return SHA_IMPLIED
     datum3 = next((d for d in data if d.prime == 3), None)
     if datum3 is not None and datum3.kodaira.symbol in ("II", "IV"):
         return EXCEPTION_B
-    split_count = sum(1 for d in data if d.reduction_class == SPLIT)
     if datum3 is None or datum3.reduction_class in (GOOD, NONSPLIT):
         w3 = 1
     elif datum3.reduction_class == SPLIT:

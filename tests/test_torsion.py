@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import pickle
@@ -29,6 +30,7 @@ from tamagawa.torsion import (
     Point,
     _division_value,
     _lift_modulus,
+    _lift_seeds,
     _lifted_x,
     _point_count,
     _root_bound,
@@ -363,6 +365,43 @@ def test_torsion_sieve_same_on_cold_and_warm_cache():
     for i in order:
         assert _torsion_sieve(minimal[i]) == cold[i], minimal[i].ai()
     assert _point_count.cache_info().hits > 0
+
+
+def _primes_of(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+
+
+def test_lift_seeds_same_on_cold_and_warm_cache():
+    """The memoized seed tables are keyed by everything they depend on: each
+    curve's seeds, computed alone on a cleared cache, come out the same when
+    the curves share the cache in shuffled order.  Each table lists roots of
+    f_m mod q, in non-increasing order of m, m a prime power dividing the bound."""
+    curves = _fixture_and_two_six_curves() + [E for _, E in _kubert_curves()]
+    keys = []
+    for curve in curves:
+        bound, reduced = _torsion_sieve(CurveAnalysis.of(curve).minimal)
+        a, b, q = next(key for key in reduced if bound % key[2])
+        keys.append((a, b, q, bound))
+    cold = []
+    for key in keys:
+        _lift_seeds.cache_clear()
+        _square_roots.cache_clear()
+        cold.append(_lift_seeds(*key))
+    _lift_seeds.cache_clear()
+    _square_roots.cache_clear()
+    order = list(range(len(keys)))
+    random.Random(31).shuffle(order)
+    for i in order:
+        assert _lift_seeds(*keys[i]) == cold[i], keys[i]
+    assert _lift_seeds.cache_info().hits > 0
+    for (a, b, q, bound), seeds in zip(keys, cold):
+        assert isinstance(seeds, tuple)
+        ms = [m for _, m in seeds]
+        assert ms == sorted(ms, reverse=True)
+        for x, m in seeds:
+            assert bound % m == 0 and len(_primes_of(m)) == 1
+            assert _division_value(m, x, a, b, q)[0] == 0
+    assert {m for seeds in cold for _, m in seeds} == set(torsion._LIFTED_ORDERS)
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
@@ -814,18 +853,53 @@ def _record_lifts(monkeypatch):
     return lifted
 
 
-def test_points_of_order_two_come_from_the_order_two_lift(monkeypatch):
-    """Each (X, 0) that _torsion_points finds is a lift of a root of
-    X^3 + A X + B mod q: the one lift finds the points of every order."""
+def _primary_factor_count(shape):
+    """The number of cyclic factors in the primary decomposition of a Mazur
+    shape "Z/N" or "Z/2xZ/2N": one for each prime of each cyclic factor."""
+    return sum(len(_primes_of(int(n))) for n in shape.replace("Z/", "").split("x"))
+
+
+def test_lifts_run_at_prime_power_orders_once_per_cyclic_factor(monkeypatch):
+    """No lift evaluates f_m at m = 6, 10 or 12, and the lifts that yield a
+    point, those whose X a found point has, are one per cyclic factor of the
+    group's primary decomposition: the subgroup step builds the rest, and
+    the skip rule lifts no point already found."""
+    assert {s: _primary_factor_count(s) for s in ("Z/1", "Z/2xZ/6", "Z/12", "Z/8")} == {
+        "Z/1": 0,
+        "Z/2xZ/6": 3,
+        "Z/12": 2,
+        "Z/8": 1,
+    }
     lifted = _record_lifts(monkeypatch)
-    two_torsion = 0
-    for curve in _fixture_and_two_six_curves():
+    shapes = collections.Counter()
+    for curve in _fixture_and_two_six_curves() + [E for _, E in _kubert_curves()]:
         lifted.clear()
-        for X, Y in _torsion_points(CurveAnalysis.of(curve).minimal):
-            if Y == 0:
-                assert (X, 2) in lifted, curve.ai()
-                two_torsion += 1
-    assert two_torsion > 0
+        found = _torsion_points(CurveAnalysis.of(curve).minimal)
+        assert not {m for _, m in lifted} & {6, 10, 12}, (curve.ai(), lifted)
+        shape = torsion._MAZUR[len(found) + 1, sum(1 for _, Y in found if Y == 0)]
+        xs = {X for X, _ in found}
+        kept = sum(1 for X, _ in lifted if X in xs)
+        assert kept == _primary_factor_count(shape), (curve.ai(), shape, lifted)
+        shapes[shape] += 1
+    assert shapes["Z/2xZ/6"] and shapes["Z/12"] and shapes["Z/8"]
+
+
+@pytest.mark.parametrize(
+    "A, B, point, match",
+    [
+        # (2, 0) + (-2, 2) has slope -1/2 on Y^2 = X^3 - 5X + 2
+        (-5, 2, (-2, 2), "non-integral slope"),
+        # (-2, 0) + (1, 3) = (2, -4) on Y^2 = X^3 + 8, of infinite order
+        (0, 8, (1, 3), "infinite order"),
+    ],
+)
+def test_subgroup_step_refuses_a_sum_that_is_not_torsion(A, B, point, match):
+    """A found set holding a point of infinite order is an arithmetic bug:
+    the subgroup step raises rather than drop the sum."""
+    X = next(X for X in range(-5, 6) if (X * X + A) * X + B == 0)
+    assert _scaled_multiples(*point, A, B) is None
+    with pytest.raises(RuntimeError, match=match):
+        torsion._extend({point: None}, _scaled_multiples(X, 0, A, B), A, B)
 
 
 def test_a_root_of_the_cubic_mod_q_without_a_rational_point_is_rejected(monkeypatch):

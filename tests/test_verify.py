@@ -1,12 +1,19 @@
+import collections
 import inspect
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tamagawa import curves, verify
 from tamagawa.arith import IncompleteFactorizationError
-from tamagawa.curves import WeierstrassCurve
+from tamagawa.curves import WeierstrassCurve, change_coordinates, transform_coefficients
+from tamagawa.families import ThreeTorsionNormalForm, three_torsion_normalize
+from tamagawa.reduction import ADDITIVE, global_root_number_semistable, local_data
 from tamagawa.verify import (
     EXCEPTION_A,
     EXCEPTION_A_CANDIDATE,
@@ -206,11 +213,12 @@ def test_classify_exception_families(fixtures):
     assert check_divisibility(WeierstrassCurve(1, -1, 0, -3, 3), fixtures=fixtures).classification == EXCEPTION_B
     r = classify_three_torsion(WeierstrassCurve(0, 1, 1, -9, -15), fixtures=fixtures)
     assert r.classification == DIVISIBLE
-    # two split places away from 3 push the quotient ratio to 2
+    # two split places away from 3 push the quotient ratio to 2, and give a
+    # semistable curve root number -1: outside the rank-0 hypothesis
     from tamagawa.families import ThreeTorsionNormalForm
 
     r2 = classify_three_torsion(ThreeTorsionNormalForm(-4, 1).curve)
-    assert r2.classification == SHA_IMPLIED
+    assert r2.classification == RANK_VIOLATED
 
 
 def test_classify_reads_w3_from_the_fixture_at_an_additive_three():
@@ -266,6 +274,92 @@ def test_three_torsion_form_of_roundtrip():
     with pytest.raises(ValueError):
         # (0, 0) on this curve has order 2
         three_torsion_form_of(WeierstrassCurve(0, 1, 0, -1, 0), (Fraction(0), Fraction(0)))
+
+
+def _reference_form_of(curve, point_xy):
+    """The normal form by the Fraction shifts of transform_coefficients."""
+    x0, y0 = Fraction(point_xy[0]), Fraction(point_xy[1])
+    a1, a2, a3, a4, a6 = transform_coefficients(curve.ai(), 1, x0, 0, y0)
+    a1, a2, a3, a4, a6 = transform_coefficients((a1, a2, a3, a4, a6), 1, 0, a4 / a3, 0)
+    assert a2 == a4 == a6 == 0
+    return three_torsion_normalize(a1, a3)
+
+
+@given(
+    st.integers(-30, 30),
+    st.integers(1, 30),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_three_torsion_form_matches_the_fraction_one(a, b, r, s, t):
+    """On y^2 + a xy + b y = x^3 moved by x = x' + r, y = y' + s x' + t, both
+    points of order 3, +-(0, 0), give the normal form of (a, b) as ints, as
+    Fractions and by the Fraction shifts."""
+    assume(a**3 != 27 * b)
+    curve = WeierstrassCurve(*change_coordinates((a, 0, b, 0, 0), r, s, t))
+    expected = three_torsion_normalize(a, b)
+    for y in (0, -b):
+        # (0, y) in the new coordinates: x' = -r, y' = y + r s - t
+        point = (-r, y + r * s - t)
+        assert three_torsion_form_of(curve, point) == expected
+        assert three_torsion_form_of(curve, tuple(map(Fraction, point))) == expected
+        assert _reference_form_of(curve, point) == expected
+
+
+def test_three_torsion_classification_shifts_in_integers(fixtures, monkeypatch):
+    """Every fixture the 3-torsion classification reaches gives an integral
+    point of order 3 on its minimal model (Silverman VIII.7.1), and its
+    normal form comes, with the same report, without transform_coefficients."""
+    expected = [check_divisibility(rec.curve, fixtures=fixtures).to_json() for rec in fixtures.records]
+    form_of, points = verify.three_torsion_form_of, []
+
+    def recorded(curve, point_xy):
+        points.append(point_xy)
+        return form_of(curve, point_xy)
+
+    def refuse(*args):
+        raise AssertionError("transform_coefficients was called")
+
+    monkeypatch.setattr(verify, "three_torsion_form_of", recorded)
+    monkeypatch.setattr(curves, "transform_coefficients", refuse)
+    # a module that imports the name holds its own reference to it
+    monkeypatch.setattr(verify, "transform_coefficients", refuse, raising=False)
+    reports = [check_divisibility(rec.curve, fixtures=fixtures).to_json() for rec in fixtures.records]
+    assert reports == expected
+    assert len(points) == sum(1 for r in reports if r["classification"] not in (None, DIVISIBLE)) > 0
+    assert all(x.denominator == 1 == y.denominator for x, y in points)
+
+
+def test_rank_positive_semistable_curves_leave_the_sha_class():
+    """Over y^2 + a xy + y = x^3, |a| <= 300: a semistable curve of quotient
+    ratio >= 2 with root number -1 is rank-hypothesis-violated, not Sha-implied."""
+    counts = collections.Counter()
+    for a in range(-300, 301):
+        if a == 3:  # singular
+            continue
+        report = check_divisibility(ThreeTorsionNormalForm(a, 1).curve)
+        if report.classification is None:  # a = 0, j = 0
+            counts[None] += 1
+            continue
+        m = WeierstrassCurve(*report.minimal_ai)
+        semistable = all(d.reduction_class != ADDITIVE for d in local_data(m))
+        if semistable and report.classification in (SHA_IMPLIED, RANK_VIOLATED):
+            want = 1 if report.classification == SHA_IMPLIED else -1
+            assert global_root_number_semistable(m) == want, a
+        counts[report.classification, semistable] += 1
+    assert counts == {
+        (RANK_VIOLATED, True): 201,
+        (SHA_IMPLIED, True): 122,
+        (SHA_IMPLIED, False): 153,
+        (EXCEPTION_A, True): 75,
+        (EXCEPTION_A_CANDIDATE, False): 12,
+        (EXCEPTION_B, False): 10,
+        (DIVISIBLE, True): 2,
+        (DIVISIBLE, False): 24,
+        None: 1,
+    }
 
 
 def test_scan_negative_t(fixtures):
