@@ -275,9 +275,8 @@ class CurveAnalysis(NamedTuple):
 
     Holds the global minimal model, the transformation reaching it and the
     factored minimal discriminant, whose exponents are the model's minus
-    12 ord_p(u).  Bad primes, Tate's algorithm, torsion and fixture keys
-    all read this instead of minimizing or factoring again; torsion reads
-    only the minimal model and the transformation.
+    12 ord_p(u).  Bad primes, Tate's algorithm and fixture keys all read
+    this instead of minimizing or factoring again; torsion needs none of it.
     """
 
     curve: WeierstrassCurve

@@ -35,12 +35,13 @@ infinite order, since every multiple of a torsion point is torsion and so
 integral; in a sum of two torsion points it is an arithmetic bug.  Each
 found point's multiples are computed once; its order is their count plus
 one, and the point of order 2 under a generator of Z/2 x Z/2N is one of
-them.  Generators are the first points of their order in (X, Y) order, which
-is (x, y) order on the minimal model.  Only the generators are built as
-rational points when the group is found, on the model asked about, whose
-scaled model is the minimal one's under X -> u^2 X, Y -> u^3 Y; point_order
-checks each on that model and re-certifies its order there, taking the
-scaled image from the point's numerators and denominators.
+them.  The group is found on the scaled model of the curve asked about, as
+Lutz-Nagell holds on that of any integral model: no discriminant is
+factored and no model minimized.  Generators are the first points of their
+order in (X, Y) order, which is (x, y) order on the curve.  Only the
+generators are built as rational points when the group is found;
+point_order checks each on the curve and re-certifies its order there,
+taking the scaled image from the point's numerators and denominators.
 TorsionStructure.points is built the same way on first read, each point
 checked on the curve there.  on_curve compares integers, with denominators
 cleared.  No floating point.
@@ -54,7 +55,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import is_prime
-from .curves import CurveAnalysis, WeierstrassCurve
+from .curves import WeierstrassCurve
 from .record import Record
 
 # (order, points of order 2) -> shape, for Mazur's fifteen groups; a cyclic
@@ -108,8 +109,7 @@ class TorsionStructure(Record):
     shape ("Z/N" or "Z/2xZ/2N"), order and generators determine the point
     set, so they alone are compared, hashed and shown.  The points are built
     on first read from plain data (so a structure pickles): the curve asked
-    about, the scaling u from its minimal model, and the affine points'
-    (X, Y) on the minimal scaled model.
+    about and the affine points' (X, Y) on its scaled model.
     """
 
     _fields = ("shape", "order", "generators")
@@ -120,23 +120,21 @@ class TorsionStructure(Record):
         order: int,
         generators: tuple[Point, ...],
         _curve: WeierstrassCurve,
-        _u: int,
         _keys: tuple[tuple[int, int], ...],
     ):
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_curve", _curve)
-        object.__setattr__(self, "_u", _u)
         object.__setattr__(self, "_keys", _keys)
 
     @functools.cached_property
     def points(self) -> frozenset[Point]:
         """Every torsion point on the curve asked about, each checked on it."""
-        curve, u = self._curve, self._u
+        curve = self._curve
         points = [Point.at_infinity()]
         for X, Y in self._keys:
-            point = _unscaled(curve, u * u * X, u**3 * Y)
+            point = _unscaled(curve, X, Y)
             _require_on_curve(curve, point)
             points.append(point)
         return frozenset(points)
@@ -440,7 +438,7 @@ def _lifted_x(x: int, m: int, A: int, B: int, q: int, modulus: int) -> int:
 
 
 def _torsion_points(curve: WeierstrassCurve) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Each affine rational torsion point of a minimal model, as (X, Y) on its
+    """Each affine rational torsion point of an integral model, as (X, Y) on its
     scaled model Y^2 = X^3 + A X + B, mapped to its _scaled_multiples.
 
     - Some sieve prime q does not divide the bound.  The bound divides
@@ -530,28 +528,15 @@ def _extend(
             found[point] = point_multiples
 
 
-def torsion_subgroup(
-    curve: WeierstrassCurve, analysis: Optional[CurveAnalysis] = None
-) -> TorsionStructure:
+def torsion_subgroup(curve: WeierstrassCurve) -> TorsionStructure:
     """Certified torsion structure with generators on the given model.
 
-    A supplied analysis must be of curve or have curve as its minimal model;
-    without one the curve is analysed here by CurveAnalysis.of(curve).  Points
-    found on the minimal model are built on curve, by X -> u^2 X and
-    Y -> u^3 Y on the scaled models, u the minimal transformation's scaling:
-    the generators here, the other points when TorsionStructure.points is
-    first read.
+    Found on curve's own scaled model, where every torsion point is integral
+    (Lutz-Nagell), so it never factors the discriminant: the generators are
+    built when the group is found, the other points when
+    TorsionStructure.points is first read.
     """
-    if analysis is None:
-        analysis = CurveAnalysis.of(curve)
-    m = analysis.minimal
-    if curve == analysis.curve:
-        u = int(analysis.transformation.u)
-    elif curve == m:
-        u = 1
-    else:
-        raise ValueError(f"the analysis is of {analysis.curve}, not of {curve}")
-    found = _torsion_points(m)
+    found = _torsion_points(curve)
     order = len(found) + 1
     two_torsion = sum(1 for multiples in found.values() if len(multiples) == 1)
     shape = _MAZUR.get((order, two_torsion))
@@ -565,17 +550,17 @@ def torsion_subgroup(
     # deterministic generator choice: scan points in (X, Y) order, which is
     # (x, y) order, as x grows with X and, at one x, y grows with Y
     ordered = sorted(found)
-    generators_min: list[tuple[int, int]] = []
+    keys: list[tuple[int, int]] = []
     if order > 1:
         g1 = next(q for q in ordered if len(found[q]) + 1 == max_order)
-        generators_min.append(g1)
+        keys.append(g1)
         if two_torsion == 3:
             half = found[g1][max_order // 2 - 1]
-            generators_min.append(next(q for q in ordered if len(found[q]) == 1 and q != half))
+            keys.append(next(q for q in ordered if len(found[q]) == 1 and q != half))
 
     # point_order checks each generator on curve and re-certifies its order
-    generators = tuple(_unscaled(curve, u * u * X, u**3 * Y) for X, Y in generators_min)
-    for g, q in zip(generators, generators_min):
+    generators = tuple(_unscaled(curve, X, Y) for X, Y in keys)
+    for g, q in zip(generators, keys):
         if point_order(curve, g) != len(found[q]) + 1:
             raise RuntimeError("generator order changed under coordinate transport")
-    return TorsionStructure(shape, order, generators, curve, u, tuple(ordered))
+    return TorsionStructure(shape, order, generators, curve, tuple(ordered))

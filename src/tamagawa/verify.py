@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .arith import IncompleteFactorizationError, _int_valuation, factor, is_prime
+from .arith import Factorization, IncompleteFactorizationError, _int_valuation, factor, is_prime
 from .curves import (
     CurveAnalysis,
     SingularCurveError,
@@ -257,26 +257,36 @@ def three_torsion_form_of(
 ) -> ThreeTorsionNormalForm:
     """Normal form of a curve with the given rational point of order 3.
 
-    The two shifts run in integers when the point is integral, as a point of
-    order 3 on an integral model always is (Silverman, AEC, VIII.7.1), and
-    the second shift s then is too, a root of s^2 + a1 s - a2; a shift that
-    is not integral runs in Fractions.
+    A point of order 3 on an integral model is integral (Silverman, AEC,
+    VIII.7.1), and the second shift s is then an integer root of
+    s^2 + a1 s - a2, so both shifts run in integers; a point that is not
+    integral raises ValueError at once.
     """
     x0, y0 = Fraction(point_xy[0]), Fraction(point_xy[1])
-    if x0.denominator == 1 == y0.denominator:
-        x0, y0 = x0.numerator, y0.numerator
-    a1, a2, a3, a4, a6 = change_coordinates(curve.ai(), x0, 0, y0)
+    if x0.denominator != 1 or y0.denominator != 1:
+        raise ValueError("point is not integral, so not of order 3")
+    a1, a2, a3, a4, a6 = change_coordinates(curve.ai(), x0.numerator, 0, y0.numerator)
     if a6 != 0:
         raise ValueError("point is not on the curve")
     if a3 == 0:
         raise ValueError("point has order 2, not 3")
-    s, rem = divmod(a4, a3)
-    if rem:
-        s = Fraction(a4) / a3
-    a1, a2, a3, a4, a6 = change_coordinates((a1, a2, a3, a4, a6), 0, s, 0)
+    # a3 divides a4 at a point of order 3; otherwise a4 keeps the remainder
+    a1, a2, a3, a4, a6 = change_coordinates((a1, a2, a3, a4, a6), 0, a4 // a3, 0)
     if a4 != 0 or a6 != 0 or a2 != 0:
         raise ValueError("point does not have order 3")
     return three_torsion_normalize(a1, a3)
+
+
+def _local_facts(
+    curve: WeierstrassCurve, disc: Optional[Factorization], fixtures: Optional[FixtureTable]
+) -> tuple[WeierstrassCurve, tuple[int, int], list[LocalDatum], int, int, Optional[FixtureCurve]]:
+    """(minimal model, key, local data, c(E), c_inf, fixture record) of curve,
+    each computed once, from disc, its discriminant's factorization, if given."""
+    analysis = CurveAnalysis.of(curve, disc)
+    m = analysis.minimal
+    data = local_data(m, disc=analysis.disc_min)
+    rec = fixtures.by_key.get(analysis.key) if fixtures else None
+    return m, analysis.key, data, math.prod(d.tamagawa for d in data), c_infinity(m), rec
 
 
 def check_divisibility(
@@ -284,38 +294,18 @@ def check_divisibility(
 ) -> VerdictReport:
     """Exact divisibility verdict for one curve, fixture-matched when possible."""
     try:
-        analysis = CurveAnalysis.of(curve)
-        m = analysis.minimal
-        data = local_data(m, disc=analysis.disc_min)
-        c = math.prod(d.tamagawa for d in data)
+        m, key, data, c, c_inf, rec = _local_facts(curve, None, fixtures)
         c_factors = factor(c).factors
-        tors = torsion_subgroup(m, analysis=analysis)
     except IncompleteFactorizationError:
         return VerdictReport(incomplete=True)
-    c_inf = c_infinity(m)
-    rec = fixtures.by_key.get(analysis.key) if fixtures else None
+    tors = torsion_subgroup(m)
     classification = None
     if tors.order % 3 == 0 and m.j not in (0, 1728):
         classification = _classify_three_torsion(m, data, c, tors, rec)
     return VerdictReport(
-        m.ai(), analysis.key, tors, c_inf, c, c_factors, (c_inf * c) % tors.order == 0,
+        m.ai(), key, tors, c_inf, c, c_factors, (c_inf * c) % tors.order == 0,
         rec.label if rec else None, rec, classification,
     )
-
-
-def classify_three_torsion(
-    curve: WeierstrassCurve, fixtures: Optional[FixtureTable] = None
-) -> VerdictReport:
-    """Divisibility verdict and exception-family classification for a 3-torsion curve."""
-    report = check_divisibility(curve, fixtures=fixtures)
-    if report.incomplete:
-        return report
-    if report.torsion.order % 3 != 0:
-        raise ValueError("curve has no rational point of order 3")
-    # check_divisibility classifies every 3-torsion curve but those with j in {0, 1728}
-    if report.classification is None:
-        raise ValueError("classification requires j not in {0, 1728}")
-    return report
 
 
 def _classify_three_torsion(
@@ -446,18 +436,13 @@ def _family_check(
     = False; a semi-stable one failing the claim is an exception.
     """
     family = FAMILIES[name]
-    analysis = CurveAnalysis.of(family.curve(params), family.disc(params))
-    m = analysis.minimal
-    data = local_data(m, disc=analysis.disc_min)
-    c = math.prod(d.tamagawa for d in data)
-    c_inf = c_infinity(m)
+    m, key, data, c, c_inf, rec = _local_facts(family.curve(params), family.disc(params), fixtures)
     n, with_c_inf = family.claim
     divides = c * (c_inf if with_c_inf else 1) % n == 0
     if family.semistable_only and any(d.reduction_class == ADDITIVE for d in data):
         params["semistable"] = False
-    rec = fixtures.by_key.get(analysis.key) if fixtures else None
     report = VerdictReport(
-        m.ai(), analysis.key, None, c_inf, c, None, divides, rec.label if rec else None,
+        m.ai(), key, None, c_inf, c, None, divides, rec.label if rec else None,
         params=params,
     )
     return report, not divides and "semistable" not in params, []

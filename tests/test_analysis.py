@@ -31,7 +31,6 @@ from tamagawa.families import (
     two_torsion_curve,
     two_torsion_disc,
 )
-from tamagawa.torsion import torsion_subgroup
 
 
 def _agrees_with_generic_path(curve: WeierstrassCurve, disc: Factorization):
@@ -108,13 +107,3 @@ def test_scaled_model_drops_twelve_per_power_of_u():
     assert analysis.disc_min == factor(E.disc)
     assert analysis.bad_primes == (19,)
 
-
-def test_torsion_reads_a_supplied_analysis():
-    curve = four_torsion_curve(1, -300)
-    analysis = CurveAnalysis.of(curve, four_torsion_disc(1, -300))
-    on_curve = torsion_subgroup(curve, analysis=analysis)
-    on_minimal = torsion_subgroup(analysis.minimal, analysis=analysis)
-    assert on_curve == torsion_subgroup(curve)
-    assert on_minimal.order == on_curve.order == 4
-    with pytest.raises(ValueError):
-        torsion_subgroup(four_torsion_curve(1, 1), analysis=analysis)

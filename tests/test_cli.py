@@ -84,6 +84,16 @@ def test_torsion_subcommand():
     assert payload["shape"] == "Z/2xZ/6" and payload["order"] == 12
 
 
+def test_torsion_needs_no_factored_discriminant(monkeypatch, capsys):
+    # the discriminant is 5 times a 106-bit composite that the default rho
+    # budget does not split, and torsion never factors it
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    assert cli.main(["torsion", "--ai", "0,0,1,-7,834124757876265"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == '{"generators":[],"order":1,"shape":"Z/1"}\n'
+
+
 def test_dual3():
     proc = run_cli("dual3", "--a", "2")
     payload = json.loads(proc.stdout)

@@ -56,7 +56,7 @@ def _points_read(tors):
 def _other_curve(tors):
     """The same structure, built from data that is not compared."""
     curve = WeierstrassCurve(0, 0, 1, -1, 0)
-    return type(tors)(tors.shape, tors.order, tors.generators, curve, 5, ())
+    return type(tors)(tors.shape, tors.order, tors.generators, curve, ())
 
 
 # (build, twin, differ, repr): twin() differs from build() only where comparison

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import torsion, verify
+from tamagawa import arith, curves, torsion, verify
 from tamagawa.arith import Factorization, is_prime
 from tamagawa.curves import (
     CurveAnalysis,
@@ -738,7 +738,7 @@ def test_integer_order_matches_point_order_on_integral_models(curve, data, u, rs
     equals the Fraction one."""
     analysis = CurveAnalysis.of(curve)
     m = analysis.minimal
-    points = sorted(torsion_subgroup(m, analysis=analysis).points, key=str)
+    points = sorted(torsion_subgroup(m).points, key=str)
     points += [pt for _, _, pt in _lutz_nagell_candidates(m, analysis.disc_min)]
     point = multiply(m, data.draw(st.integers(1, 3)), data.draw(st.sampled_from(points)))
     tr = Transformation(Fraction(1, u), *rst)
@@ -781,7 +781,7 @@ def test_integer_image_matches_the_fraction_image(curve, data, u, rst):
     analysis = CurveAnalysis.of(curve)
     m = analysis.minimal
     assert m == curve or curve not in (E325, E37)
-    points = sorted(torsion_subgroup(m, analysis=analysis).points, key=str)
+    points = sorted(torsion_subgroup(m).points, key=str)
     points += [pt for _, _, pt in _lutz_nagell_candidates(m, analysis.disc_min)]
     if m == E325:
         points.append(P325)
@@ -822,7 +822,7 @@ def test_scaled_multiples_match_the_fraction_law(curve, data):
     k below the order, and the order is the Fraction one."""
     analysis = CurveAnalysis.of(curve)
     m = analysis.minimal
-    points = sorted((q for q in torsion_subgroup(m, analysis=analysis).points if not q.infinity), key=str)
+    points = sorted((q for q in torsion_subgroup(m).points if not q.infinity), key=str)
     points += [pt for _, _, pt in _lutz_nagell_candidates(m, analysis.disc_min)]
     P = data.draw(st.sampled_from(points))
     X, Y, A, B = _scaled(m, P)
@@ -927,12 +927,30 @@ def test_a_root_of_the_cubic_mod_q_without_a_rational_point_is_rejected(monkeypa
     assert [key for key in found if key[1] == 0] == [(_reference_cubic_roots(A, B)[0], 0)]
 
 
-def test_torsion_does_not_read_the_minimal_discriminant():
-    for curve in _fixture_and_two_six_curves():
-        a = CurveAnalysis.of(curve)
-        without = a._replace(disc_min=None)
-        assert torsion_subgroup(a.minimal, analysis=without) == torsion_subgroup(a.minimal, analysis=a)
-        assert torsion_subgroup(curve, analysis=without) == torsion_subgroup(curve, analysis=a)
+def test_torsion_never_factors(monkeypatch):
+    """Torsion is found on the model it is given, so with factor refusing, the
+    fixtures, models they are carried to and the two-six grid give the same
+    structures and point sets."""
+    fixtures = [rec.curve for rec in ingest_fixtures(FIXTURES).records]
+    transformations = [
+        Transformation(Fraction(1, 2), 3, -1, 2),
+        Transformation(Fraction(-1, 3), -2, 1, 4),
+        Transformation(1, 5, 2, -7),
+    ]
+    models = _fixture_and_two_six_curves()
+    models += [apply_transformation(c, tr) for c, tr in itertools.product(fixtures, transformations)]
+
+    def run():
+        return [(tors.to_json(), tors.points) for tors in map(torsion_subgroup, models)]
+
+    expected = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor was called")
+
+    monkeypatch.setattr(arith, "factor", refuse)
+    monkeypatch.setattr(curves, "factor", refuse)
+    assert run() == expected
 
 
 def test_scaled_coordinate_order_is_rational_coordinate_order():
@@ -1057,7 +1075,7 @@ def test_transport_check_catches_a_wrong_map(monkeypatch):
     # generator's order changes
     monkeypatch.setattr(torsion, "_unscaled", lambda curve, X, Y: two)
     with pytest.raises(RuntimeError, match="generator order changed under coordinate transport"):
-        torsion_subgroup(E2, analysis=analysis)
+        torsion_subgroup(E2)
 
 
 def test_points_built_on_the_model_match_carrying_minimal_points_back():
@@ -1075,7 +1093,7 @@ def test_points_built_on_the_model_match_carrying_minimal_points_back():
         analysis = CurveAnalysis.of(model)
         back = analysis.transformation
         assert back != Transformation.identity()
-        minimal = torsion_subgroup(analysis.minimal, analysis=analysis)
+        minimal = torsion_subgroup(analysis.minimal)
         carried = {p: p if p.infinity else Point(*back.unmap_point(p.x, p.y)) for p in minimal.points}
         tors = torsion_subgroup(model)
         assert tors.points == frozenset(carried.values())

@@ -32,7 +32,6 @@ from tamagawa.verify import (
     VerdictReport,
     PRESETS,
     check_divisibility,
-    classify_three_torsion,
     ingest_fixtures,
     reduction_table_cross_check,
     scan_dual_curves,
@@ -211,13 +210,13 @@ def test_classify_exception_families(fixtures):
     assert check_divisibility(WeierstrassCurve(0, 1, 1, 1, 0), fixtures=fixtures).classification == EXCEPTION_A
     assert check_divisibility(WeierstrassCurve(0, 0, 1, -30, 63), fixtures=fixtures).classification == EXCEPTION_B
     assert check_divisibility(WeierstrassCurve(1, -1, 0, -3, 3), fixtures=fixtures).classification == EXCEPTION_B
-    r = classify_three_torsion(WeierstrassCurve(0, 1, 1, -9, -15), fixtures=fixtures)
+    r = check_divisibility(WeierstrassCurve(0, 1, 1, -9, -15), fixtures=fixtures)
     assert r.classification == DIVISIBLE
     # two split places away from 3 push the quotient ratio to 2, and give a
     # semistable curve root number -1: outside the rank-0 hypothesis
     from tamagawa.families import ThreeTorsionNormalForm
 
-    r2 = classify_three_torsion(ThreeTorsionNormalForm(-4, 1).curve)
+    r2 = check_divisibility(ThreeTorsionNormalForm(-4, 1).curve)
     assert r2.classification == RANK_VIOLATED
 
 
@@ -228,7 +227,7 @@ def test_classify_reads_w3_from_the_fixture_at_an_additive_three():
     from tamagawa.reduction import local_data
 
     curve = ThreeTorsionNormalForm(-294, 1).curve
-    r = classify_three_torsion(curve)
+    r = check_divisibility(curve)
     data = local_data(WeierstrassCurve(*r.minimal_ai))
     assert [(d.prime, d.kodaira.symbol, d.tamagawa, d.reduction_class) for d in data] == [
         (3, "I0*", 1, "additive"),
@@ -239,7 +238,7 @@ def test_classify_reads_w3_from_the_fixture_at_an_additive_three():
     assert r.classification == EXCEPTION_A_CANDIDATE
     for w3, expected in ((1, EXCEPTION_A), (-1, RANK_VIOLATED)):
         table = FixtureTable([FixtureCurve("x", curve.ai(), w3=w3)])
-        r = classify_three_torsion(curve, fixtures=table)
+        r = check_divisibility(curve, fixtures=table)
         assert r.label == "x" and r.fixture.w3 == w3
         assert r.classification == expected
 
@@ -256,14 +255,14 @@ def test_check_divisibility_incomplete_budget(cap_rho, monkeypatch):
 
 
 def test_classify_requires_three_torsion():
-    with pytest.raises(ValueError):
-        classify_three_torsion(WeierstrassCurve(0, 0, 0, -1, 0))
+    r = check_divisibility(WeierstrassCurve(0, 0, 0, -1, 0))
+    assert r.torsion.order % 3 and r.classification is None
 
 
 def test_classify_requires_j_not_0_or_1728():
     # 27a3 has torsion Z/3 and j = 0, so check_divisibility leaves it unclassified
-    with pytest.raises(ValueError, match="j not in"):
-        classify_three_torsion(WeierstrassCurve(0, 0, 1, 0, 0))
+    r = check_divisibility(WeierstrassCurve(0, 0, 1, 0, 0))
+    assert r.torsion.shape == "Z/3" and r.classification is None
 
 
 def test_three_torsion_form_of_roundtrip():
@@ -274,6 +273,15 @@ def test_three_torsion_form_of_roundtrip():
     with pytest.raises(ValueError):
         # (0, 0) on this curve has order 2
         three_torsion_form_of(WeierstrassCurve(0, 1, 0, -1, 0), (Fraction(0), Fraction(0)))
+
+
+def test_three_torsion_form_of_refuses_a_non_integral_point():
+    # 5 (0, 0) on 37a1, a point of infinite order; no point of order 3 on an
+    # integral model has a denominator
+    curve, point = WeierstrassCurve(0, 0, 1, -1, 0), (Fraction(1, 4), Fraction(-5, 8))
+    assert curve.a3 * point[1] + point[1] ** 2 == point[0] ** 3 - point[0]
+    with pytest.raises(ValueError, match="not integral"):
+        three_torsion_form_of(curve, point)
 
 
 def _reference_form_of(curve, point_xy):
@@ -532,7 +540,7 @@ def test_budget_is_settable_only_on_factor():
 
     public = [getattr(tamagawa, name) for name in tamagawa.__all__]
     public += [getattr(verify, name) for name in dir(verify) if name.startswith("scan_")]
-    public += [verify.check_divisibility, verify.classify_three_torsion]
+    public += [verify.check_divisibility]
     public += [verify.reduction_table_cross_check, arith.factor_product]
     public += [getattr(families, name) for name in dir(families) if name.endswith("_disc")]
     public += [families.hadano_quotient, curves.CurveAnalysis.of]
