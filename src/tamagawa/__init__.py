@@ -14,6 +14,7 @@ from .curves import (
     WeierstrassCurve,
     curve_from_c4c6,
     minimal_model,
+    minimal_transformation,
 )
 from .reduction import (
     KodairaType,
@@ -54,6 +55,7 @@ __all__ = [
     "WeierstrassCurve",
     "curve_from_c4c6",
     "minimal_model",
+    "minimal_transformation",
     "KodairaType",
     "LocalDatum",
     "UnsupportedDomainError",

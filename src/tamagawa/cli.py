@@ -14,7 +14,7 @@ import sys
 from .arith import IncompleteFactorizationError
 from .curves import CurveAnalysis, WeierstrassCurve, minimal_model
 from .families import FAMILIES, ThreeTorsionNormalForm, hadano_quotient, quotient_split_prime
-from .reduction import c_infinity, local_data
+from .reduction import c_infinity, local_data, tate
 from .torsion import torsion_subgroup
 from .verify import PRESETS, check_divisibility, ingest_fixtures
 
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
                 # tate gives the same data on every integral model of the curve
                 analysis = CurveAnalysis.of(curve)
                 minimal = analysis.minimal
-                data = local_data(minimal, disc=analysis.disc_min)
+                data = [tate(minimal, p, e) for p, e in analysis.disc_min.factors]
             payload = {
                 "curve": list(curve.ai()),
                 "minimal": list(minimal.ai()),

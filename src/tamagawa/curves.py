@@ -6,7 +6,9 @@ formulas live here once: `invariants` and `change_coordinates` act on bare
 coefficient tuples, so Tate's algorithm in `reduction` runs on them too.
 Global minimization follows Laska-Kraus-Connell: shrink (c4,c6) by the
 largest admissible u, whose exponent at each prime is `minimal_exponent`,
-then rebuild the unique reduced model from (c4,c6).
+then rebuild the unique reduced model from (c4,c6).  `minimal_model` returns
+that model and u; `minimal_transformation` also solves for the r, s, t of
+the coordinate change, which no analysis needs.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ class Transformation(Record):
     """Coordinate change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t.
 
     Scales the discriminant by u^-12 and c4 by u^-4; j is untouched.  An
-    int or Fraction field is kept as given (`minimal_model` passes ints, and
-    int arithmetic is the cheaper); any other value is made a Fraction.  An
-    int and its Fraction twin compare and hash alike.
+    int or Fraction field is kept as given (`minimal_transformation` passes
+    ints, and int arithmetic is the cheaper); any other value is made a
+    Fraction.  An int and its Fraction twin compare and hash alike.
     """
 
     _fields = ("u", "r", "s", "t")
@@ -232,14 +234,15 @@ def curve_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
 
 def minimal_model(
     curve: WeierstrassCurve, disc: Optional[Factorization] = None
-) -> tuple[WeierstrassCurve, Transformation]:
-    """Globally minimal reduced model and the transformation reaching it.
+) -> tuple[WeierstrassCurve, int]:
+    """Globally minimal reduced model and the scaling u > 0 that reaches it.
 
-    ord_p(disc) is minimal at every prime; the returned transformation T
-    satisfies apply_transformation(curve, T) == minimal curve exactly.
-    Given the factored discriminant, the candidates are its primes with
-    exponent >= 12 (u^12 divides it); otherwise gcd(c4, c6) is factored.
-    ord_p(u) at each candidate p is `minimal_exponent`.
+    ord_p(disc) is minimal at every prime, and curve.c4 = u^4 minimal.c4,
+    curve.c6 = u^6 minimal.c6, curve.disc = u^12 minimal.disc.  Given the
+    factored discriminant, the candidates are its primes with exponent >= 12
+    (u^12 divides it); otherwise gcd(c4, c6) is factored.  ord_p(u) at each
+    candidate p is `minimal_exponent`.  `minimal_transformation` gives the
+    whole coordinate change.
     """
     c4, c6 = curve.c4, curve.c6
     if disc is None:
@@ -250,11 +253,16 @@ def minimal_model(
         exponents = [(p, e) for p, e in disc.factors if e >= 12]
 
     u = math.prod(p ** minimal_exponent(c4, c6, e, p) for p, e in exponents)
+    return curve_from_c4c6(c4 // u**4, c6 // u**6), u
 
-    minimal = curve_from_c4c6(c4 // u**4, c6 // u**6)
-    if minimal == curve:
-        return curve, Transformation.identity()
 
+def minimal_transformation(curve: WeierstrassCurve) -> tuple[WeierstrassCurve, Transformation]:
+    """`minimal_model`'s model and the transformation T reaching it.
+
+    apply_transformation(curve, T) == minimal model exactly, and u, r, s, t
+    are ints.
+    """
+    minimal, u = minimal_model(curve)
     # An integral model reaches a minimal one by integral u, r, s, t (Silverman,
     # AEC, VII.1.3(d)), unique once u > 0 as the only automorphisms over Q are
     # +-1, so each division below is exact.
@@ -273,15 +281,14 @@ def minimal_model(
 class CurveAnalysis(NamedTuple):
     """A curve minimized once, with its discriminant factored once.
 
-    Holds the global minimal model, the transformation reaching it and the
-    factored minimal discriminant, whose exponents are the model's minus
-    12 ord_p(u).  Bad primes, Tate's algorithm and fixture keys all read
+    Holds the global minimal model and its factored discriminant, whose
+    exponents are the model's minus 12 ord_p(u) for `minimal_model`'s
+    scaling u.  Bad primes, Tate's algorithm and fixture keys all read
     this instead of minimizing or factoring again; torsion needs none of it.
     """
 
     curve: WeierstrassCurve
     minimal: WeierstrassCurve
-    transformation: Transformation
     disc_min: Factorization
 
     @classmethod
@@ -296,12 +303,11 @@ class CurveAnalysis(NamedTuple):
             disc = factor(curve.disc)
         elif disc.value != curve.disc:
             raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
-        minimal, tr = minimal_model(curve, disc)
-        u = int(tr.u)
+        minimal, u = minimal_model(curve, disc)
         # ord_p(u) = minimal_exponent(..., e, p) <= e // 12, so it is 0 where e < 12
         exponents = [(p, e - 12 * _int_valuation(u, p) if e >= 12 else e) for p, e in disc.factors]
         factors = tuple((p, e) for p, e in exponents if e)
-        return cls(curve, minimal, tr, Factorization(disc.sign, factors))
+        return cls(curve, minimal, Factorization(disc.sign, factors))
 
     @property
     def bad_primes(self) -> tuple[int, ...]:

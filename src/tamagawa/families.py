@@ -141,7 +141,8 @@ def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:
         ed = max(0, -valuation(d, q))
         u *= q ** max(ec, -(-ed // 3))
     c, d = c * u, d * u**3
-    assert c.denominator == 1 and d.denominator == 1
+    if c.denominator != 1 or d.denominator != 1:
+        raise RuntimeError(f"scaling by {u} left (c={c}, d={d}) non-integral; arithmetic bug")
     ci, di = int(c), int(d)
     if di < 0:
         ci, di = -ci, -di

@@ -42,6 +42,7 @@ from .reduction import (
     LocalDatum,
     c_infinity,
     local_data,
+    tate,
 )
 from .torsion import MAZUR_SHAPES, TorsionStructure, _point_of_order, torsion_subgroup
 
@@ -284,7 +285,8 @@ def _local_facts(
     each computed once, from disc, its discriminant's factorization, if given."""
     analysis = CurveAnalysis.of(curve, disc)
     m = analysis.minimal
-    data = local_data(m, disc=analysis.disc_min)
+    # disc_min was checked when the analysis built it, so tate trusts each (p, e) as is
+    data = [tate(m, p, e) for p, e in analysis.disc_min.factors]
     rec = fixtures.by_key.get(analysis.key) if fixtures else None
     return m, analysis.key, data, math.prod(d.tamagawa for d in data), c_infinity(m), rec
 

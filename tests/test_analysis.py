@@ -3,16 +3,19 @@
 Each family's discriminant factorization, built from its small parameters,
 is checked against factoring the discriminant outright, and the analysis it
 gives against the generic path (minimal_model on gcd(c4, c6), then factoring
-the minimal discriminant).
+the minimal discriminant).  No analysis solves for a coordinate change.
 """
 
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tamagawa import curves
 from tamagawa.arith import Factorization, factor
 from tamagawa.curves import (
     CurveAnalysis,
@@ -20,6 +23,7 @@ from tamagawa.curves import (
     WeierstrassCurve,
     apply_transformation,
     minimal_model,
+    minimal_transformation,
 )
 from tamagawa.families import (
     ThreeTorsionNormalForm,
@@ -31,14 +35,17 @@ from tamagawa.families import (
     two_torsion_curve,
     two_torsion_disc,
 )
+from tamagawa.verify import check_divisibility, ingest_fixtures, scan_four_torsion
+
+FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
 
 
 def _agrees_with_generic_path(curve: WeierstrassCurve, disc: Factorization):
     assert disc == factor(curve.disc)
     analysis = CurveAnalysis.of(curve, disc)
-    m, tr = minimal_model(curve)
+    m, _ = minimal_model(curve)
     assert analysis.minimal.ai() == m.ai()
-    assert analysis.transformation == tr
+    assert apply_transformation(curve, minimal_transformation(curve)[1]) == analysis.minimal
     assert analysis.disc_min == factor(m.disc)
     assert analysis.key == (m.c4, m.c6)
 
@@ -83,7 +90,7 @@ def test_non_minimal_family_members():
     ]:
         _agrees_with_generic_path(curve, disc)
         analysis = CurveAnalysis.of(curve, disc)
-        assert analysis.transformation.u > 1
+        assert minimal_model(curve)[1] > 1
         assert analysis.disc_min.value == analysis.minimal.disc
 
 
@@ -103,7 +110,64 @@ def test_scaled_model_drops_twelve_per_power_of_u():
     blown = apply_transformation(E, Transformation(Fraction(1, 5), 0, 0, 0))
     analysis = CurveAnalysis.of(blown)
     assert analysis.minimal == E
-    assert analysis.transformation.u == 5
+    assert minimal_model(blown)[1] == 5
     assert analysis.disc_min == factor(E.disc)
     assert analysis.bad_primes == (19,)
 
+
+def _family_grid_curves():
+    """Every curve of the four families' small-parameter grids: three-torsion
+    |a|, b <= 12, two-torsion and four-torsion entries up to 10, two-six t = a/b
+    with |a|, b <= 5."""
+    out = []
+    for a in range(-12, 13):
+        for b in range(1, 13):
+            try:
+                out.append(ThreeTorsionNormalForm(a, b).curve)
+            except ValueError:
+                pass
+    for a in range(-10, 11):
+        for b in range(-10, 11):
+            if b != 0 and math.gcd(a, b) == 1 and a * a != 4 * b:
+                out.append(two_torsion_curve(a, b))
+    for s in range(1, 11):
+        for t in range(-10, 11):
+            if t != 0 and 16 * s + t != 0 and math.gcd(s, t) == 1:
+                out.append(four_torsion_curve(s, t))
+    for b in range(1, 6):
+        for a in range(-5, 6):
+            if math.gcd(a, b) == 1 and a not in (0, b, -b) and 3 * a not in (b, -b):
+                out.append(two_six_curve(Fraction(a, b)))
+    return out
+
+
+def test_no_analysis_builds_a_transformation(monkeypatch):
+    """With Transformation refusing, the analyses of the fixtures and the
+    family grids, the fixture checks and a scan of the order-4 family at large
+    coprime (s, t) come out the same."""
+    fixtures = ingest_fixtures(FIXTURES)
+    assert len(fixtures.records) == 24
+    models = [rec.curve for rec in fixtures.records] + _family_grid_curves()
+    assert len(models) > 600
+    rng = random.Random(1)
+    pairs = []
+    while len(pairs) < 300:
+        s, t = rng.randint(1, 10**6), rng.randint(-(10**6), 10**6)
+        if t != 0 and 16 * s + t != 0 and math.gcd(s, t) == 1:
+            pairs.append((s, t))
+
+    def run():
+        analyses = [CurveAnalysis.of(curve) for curve in models]
+        checks = [check_divisibility(rec.curve, fixtures).to_json() for rec in fixtures.records]
+        scan = scan_four_torsion(pairs, fixtures)
+        exceptions = {key: cls.to_json() for key, cls in scan.exceptions.items()}
+        return analyses, checks, [r.to_json() for r in scan.reports], exceptions, scan.mismatches
+
+    expected = run()
+    assert len(expected[2]) == 300
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Transformation was built")
+
+    monkeypatch.setattr(curves, "Transformation", refuse)
+    assert run() == expected

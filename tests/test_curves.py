@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamagawa.curves import (
+    CurveAnalysis,
     SingularCurveError,
     Transformation,
     WeierstrassCurve,
@@ -14,6 +15,7 @@ from tamagawa.curves import (
     curve_from_c4c6,
     minimal_exponent,
     minimal_model,
+    minimal_transformation,
     transform_coefficients,
 )
 
@@ -182,7 +184,7 @@ def test_minimal_model_odd_prime_oracle():
 
 def test_minimal_model_already_minimal_identity():
     E = WeierstrassCurve(0, 1, 1, -9, -15)
-    m, tr = minimal_model(E)
+    m, tr = minimal_transformation(E)
     assert m == E
     assert tr == Transformation.identity()
 
@@ -191,11 +193,11 @@ def test_minimal_model_round_trip():
     E = WeierstrassCurve(0, 1, 1, -9, -15)
     blown = apply_transformation(E, Transformation(Fraction(1, 5), 0, 0, 0))
     assert blown.disc == E.disc * 5**12
-    m, tr = minimal_model(blown)
+    m, tr = minimal_transformation(blown)
     assert (m.c4, m.c6) == (E.c4, E.c6)
     assert m == E
     # idempotent
-    m2, tr2 = minimal_model(m)
+    m2, tr2 = minimal_transformation(m)
     assert m2 == m and tr2 == Transformation.identity()
 
 
@@ -205,7 +207,7 @@ def test_minimal_model_recovers_after_scaling(E, u0, r, s, t):
     m0, _ = minimal_model(E)
     # scaled by u0 and moved by (r, s, t): still integral, no longer reduced
     blown = apply_transformation(E, Transformation(Fraction(1, u0), r, s, t))
-    m1, tr = minimal_model(blown)
+    m1, tr = minimal_transformation(blown)
     assert (m1.c4, m1.c6) == (m0.c4, m0.c6)
     assert m1.disc == m0.disc
     # the transformation is exact
@@ -215,10 +217,43 @@ def test_minimal_model_recovers_after_scaling(E, u0, r, s, t):
 
 def test_minimal_model_vanishing_invariants():
     # c4 = 0 (j = 0) and c6 = 0 (j = 1728) need the single-invariant paths
-    m, tr = minimal_model(WeierstrassCurve(0, 0, 8, 0, 0))
-    assert m.ai() == (0, 0, 1, 0, 0) and tr.u == 2
+    m, u = minimal_model(WeierstrassCurve(0, 0, 8, 0, 0))
+    assert m.ai() == (0, 0, 1, 0, 0) and u == 2
     m, _ = minimal_model(WeierstrassCurve(0, 0, 0, 64, 0))
     assert m.ai() == (0, 0, 0, 4, 0)
+
+
+def _assert_minimal_model_contract(curve):
+    """minimal_model's (minimal, u), with and without the factored discriminant:
+    u > 0 scales c4, c6 and disc exactly, and the transformation and the
+    analysis reach the same model."""
+    disc = factor(curve.disc)
+    minimal, u = minimal_model(curve)
+    assert minimal_model(curve, disc) == (minimal, u)
+    assert u > 0
+    assert curve.c4 == u**4 * minimal.c4
+    assert curve.c6 == u**6 * minimal.c6
+    assert curve.disc == u**12 * minimal.disc
+    assert minimal_transformation(curve)[0] == minimal
+    assert CurveAnalysis.of(curve).disc_min == factor(minimal.disc)
+    assert CurveAnalysis.of(curve, disc).disc_min == factor(minimal.disc)
+    return minimal, u
+
+
+def test_minimal_model_contract_on_the_fixtures():
+    records = ingest_fixtures(FIXTURES).records
+    assert len(records) == 24
+    for rec in records:
+        _assert_minimal_model_contract(rec.curve)
+
+
+@given(curves(), st.sampled_from((2, 3, 6, 10)), small_int, small_int, small_int)
+@settings(max_examples=60, deadline=None)
+def test_minimal_model_contract_on_moved_models(E, u0, r, s, t):
+    m0, u_E = _assert_minimal_model_contract(E)
+    # scaled by u0 and moved by (r, s, t): the same minimal model, u0 times further away
+    blown = apply_transformation(E, Transformation(Fraction(1, u0), r, s, t))
+    assert _assert_minimal_model_contract(blown) == (m0, u0 * u_E)
 
 
 def test_curve_from_c4c6_roundtrip():
@@ -253,7 +288,7 @@ def test_minimal_exponent_is_the_scaling_of_minimal_model():
             for k in (1, 2) if q > 1 else (0,):
                 ai = [a * q ** (k * w) for a, w in zip(rec.curve.ai(), (1, 2, 3, 4, 6))]
                 E = WeierstrassCurve(*ai)
-                u = int(minimal_model(E)[1].u)
+                u = minimal_model(E)[1]
                 for p in factor(E.disc).primes():
                     e = _int_valuation(E.disc, p)
                     d = minimal_exponent(E.c4, E.c6, e, p)
@@ -278,7 +313,7 @@ def test_minimal_exponent_steps_back_where_kraus_fails():
             continue
         e = _int_valuation(E.disc, p)
         d = minimal_exponent(E.c4, E.c6, e, p)
-        assert d == _int_valuation(int(minimal_model(E)[1].u), p), (E.ai(), p)
+        assert d == _int_valuation(minimal_model(E)[1], p), (E.ai(), p)
         assert d == _largest_integral_scaling(E.c4, E.c6, e, p), (E.ai(), p)
         divisible = min(e // 12, *(_int_valuation(c, p) // w for c, w in ((E.c4, 4), (E.c6, 6)) if c))
         if d < divisible:

@@ -105,7 +105,6 @@ RECORDS = {
         lambda: CurveAnalysis.of(WeierstrassCurve(0, 0, 0, -4, 0)),
         "CurveAnalysis(curve=WeierstrassCurve(a1=0, a2=0, a3=0, a4=-64, a6=0), "
         "minimal=WeierstrassCurve(a1=0, a2=0, a3=0, a4=-4, a6=0), "
-        "transformation=Transformation(u=2, r=0, s=0, t=0), "
         "disc_min=Factorization(sign=1, factors=((2, 12),)))",
     ),
     "ThreeTorsionNormalForm": (

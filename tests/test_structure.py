@@ -3,11 +3,11 @@
 Walks the syntax tree of every module under src/tamagawa and fails on an
 import of a _-prefixed name from another module of the package, apart from
 the few shared helpers listed in SHARED_PRIVATE, and on a Factorization
-built anywhere but in FACTORIZATION_BUILDERS, and on a file read or write
-that leaves its encoding to the locale.  Also starts fresh
-interpreters to check that importing the package loads no module of the
-process-pool stack, which only a scan with --jobs >= 2 needs, and none of
-the dataclass machinery, which the records do without.
+built anywhere but in FACTORIZATION_BUILDERS, on a file read or write
+that leaves its encoding to the locale, and on an assert statement.  Also
+starts fresh interpreters to check that importing the package loads no
+module of the process-pool stack, which only a scan with --jobs >= 2
+needs, and none of the dataclass machinery, which the records do without.
 """
 
 import ast
@@ -132,6 +132,21 @@ def test_the_walk_finds_each_file_call_without_an_encoding():
         "out.write_text(s, 'utf-8')\nread(p)\n"
     )
     assert _io_without_encoding("m", ast.parse(code)) == ["m:1", "m:3", "m:6"]
+
+
+def _asserts(module: str, tree: ast.AST) -> list[str]:
+    """module:line of each assert statement, which `python -O` strips."""
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_check_is_an_assert():
+    # a check that python -O strips would let a wrong value through without a word
+    assert [line for module, tree in _modules() for line in _asserts(module, tree)] == []
+
+
+def test_the_walk_finds_each_assert():
+    code = "assert x\nif y:\n    assert z, 'msg'\nraise RuntimeError('bug')\n"
+    assert _asserts("m", ast.parse(code)) == ["m:1", "m:3"]
 
 
 # what `from concurrent.futures import ProcessPoolExecutor` loads; none of it

@@ -19,6 +19,7 @@ from tamagawa.curves import (
     Transformation,
     WeierstrassCurve,
     apply_transformation,
+    minimal_transformation,
 )
 from tamagawa.families import (
     ThreeTorsionNormalForm,
@@ -539,7 +540,7 @@ def test_lift_matches_kubert_tate_normal_forms_of_every_order():
         analysis = CurveAnalysis.of(E)
         m = analysis.minimal
         A, B = -27 * m.c4, -54 * m.c6
-        origin = _carry(analysis.transformation, Point(0, 0))
+        origin = _carry(minimal_transformation(E)[1], Point(0, 0))
         assert _reference_point_order(m, origin) == n
         group = _span(m, [origin] + [_unscaled(m, X, 0) for X in _reference_cubic_roots(A, B)])
         if len(group) == _torsion_sieve(m)[0]:
@@ -572,12 +573,12 @@ def _lifted_points(n, t):
     generates on a Tate normal form, by the Fraction law, and for each
     rational point of order 2, taken to the scaled minimal model; q is the
     sieve prime the lift works at."""
-    analysis = CurveAnalysis.of(_tate_normal_form(*_kubert(n, t)))
-    m = analysis.minimal
+    curve = _tate_normal_form(*_kubert(n, t))
+    m = CurveAnalysis.of(curve).minimal
     A, B = -27 * m.c4, -54 * m.c6
     bound, reduced = _torsion_sieve(m)
     q = next(p for _, _, p in reduced if bound % p)
-    group = _span(m, [_carry(analysis.transformation, Point(0, 0))])
+    group = _span(m, [_carry(minimal_transformation(curve)[1], Point(0, 0))])
     points = [(int(_scaled(m, P)[0]), _reference_point_order(m, P)) for P in group if not P.infinity]
     two = _reference_cubic_roots(A, B)
     assert {X for X, order in points if order == 2} <= set(two)
@@ -712,7 +713,7 @@ def test_on_curve_matches_the_fraction_equation(curve, data, shift, shift_y):
     q = multiply(m, k, base)
     assume(not q.infinity)
     if curve != m:
-        q = Point(*analysis.transformation.unmap_point(q.x, q.y))
+        q = Point(*minimal_transformation(curve)[1].unmap_point(q.x, q.y))
     assert on_curve(curve, q) and _fraction_equation(curve, q)
     near = Point(q.x, q.y + shift) if shift_y else Point(q.x + shift, q.y)
     assert on_curve(curve, near) == _fraction_equation(curve, near)
@@ -1091,7 +1092,7 @@ def test_points_built_on_the_model_match_carrying_minimal_points_back():
     for rec, tr in itertools.product(records, transformations):
         model = apply_transformation(rec.curve, tr)
         analysis = CurveAnalysis.of(model)
-        back = analysis.transformation
+        back = minimal_transformation(model)[1]
         assert back != Transformation.identity()
         minimal = torsion_subgroup(analysis.minimal)
         carried = {p: p if p.infinity else Point(*back.unmap_point(p.x, p.y)) for p in minimal.points}
