@@ -1,7 +1,9 @@
 """Command-line surface: JSON in, JSON out, deterministic byte-for-byte.
 
 Exit codes: 0 success, 1 a scan found violations outside the expected
-exception set, 2 usage or input error, 3 factorization budget exhausted.
+exception set, 2 usage or input error, 3 factorization budget exhausted,
+141 the reader closed standard output (as `| head` does) before it was all
+written: 128 + SIGPIPE, what a shell reports for a writer killed by it.
 """
 
 from __future__ import annotations
@@ -90,6 +92,20 @@ def _add_curve_args(sub):
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code (module docstring)."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # point stdout's descriptor at devnull, so that the flush at interpreter exit
+        # does not raise again
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _run(argv) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indent JSON output")
     common.add_argument("--fixtures", help="fixture JSON path (default: $TAMAGAWA_FIXTURES)")

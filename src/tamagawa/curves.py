@@ -180,17 +180,21 @@ def minimal_exponent(c4: int, c6: int, e: int, p: int) -> int:
     congruence at p, so that an integral model has them: at 3, v(c6) is not
     2; at 2, c6 = 3 mod 4, or 16 | c4 and c6 = 0 or 8 mod 32.  The first two
     divisibilities give the third, as c6^2 = c4^3 - 1728 disc.
+
+    Every test is a residue: d steps down from e // 12 while p^(4 d) does not
+    divide c4, and v(c6) = 6 d + 2 at 3 is p^(6 d + 2) | c6 but not p^(6 d + 3).
+    No valuation is taken, so c4 = 0 or c6 = 0 needs no case of its own.
     """
     d = e // 12
-    if c4:
-        d = min(d, _int_valuation(c4, p) // 4)
+    while d and c4 % p ** (4 * d):
+        d -= 1
     # a failed congruence costs one step back: the quotients at d - 1 are p^4 and p^6
     # times those at d, and meet it
     if p == 2 and d:
         c4d, c6d = c4 // 2 ** (4 * d), c6 // 2 ** (6 * d)
         if c6d % 4 != 3 and (c4d % 16 or c6d % 32 not in (0, 8)):
             d -= 1
-    elif p == 3 and d and _int_valuation(c6, 3) == 6 * d + 2:
+    elif p == 3 and d and c6 % 3 ** (6 * d + 2) == 0 and c6 % 3 ** (6 * d + 3):
         d -= 1
     return d
 
@@ -283,8 +287,9 @@ class CurveAnalysis(NamedTuple):
 
     Holds the global minimal model and its factored discriminant, whose
     exponents are the model's minus 12 ord_p(u) for `minimal_model`'s
-    scaling u.  Bad primes, Tate's algorithm and fixture keys all read
-    this instead of minimizing or factoring again; torsion needs none of it.
+    scaling u; when u = 1 it is the given factorization itself.  Bad primes,
+    Tate's algorithm and fixture keys all read this instead of minimizing or
+    factoring again; torsion needs none of it.
     """
 
     curve: WeierstrassCurve
@@ -304,6 +309,9 @@ class CurveAnalysis(NamedTuple):
         elif disc.value != curve.disc:
             raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
         minimal, u = minimal_model(curve, disc)
+        if u == 1:
+            # the model is already minimal: its discriminant's factorization is disc_min
+            return cls(curve, minimal, disc)
         # ord_p(u) = minimal_exponent(..., e, p) <= e // 12, so it is 0 where e < 12
         exponents = [(p, e - 12 * _int_valuation(u, p) if e >= 12 else e) for p, e in disc.factors]
         factors = tuple((p, e) for p, e in exponents if e)

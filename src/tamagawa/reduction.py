@@ -66,9 +66,13 @@ each quadratic step (IV, every I_m* step, IV*) makes one `_quadratic` call,
 which says whether the quadratic has a root in F_p and where its double
 root is.
 
-The invariants, the coordinate changes and the p-adic valuation are the
-shared ones of `curves.invariants`, `curves.change_coordinates` and
-`arith._int_valuation`; this module keeps no formula of its own for them.
+The invariants and the coordinate changes are the shared ones of
+`curves.invariants` and `curves.change_coordinates`; this module keeps no
+formula of its own for them.  Each of Tate's steps asks only whether p^k
+divides a coefficient, and it is asked as a residue, as in
+`curves.minimal_exponent`: no valuation is counted, and a zero coefficient,
+divisible by every p^k, needs no case of its own.  `arith._int_valuation`
+is read only when `tate` is not given ord_p(disc).
 """
 
 from __future__ import annotations
@@ -261,8 +265,9 @@ _BY_V_DELTA = {2: (_II, 1), 3: (_III, 2), 9: (_III_STAR, 2), 10: (_II_STAR, 1)}
 
 def _tate_above_3(c4: int, c6: int, disc: int, n: int, p: int) -> LocalDatum:
     """`tate` at p >= 5 on a p-minimal model with p | c4 and n = v(disc) > 0, in closed form."""
-    if 3 * _int_valuation(c4, p) < n:
-        # potentially multiplicative, v(c4) = 2 and v(c6) = 3: I_{n-6}*
+    if c4 % p ** ((n + 2) // 3):
+        # p^ceil(n/3) does not divide c4, so 3 v(c4) < n: potentially multiplicative,
+        # v(c4) = 2 and v(c6) = 3: I_{n-6}*
         unit = disc // p**n
         if n % 2:
             unit *= c6 // p**3
@@ -330,12 +335,12 @@ def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum
     a1, a2, a3, a4, a6 = ai
     if a3 % p or a4 % p or a6 % p:
         raise RuntimeError(f"singular point translation failed at p={p}")
-    if _int_valuation(a6, p) < 2:
+    if a6 % p**2:
         return LocalDatum(p, _II, 1, ADDITIVE, n)
     _, _, b6t, b8t, _, _, _ = invariants(ai)
-    if _int_valuation(b8t, p) < 3:
+    if b8t % p**3:
         return LocalDatum(p, _III, 2, ADDITIVE, n)
-    if _int_valuation(b6t, p) < 3:
+    if b6t % p**3:
         # v(b6) = 2, so the quadratic's discriminant b6 / p^2 is a unit
         has_root, root = _quadratic(1, a3 // p, -(a6 // p**2), p)
         if root is not None:
@@ -405,9 +410,9 @@ def tate(curve: WeierstrassCurve, p: int, n: Optional[int] = None) -> LocalDatum
     ai = change_coordinates(ai, 0, 0, p * p * root)
     a1, a2, a3, a4, a6 = ai
 
-    if _int_valuation(a4, p) < 4:
+    if a4 % p**4:
         return LocalDatum(p, _III_STAR, 2, ADDITIVE, n)
-    if _int_valuation(a6, p) < 6:
+    if a6 % p**6:
         return LocalDatum(p, _II_STAR, 1, ADDITIVE, n)
     # step 11 reached only on a model that is not minimal at p, which minimal_exponent rules out
     raise RuntimeError(f"Tate's steps found the p-minimal model not minimal at p={p}")
@@ -483,7 +488,7 @@ def local_root_number(curve: WeierstrassCurve, place) -> RootNumberDatum:
     if place in ("infinity", "inf", "oo"):
         return RootNumberDatum("infinity", -1)
     p = int(place)
-    if curve.j == 0 or curve.j == 1728:
+    if curve.c4 == 0 or curve.c6 == 0:  # j = 0 or j = 1728, as c4^3 - c6^2 = 1728 disc
         raise UnsupportedDomainError("root numbers here require j not in {0, 1728}")
     datum = tate(curve, p)
     if datum.reduction_class in (GOOD, NONSPLIT):
@@ -495,7 +500,7 @@ def local_root_number(curve: WeierstrassCurve, place) -> RootNumberDatum:
 
 def global_root_number_semistable(curve: WeierstrassCurve) -> int:
     """Product of local root numbers; defined here only for semi-stable curves."""
-    if curve.j == 0 or curve.j == 1728:
+    if curve.c4 == 0 or curve.c6 == 0:  # j = 0 or j = 1728, as c4^3 - c6^2 = 1728 disc
         raise UnsupportedDomainError("root numbers here require j not in {0, 1728}")
     w = -1  # the infinite place
     for datum in local_data(curve):

@@ -302,7 +302,8 @@ def check_divisibility(
         return VerdictReport(incomplete=True)
     tors = torsion_subgroup(m)
     classification = None
-    if tors.order % 3 == 0 and m.j not in (0, 1728):
+    # j = c4^3 / disc and c4^3 - c6^2 = 1728 disc: j = 0 iff c4 = 0, j = 1728 iff c6 = 0
+    if tors.order % 3 == 0 and m.c4 and m.c6:
         classification = _classify_three_torsion(m, data, c, tors, rec)
     return VerdictReport(
         m.ai(), key, tors, c_inf, c, c_factors, (c_inf * c) % tors.order == 0,

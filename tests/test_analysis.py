@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import curves
+from tamagawa import arith, curves, reduction
 from tamagawa.arith import Factorization, factor
 from tamagawa.curves import (
     CurveAnalysis,
@@ -35,6 +35,7 @@ from tamagawa.families import (
     two_torsion_curve,
     two_torsion_disc,
 )
+from tamagawa.reduction import local_data
 from tamagawa.verify import check_divisibility, ingest_fixtures, scan_four_torsion
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
@@ -105,6 +106,16 @@ def test_wrong_exponent_is_rejected():
         CurveAnalysis.of(curve, Factorization(-1, disc.factors))
 
 
+def test_a_minimal_model_keeps_the_given_factorization():
+    # u = 1: disc_min is the very factorization given, not an equal copy
+    curve, disc = four_torsion_curve(3, 1), four_torsion_disc(3, 1)
+    assert minimal_model(curve, disc)[1] == 1
+    assert CurveAnalysis.of(curve, disc).disc_min is disc
+    curve, disc = four_torsion_curve(1, -300), four_torsion_disc(1, -300)
+    assert minimal_model(curve, disc)[1] == 10
+    assert CurveAnalysis.of(curve, disc).disc_min == factor(curve.disc // 10**12)
+
+
 def test_scaled_model_drops_twelve_per_power_of_u():
     E = WeierstrassCurve(0, 1, 1, -9, -15)
     blown = apply_transformation(E, Transformation(Fraction(1, 5), 0, 0, 0))
@@ -170,4 +181,55 @@ def test_no_analysis_builds_a_transformation(monkeypatch):
         raise AssertionError("a Transformation was built")
 
     monkeypatch.setattr(curves, "Transformation", refuse)
+    assert run() == expected
+
+
+def _local_data_models() -> list[WeierstrassCurve]:
+    """The fixtures, the family grids and four curves with c4 = 0 (j = 0) or c6 = 0 (j = 1728)."""
+    zero_invariant = [(0, 0, 0, 0, 1), (0, 0, 1, 0, 0), (0, 0, 0, -1, 0), (0, 0, 0, 4, 0)]
+    models = [rec.curve for rec in ingest_fixtures(FIXTURES).records] + _family_grid_curves()
+    models += [WeierstrassCurve(*ai) for ai in zero_invariant]
+    assert sum(m.c4 == 0 or m.c6 == 0 for m in models) > len(zero_invariant)
+    return models
+
+
+def _refuse_valuations(monkeypatch, refuse) -> None:
+    """Make `_int_valuation` in `curves` and `reduction` raise wherever refuse(n) is true."""
+    valuation = arith._int_valuation
+
+    def guarded(n, p):
+        if refuse(n):
+            raise AssertionError(f"ord_{p}({n}) was taken")
+        return valuation(n, p)
+
+    for module in (curves, reduction):
+        monkeypatch.setattr(module, "_int_valuation", guarded)
+
+
+def test_local_data_never_takes_the_valuation_of_zero(monkeypatch):
+    """Tate's steps and the p-minimality rule ask only whether p^k divides a
+    coefficient, so they never take ord_p(0) and their answers stand."""
+    models = _local_data_models()
+
+    def run():
+        return [(CurveAnalysis.of(m), local_data(m)) for m in models]
+
+    expected = run()
+    _refuse_valuations(monkeypatch, lambda n: n == 0)
+    assert run() == expected
+
+
+def test_tate_given_its_exponent_counts_no_valuation(monkeypatch):
+    """tate(curve, p, e), with minimal_exponent and the closed form above 3,
+    takes no valuation at all; on the models as given, so that tate minimizes
+    at each p with p^12 | disc."""
+    models = _local_data_models()
+    discs = [factor(m.disc) for m in models]
+
+    def run():
+        return [local_data(m, disc=disc) for m, disc in zip(models, discs)]
+
+    expected = run()
+    assert any(e >= 12 for disc in discs for _, e in disc.factors)
+    _refuse_valuations(monkeypatch, lambda n: True)
     assert run() == expected

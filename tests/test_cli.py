@@ -138,6 +138,25 @@ def test_scan_preset_exit_codes():
     assert proc.returncode == 2
 
 
+def test_scan_into_a_pipe_closed_after_one_line_exits_141():
+    # kozuma-table prints far more than a pipe buffer holds, so the child is
+    # still writing when the reader goes away, as under `| head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tamagawa.cli", "scan", "--preset", "kozuma-table"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+        cwd=REPO,
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "params" in first
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
 def test_scan_deterministic_output():
     args = ("scan", "--preset", "prop2.1-negative-t", "--jobs", "1")
     out1 = run_cli(*args).stdout

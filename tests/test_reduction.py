@@ -256,6 +256,25 @@ def test_root_numbers():
         local_root_number(WeierstrassCurve(0, 0, 1, 0, 0), 3)  # j = 0
 
 
+@pytest.mark.parametrize(
+    "ai", [(0, 0, 1, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, -1, 0), (0, 0, 0, 4, 0)]
+)
+def test_root_numbers_refuse_j_0_and_1728_without_building_j(ai, monkeypatch):
+    # j = 0 is c4 = 0 and j = 1728 is c6 = 0, read without the Fraction j
+    curve = WeierstrassCurve(*ai)
+    assert curve.j in (0, 1728)
+
+    def no_j(self):
+        raise AssertionError("j was built")
+
+    monkeypatch.setattr(WeierstrassCurve, "j", property(no_j))
+    with pytest.raises(UnsupportedDomainError):
+        local_root_number(curve, 5)
+    with pytest.raises(UnsupportedDomainError):
+        global_root_number_semistable(curve)
+    assert local_root_number(curve, "infinity").value == -1
+
+
 def test_global_root_number_semistable():
     # one split place: w = +1; two split places: -1; zero split places: -1
     assert global_root_number_semistable(WeierstrassCurve(0, 1, 1, -9, -15)) == 1

@@ -9,11 +9,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import curves, verify
+from tamagawa import cli, curves, verify
 from tamagawa.arith import IncompleteFactorizationError
 from tamagawa.curves import WeierstrassCurve, change_coordinates, transform_coefficients
 from tamagawa.families import ThreeTorsionNormalForm, three_torsion_normalize
-from tamagawa.reduction import ADDITIVE, global_root_number_semistable, local_data
+from tamagawa.reduction import (
+    ADDITIVE,
+    NONSPLIT,
+    KodairaType,
+    global_root_number_semistable,
+    local_data,
+)
 from tamagawa.verify import (
     EXCEPTION_A,
     EXCEPTION_A_CANDIDATE,
@@ -263,6 +269,19 @@ def test_classify_requires_j_not_0_or_1728():
     # 27a3 has torsion Z/3 and j = 0, so check_divisibility leaves it unclassified
     r = check_divisibility(WeierstrassCurve(0, 0, 1, 0, 0))
     assert r.torsion.shape == "Z/3" and r.classification is None
+
+
+def test_check_reads_j_0_and_1728_off_c4_and_c6(fixtures, monkeypatch):
+    # the fixtures hold 27a3, with torsion Z/3 and j = 0, which must stay unclassified
+    expected = [check_divisibility(rec.curve, fixtures).to_json() for rec in fixtures.records]
+    assert any(r["torsion_order"] % 3 == 0 and r["c4"] == 0 for r in expected)
+
+    def no_j(self):
+        raise AssertionError("j was built")
+
+    monkeypatch.setattr(WeierstrassCurve, "j", property(no_j))
+    got = [check_divisibility(rec.curve, fixtures).to_json() for rec in fixtures.records]
+    assert got == expected
 
 
 def test_three_torsion_form_of_roundtrip():
@@ -531,6 +550,87 @@ def test_three_torsion_checks_report_a_run_out_as_incomplete(cap_rho, check):
     report, exception, mismatches = _scan_item((check, {"a": -553, "b": 2}))
     assert report == VerdictReport(params={"a": -553, "b": 2}, incomplete=True)
     assert (exception, mismatches) == (False, [])
+
+
+def _guard_fires(preset: str, bound: int, capsys) -> list[dict]:
+    """The mismatches of a preset whose data source a test has falsified.
+
+    Requires that the preset does not validate and that `tamagawa scan`
+    exits with code 1 on the same data.
+    """
+    rep = PRESETS[preset].run(None, 1, bound)
+    assert rep.mismatches and not PRESETS[preset].validate(rep)
+    assert cli.main(["scan", "--preset", preset, "--bound", str(bound), "--summary"]) == 1
+    printed = json.loads(capsys.readouterr().out)["mismatches"]
+    assert printed == json.loads(json.dumps(rep.mismatches))
+    return rep.mismatches
+
+
+def _falsify_three_torsion_local(monkeypatch, **fields):
+    """verify._three_torsion_local with the given fields replaced in every datum."""
+    real = verify._three_torsion_local
+    monkeypatch.setattr(
+        verify, "_three_torsion_local", lambda params: [d._replace(**fields) for d in real(params)]
+    )
+
+
+def test_nonunit_guard_reports_a_c_that_3_does_not_divide(monkeypatch, capsys):
+    _falsify_three_torsion_local(monkeypatch, tamagawa=1)
+    mismatches = _guard_fires("three-torsion-nonunit-b", 4, capsys)
+    assert {"a": 1, "b": 2, "c": 1, "error": "3 does not divide c"} in mismatches
+    assert all(m["c"] == 1 and m["error"] == "3 does not divide c" for m in mismatches)
+
+
+def test_cross_check_guard_reports_a_row_that_disagrees(monkeypatch, capsys):
+    _falsify_three_torsion_local(monkeypatch, kodaira=KodairaType("II*"))  # on no row
+    mismatches = _guard_fires("kozuma-table", 4, capsys)
+    assert all(m["got"]["kodaira"] == "II*" for m in mismatches)
+    assert {m["expected"]["row"] for m in mismatches} >= {"split-I3vb", "I-vD", "IV"}
+
+
+def _falsify_quotient_data(monkeypatch, src=lambda d: d, quo=lambda d: d):
+    """verify.hadano_quotient with its local data at every prime but 3 passed through src and quo."""
+    real = verify.hadano_quotient
+
+    def falsified(form):
+        pair = real(form)
+        local = tuple((s, q) if s.prime == 3 else (src(s), quo(q)) for s, q in pair.local)
+        return pair._replace(local=local)
+
+    monkeypatch.setattr(verify, "hadano_quotient", falsified)
+
+
+def _claim_a_split_prime(monkeypatch):
+    real = verify.quotient_split_prime
+    monkeypatch.setattr(verify, "quotient_split_prime", lambda pair: real(pair) or 2)
+
+
+DUAL_GUARDS = {
+    "expected no split prime, got 2": _claim_a_split_prime,
+    "expected a split prime, got none": lambda mp: mp.setattr(
+        verify, "quotient_split_prime", lambda pair: None
+    ),
+    "quotient not split multiplicative": lambda mp: _falsify_quotient_data(
+        mp, quo=lambda d: d._replace(reduction_class=NONSPLIT)
+    ),
+    "source not split multiplicative": lambda mp: _falsify_quotient_data(
+        mp, src=lambda d: d._replace(reduction_class=NONSPLIT)
+    ),
+    "unexpected class additive away from 3": lambda mp: _falsify_quotient_data(
+        mp, src=lambda d: d._replace(reduction_class=ADDITIVE)
+    ),
+    # c_p(quotient) three times too large moves ord_3 of the ratio by one
+    "ledger entry": lambda mp: _falsify_quotient_data(
+        mp, quo=lambda d: d._replace(tamagawa=3 * d.tamagawa)
+    ),
+}
+
+
+@pytest.mark.parametrize("error", list(DUAL_GUARDS))
+def test_dual_guards_report_falsified_quotient_data(error, monkeypatch, capsys):
+    DUAL_GUARDS[error](monkeypatch)
+    mismatches = _guard_fires("dual-ledger", 10, capsys)
+    assert any(m["error"].startswith(error) for m in mismatches), mismatches
 
 
 def test_budget_is_settable_only_on_factor():
