@@ -360,6 +360,19 @@ def factor_product(terms) -> Factorization:
     return Factorization(sign, tuple(sorted(exps.items())))
 
 
+def as_fraction(value: Union[Rational, str]) -> Fraction:
+    """value as a Fraction, for an int, a Fraction or a str such as "7/3".
+
+    Raises TypeError for anything else: a float would pass silently as its
+    binary rational, 0.1 as 3602879701896397/36028797018963968.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, str)):
+        return Fraction(value)
+    raise TypeError(f"expected an int, a Fraction or a str, got {value!r}")
+
+
 def valuation(x: Rational, p: int) -> Union[int, float]:
     """ord_p(x) for a rational x; math.inf for x = 0.
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
-from .arith import Factorization, _int_valuation, factor
+from .arith import Factorization, _int_valuation, as_fraction, factor
 from .record import Record
 
 
@@ -86,8 +86,9 @@ class Transformation(Record):
 
     Scales the discriminant by u^-12 and c4 by u^-4; j is untouched.  An
     int or Fraction field is kept as given (`minimal_transformation` passes
-    ints, and int arithmetic is the cheaper); any other value is made a
-    Fraction.  An int and its Fraction twin compare and hash alike.
+    ints, and int arithmetic is the cheaper); a str is made a Fraction, and
+    a float raises TypeError.  An int and its Fraction twin compare and hash
+    alike.
     """
 
     _fields = ("u", "r", "s", "t")
@@ -101,7 +102,7 @@ class Transformation(Record):
     ):
         set_ = object.__setattr__
         for name, v in (("u", u), ("r", r), ("s", s), ("t", t)):
-            set_(self, name, v if isinstance(v, (int, Fraction)) else Fraction(v))
+            set_(self, name, v if isinstance(v, (int, Fraction)) else as_fraction(v))
         if self.u == 0:
             raise ValueError("u must be nonzero")
 

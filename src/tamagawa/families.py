@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
-from .arith import Factorization, factor, factor_product, valuation
+from .arith import Factorization, as_fraction, factor, factor_product, valuation
 from .curves import SingularCurveError, WeierstrassCurve
 from .record import Record
 from .reduction import LocalDatum, tate
@@ -58,7 +58,7 @@ def two_six_curve(t: Rational) -> WeierstrassCurve:
     form of y^2 + (-t^2+4t+1) xy - t(t-1)(t+1)^2 (3t+1) y = x^3 - t(t-1)(t+1)^2 x^2;
     at t = 1/m it is exactly the mu = 1/t model of the family.
     """
-    t = Fraction(t)
+    t = as_fraction(t)
     a, b = t.numerator, t.denominator
     for name, expr in _TWO_SIX_FACTORS:
         if expr(a, b) == 0:
@@ -72,7 +72,7 @@ def two_six_curve(t: Rational) -> WeierstrassCurve:
 def two_six_disc(t: Rational) -> Factorization:
     """Factored discriminant of two_six_curve(t): for t = a/b it is
     a^6 (a-b)^6 (a+b)^6 (3a-b)^2 (3a+b)^2 b^2."""
-    t = Fraction(t)
+    t = as_fraction(t)
     a, b = t.numerator, t.denominator
     exponents = (6, 6, 6, 2, 2)
     terms = [(expr(a, b), k) for (_, expr), k in zip(_TWO_SIX_FACTORS, exponents)]
@@ -130,7 +130,7 @@ def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:
     Scaling (x, y) -> (x/u^2, y/u^3) replaces (c, d) by (uc, u^3 d); the sign
     flip y -> -y replaces (c, d) by (-c, -d).
     """
-    c, d = Fraction(c), Fraction(d)
+    c, d = as_fraction(c), as_fraction(d)
     if d == 0 or c**3 == 27 * d:
         raise SingularCurveError(f"(c={c}, d={d}) defines a singular curve")
     # clear denominators: u covers ord_q(den c) and ceil(ord_q(den d) / 3)

@@ -483,11 +483,14 @@ def local_root_number(curve: WeierstrassCurve, place) -> RootNumberDatum:
     """Local root number at a finite prime or at "infinity".
 
     Additive places return the value "unsupported": the tables for additive
-    reduction are out of scope, but every other place still reports.
+    reduction are out of scope, but every other place still reports.  A
+    finite place is an int; any other place raises TypeError.
     """
     if place in ("infinity", "inf", "oo"):
         return RootNumberDatum("infinity", -1)
-    p = int(place)
+    if not isinstance(place, int):
+        raise TypeError(f"a finite place is an int, got {place!r}")
+    p = place
     if curve.c4 == 0 or curve.c6 == 0:  # j = 0 or j = 1728, as c4^3 - c6^2 = 1728 disc
         raise UnsupportedDomainError("root numbers here require j not in {0, 1728}")
     datum = tate(curve, p)
@@ -498,17 +501,30 @@ def local_root_number(curve: WeierstrassCurve, place) -> RootNumberDatum:
     return RootNumberDatum(p, "unsupported")
 
 
+def semistable_root_number(data: Iterable[LocalDatum]) -> Optional[int]:
+    """The global root number read off a curve's local data: the product of
+    -1 at infinity, -1 at each split place and +1 at each good or nonsplit
+    one, so w = -1 exactly when the number of split places is even.  None
+    when some place is additive, where this rule does not apply."""
+    w = -1  # the infinite place
+    for datum in data:
+        if datum.reduction_class == ADDITIVE:
+            return None
+        if datum.reduction_class == SPLIT:
+            w = -w
+    return w
+
+
 def global_root_number_semistable(curve: WeierstrassCurve) -> int:
     """Product of local root numbers; defined here only for semi-stable curves."""
     if curve.c4 == 0 or curve.c6 == 0:  # j = 0 or j = 1728, as c4^3 - c6^2 = 1728 disc
         raise UnsupportedDomainError("root numbers here require j not in {0, 1728}")
-    w = -1  # the infinite place
-    for datum in local_data(curve):
-        if datum.reduction_class == ADDITIVE:
-            raise UnsupportedDomainError(
-                f"curve has additive reduction at {datum.prime}; global root "
-                "number is only computed for semi-stable curves"
-            )
-        if datum.reduction_class == SPLIT:
-            w = -w
+    data = local_data(curve)
+    w = semistable_root_number(data)
+    if w is None:
+        prime = next(d.prime for d in data if d.reduction_class == ADDITIVE)
+        raise UnsupportedDomainError(
+            f"curve has additive reduction at {prime}; global root "
+            "number is only computed for semi-stable curves"
+        )
     return w

@@ -2,7 +2,7 @@
 
 Torsion is found on the scaled short model Y^2 = X^3 + A X + B, A = -27c4,
 B = -54c6, where every rational torsion point is integral with Y = 0 or
-Y^2 | 4A^3 + 27B^2 (Lutz-Nagell).  Six good primes q >= 5 are reduced once:
+Y^2 | 4A^3 + 27B^2 (Lutz-Nagell).  Four good primes q >= 5 are reduced once:
 their point counts bound the torsion order by their gcd, the bound, and a
 point count depends only on (A mod q, B mod q, q), so each is computed once
 per process, as a sum over X of the number of square roots of X^3 + A X + B,
@@ -26,6 +26,8 @@ non-increasing order of m, and one whose x is X mod q for a point of G is
 skipped: by injectivity the rational point over it, if any, is +- that
 point.  Each kept lift P extends G to the group G and P generate, every
 g + kP, so T costs one lift per cyclic factor of its primary decomposition.
+Lifting stops once G has the bound's order: |T| divides the bound and G is
+a subgroup of T, so that G is T, and no seed left can add a point.
 
 One integer group law serves orders, generators, multiples and that
 subgroup step: the chord-tangent law on the scaled model with exact integer
@@ -54,7 +56,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import is_prime
+from .arith import as_fraction, is_prime
 from .curves import WeierstrassCurve
 from .record import Record
 
@@ -71,12 +73,19 @@ MAZUR_SHAPES = frozenset(_MAZUR.values())
 # simple mod every good q >= 5
 _LIFTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 # good primes reduced per curve, each adding a point count to the bound; at
-# most one of them divides the bound (see _torsion_points)
-_SIEVE_PRIMES = 6
+# most one of them divides the bound, as holds for any count of at least 2
+# (see _torsion_points).  Four measured fastest of 3 to 6 (ROADMAP item 8):
+# a fifth or sixth point count costs more than the lifts its tighter bound
+# saves, and a third alone leaves the bound loose enough to lift more.
+_SIEVE_PRIMES = 4
 
 
 class Point(Record):
-    """Affine rational point or the point at infinity."""
+    """Affine rational point or the point at infinity.
+
+    Coordinates are made Fractions from ints, Fractions or strs such as
+    "7/3"; a float raises TypeError.
+    """
 
     _fields = ("x", "y", "infinity")
 
@@ -88,9 +97,9 @@ class Point(Record):
                 raise ValueError("the point at infinity has no coordinates")
         else:
             if type(x) is not Fraction:
-                x = Fraction(x)
+                x = as_fraction(x)
             if type(y) is not Fraction:
-                y = Fraction(y)
+                y = as_fraction(y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "infinity", infinity)
@@ -313,9 +322,11 @@ def _add_mod_p(p1, p2, a: int, p: int):
 def _torsion_sieve(curve: WeierstrassCurve) -> tuple[int, list[tuple[int, int, int]]]:
     """The torsion bound B and the sieve's reductions (-27c4 mod p, -54c6 mod p, p).
 
-    B is the gcd of #E(F_p) over the first _SIEVE_PRIMES primes p >= 5 of
-    good reduction, a multiple of the torsion order, since reduction mod such
-    p maps rational torsion injectively and homomorphically into E'(F_p).
+    B is the gcd of #E(F_p) over the first _SIEVE_PRIMES (four) primes
+    p >= 5 of good reduction, a multiple of the torsion order, since
+    reduction mod such p maps rational torsion injectively and
+    homomorphically into E'(F_p).  At most one of them divides B (see
+    _torsion_points), so the lift has a prime q to work at.
     """
     disc = curve.disc
     reduced = []
@@ -371,9 +382,10 @@ def _division_value(m: int, x: int, A: int, B: int, modulus: int) -> tuple[int, 
     division polynomial psi_m of Y^2 = X^3 + A X + B for odd m and
     psi_m / (2Y) for even m: a polynomial in X alone.
 
-    Evaluated on dual numbers v + d e, e^2 = 0, at x + e.  With
-    F = (2Y)^2 = 4(X^3 + A X + B), f_1 = 1, f_3 and f_4 in closed form and
-    f_2 read as psi_2 / (2Y) = 1, the recurrences for psi_n become, for k >= 2,
+    Evaluated on dual numbers v + d e, e^2 = 0, at x + e.  f_3 and f_4 are
+    closed forms, returned as they are for m = 3 and 4.  Above 4, with
+    F = (2Y)^2 = 4(X^3 + A X + B), f_1 = 1 and f_2 read as
+    psi_2 / (2Y) = 1, the recurrences for psi_n become, for k >= 2,
         f_{2k+1} = F^2 f_{k+2} f_k^3 - f_{k-1} f_{k+1}^3   (k even),
         f_{2k+1} = f_{k+2} f_k^3 - F^2 f_{k-1} f_{k+1}^3   (k odd),
         f_{2k}   = f_k (f_{k+2} f_{k-1}^2 - f_{k-2} f_{k+1}^2)   (k >= 3),
@@ -390,15 +402,22 @@ def _division_value(m: int, x: int, A: int, B: int, modulus: int) -> tuple[int, 
     x2, x3 = x * x, x * x * x
     if m == 2:
         return (x3 + A * x + B) % modulus, (3 * x2 + A) % modulus
-    one = (1, 0)
-    f3 = (3 * x2 * x2 + 6 * A * x2 + 12 * B * x - A * A, 12 * (x3 + A * x + B))
-    f4 = (
-        2 * (x3 * x3 + 5 * A * x2 * x2 + 20 * B * x3 - 5 * A * A * x2 - 4 * A * B * x - 8 * B * B - A**3),
-        2 * (6 * x2 * x3 + 20 * A * x3 + 60 * B * x2 - 10 * A * A * x - 4 * A * B),
+    f3 = (
+        (3 * x2 * x2 + 6 * A * x2 + 12 * B * x - A * A) % modulus,
+        12 * (x3 + A * x + B) % modulus,
     )
+    if m == 3:
+        return f3
+    f4 = (
+        2 * (x3 * x3 + 5 * A * x2 * x2 + 20 * B * x3 - 5 * A * A * x2 - 4 * A * B * x - 8 * B * B - A**3) % modulus,
+        2 * (6 * x2 * x3 + 20 * A * x3 + 60 * B * x2 - 10 * A * A * x - 4 * A * B) % modulus,
+    )
+    if m == 4:
+        return f4
+    one = (1, 0)
     F = (4 * (x3 + A * x + B), 4 * (3 * x2 + A))
     F2 = mul(F, F)
-    f = [(0, 0), one, one, (f3[0] % modulus, f3[1] % modulus), (f4[0] % modulus, f4[1] % modulus)]
+    f = [(0, 0), one, one, f3, f4]
     for n in range(5, m + 1):
         k = n // 2
         if n % 2:
@@ -444,7 +463,8 @@ def _torsion_points(curve: WeierstrassCurve) -> dict[tuple[int, int], list[tuple
     - Some sieve prime q does not divide the bound.  The bound divides
       #E(F_q1) <= q1 + 1 + 2 sqrt(q1) < q1^2 (Hasse), q1 >= 5 the first sieve
       prime, while two sieve primes q1 <= q < q' dividing it would make it at
-      least q q' > q1^2.  So at most one of the six divides it.
+      least q q' > q1^2.  So at most one of the _SIEVE_PRIMES (four, and
+      two would do) divides it.
     - The rational points of prime-power order generate the torsion group T:
       T is the sum of its l-primary parts T[l^inf], and the l-primary part of
       a torsion point P is a multiple of P, so it is rational, of order a
@@ -476,6 +496,9 @@ def _torsion_points(curve: WeierstrassCurve) -> dict[tuple[int, int], list[tuple
       m, so a point of order 4 or 8 comes before the point of order 2 under
       it, and T costs one kept lift per cyclic factor of its primary
       decomposition: Z/2 x Z/6 = Z/2 x Z/2 x Z/3 costs three.
+    - Lifting stops once len(found) + 1 equals the bound.  G is a subgroup
+      of T, whose order divides the bound, so a G of the bound's order is
+      T: no seed left can add a point.
     """
     bound, reduced = _torsion_sieve(curve)
     a, b, q = next(key for key in reduced if bound % key[2])
@@ -488,6 +511,8 @@ def _torsion_points(curve: WeierstrassCurve) -> dict[tuple[int, int], list[tuple
     # X^3 + A X + B - Y^2
     modulus = _lift_modulus(q, _root_bound(A, abs(B) + abs(4 * A**3 + 27 * B * B)))
     for x, m in seeds:
+        if len(found) + 1 == bound:
+            break
         if any((x - X) % q == 0 for X, _ in found):
             continue
         X = _lifted_x(x, m, A, B, q, modulus)

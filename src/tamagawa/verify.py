@@ -42,6 +42,7 @@ from .reduction import (
     LocalDatum,
     c_infinity,
     local_data,
+    semistable_root_number,
     tate,
 )
 from .torsion import MAZUR_SHAPES, TorsionStructure, _point_of_order, torsion_subgroup
@@ -338,12 +339,10 @@ def _classify_three_torsion(
     for d in data:
         if d.prime != 3 and d.reduction_class == ADDITIVE:
             raise RuntimeError("unit-b curve additive away from 3; arithmetic bug")
-    split_count = sum(1 for d in data if d.reduction_class == SPLIT)
     if pair.ratio_ord3 >= 2:
-        # 9 | Sha follows from BSD at rank 0; a semistable curve has
-        # w = (-1)^(1 + split places), as global_root_number_semistable
-        # computes, and w = -1 puts it outside that hypothesis
-        if split_count % 2 == 0 and all(d.reduction_class != ADDITIVE for d in data):
+        # 9 | Sha follows from BSD at rank 0, and a semistable curve with
+        # root number -1 is outside that hypothesis
+        if semistable_root_number(data) == -1:
             return RANK_VIOLATED
         return SHA_IMPLIED
     datum3 = next((d for d in data if d.prime == 3), None)
@@ -356,7 +355,7 @@ def _classify_three_torsion(
         raise RuntimeError("split at 3 with 3 not dividing c(E); arithmetic bug")
     else:
         w3 = rec.w3 if rec else None
-    if split_count > 1:
+    if sum(1 for d in data if d.reduction_class == SPLIT) > 1:
         raise RuntimeError(
             "ratio < 2 with two or more split places; contradicts the ledger rules"
         )

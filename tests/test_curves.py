@@ -157,7 +157,9 @@ def test_int_and_fraction_transformations_are_equal():
     assert Transformation.identity() == Transformation(Fraction(1), 0, 0, 0)
     assert hash(Transformation.identity()) == hash(Transformation(Fraction(1), 0, 0, 0))
     assert ints.inverse() == Transformation(Fraction(1, 2), 0, 0, 0)
-    assert Transformation(0.5, 0, 0, 0).u == Fraction(1, 2)
+    assert Transformation("1/2", 0, 0, 0).u == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Transformation(0.5, 0, 0, 0)
 
 
 def test_minimal_model_two_torsion_family_example():
@@ -264,6 +266,14 @@ def test_curve_from_c4c6_roundtrip():
         curve_from_c4c6(1, 1)  # c4^3 = c6^2 forces disc 0
     with pytest.raises(ValueError):
         curve_from_c4c6(17, 161)  # fails Kraus at 2 (c6 = 1 mod 4, c4 odd)
+
+
+def test_curve_from_c4c6_refuses_the_singular_pair_0_0():
+    # (0, 0) passes every congruence and builds [0,0,0,0,0], whose
+    # discriminant is 0: the SingularCurveError is raised as the invalid pair
+    with pytest.raises(ValueError, match=r"invalid invariant pair \(0, 0\)") as excinfo:
+        curve_from_c4c6(0, 0)
+    assert isinstance(excinfo.value.__context__, SingularCurveError)
 
 
 def _largest_integral_scaling(c4, c6, e, p):

@@ -2,13 +2,20 @@
 
 Walks the syntax tree of every module under src/tamagawa and fails on a
 float literal, a float(...) call, or a use of the math module beyond the
-exact integer helpers and the infinity that marks ord_p(0).
+exact integer helpers and the infinity that marks ord_p(0).  Also checks
+that the entry points taking rationals refuse a float argument.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from tamagawa.curves import Transformation, WeierstrassCurve
+from tamagawa.families import three_torsion_normalize, two_six_curve, two_six_disc
+from tamagawa.reduction import local_root_number
+from tamagawa.torsion import Point
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tamagawa"
 EXACT_MATH = {"gcd", "isqrt", "prod", "inf"}
@@ -59,3 +66,31 @@ def test_the_walk_finds_each_kind_of_float():
         "from math import log",
         "math.sqrt",
     ]
+
+
+# a float is refused where it would pass as its binary rational: Point(0.1, 0.5)
+# stored x = 3602879701896397/36028797018963968, two_six_curve(0.1) had a
+# 111-bit a1, and local_root_number(E, 2.5) answered at p = 2
+FLOAT_CALLS = {
+    "Point": lambda: Point(0.1, 0.5),
+    "two_six_curve": lambda: two_six_curve(0.1),
+    "two_six_disc": lambda: two_six_disc(0.1),
+    "Transformation": lambda: Transformation(0.5, 0, 0, 0),
+    "three_torsion_normalize": lambda: three_torsion_normalize(0.5, 0.25),
+    "local_root_number": lambda: local_root_number(WeierstrassCurve(0, 1, 1, -9, -15), 2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
+def test_entry_points_refuse_a_float(name):
+    with pytest.raises(TypeError):
+        FLOAT_CALLS[name]()
+
+
+def test_entry_points_still_read_a_str_as_a_rational():
+    # the CLI passes --t 7/3 on as a str
+    assert two_six_curve("7/3") == two_six_curve(Fraction(7, 3))
+    assert two_six_disc("7/3") == two_six_disc(Fraction(7, 3))
+    assert Point("1/2", "-3") == Point(Fraction(1, 2), -3)
+    assert Transformation("1/2", 0, 0, 0) == Transformation(Fraction(1, 2), 0, 0, 0)
+    assert three_torsion_normalize("1/2", "1/4") == three_torsion_normalize(Fraction(1, 2), Fraction(1, 4))

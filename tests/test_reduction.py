@@ -39,6 +39,7 @@ from tamagawa.reduction import (
     global_tamagawa,
     local_data,
     local_root_number,
+    semistable_root_number,
     tate,
 )
 from tamagawa.verify import ingest_fixtures
@@ -287,6 +288,27 @@ def test_global_root_number_semistable():
     w = global_root_number_semistable(E3)
     split_count = sum(1 for d in local_data(E3) if d.reduction_class == SPLIT)
     assert w == (-1) ** (1 + split_count)
+
+
+def test_semistable_root_number_is_the_product_of_local_root_numbers():
+    """The rule of the local data alone: -1 at infinity and at each split
+    place, so -1 exactly when the split places are even in number, and None
+    with an additive place; each local factor is local_root_number's."""
+    semistable = 0
+    for rec in ingest_fixtures(FIXTURES).records:
+        curve = CurveAnalysis.of(rec.curve).minimal
+        if curve.c4 == 0 or curve.c6 == 0:
+            continue
+        data = local_data(curve)
+        w = semistable_root_number(data)
+        if any(d.reduction_class == ADDITIVE for d in data):
+            assert w is None, rec.label
+            continue
+        semistable += 1
+        assert w == global_root_number_semistable(curve), rec.label
+        assert w == math.prod(local_root_number(curve, p).value for p in ["infinity", *bad_primes(curve)])
+    assert semistable >= 5
+    assert semistable_root_number([]) == -1
 
 
 def test_conductors():

@@ -314,7 +314,7 @@ def _assert_sieve_agrees_with_reference(curve):
     assert frozenset([Point.at_infinity()] + [_unscaled(m, *q) for q in found]) == expected, curve.ai()
     assert found == _reference_torsion_dict(m, disc), curve.ai()
     bound, reduced = _torsion_sieve(m)
-    assert len(reduced) == 6 and sum(1 for _, _, p in reduced if bound % p == 0) <= 1
+    assert len(reduced) == torsion._SIEVE_PRIMES and sum(1 for _, _, p in reduced if bound % p == 0) <= 1
     for _, _, p in reduced:
         assert _count(m, p) == _reference_count_mod_p(m, p)
         assert _count(m, p) % len(expected) == 0
@@ -528,11 +528,24 @@ def _span(curve, generators):
     return span
 
 
+def _six_prime_bound(curve):
+    """The gcd of #E(F_p) over the first six primes p >= 5 of good reduction,
+    counted by _reference_count_mod_p: a multiple of the torsion order that
+    does not depend on how many primes the sieve reduces."""
+    bound, used, p = 0, 0, 5
+    while used < 6:
+        if curve.disc % p and is_prime(p):
+            bound = math.gcd(bound, _reference_count_mod_p(curve, p))
+            used += 1
+        p += 2
+    return bound
+
+
 def test_lift_matches_kubert_tate_normal_forms_of_every_order():
     """On Tate normal forms of every order n >= 4, Z/2 x Z/2N included, the
     lift finds the group that (0, 0), of order n, and the rational points of
     order 2 generate by the Fraction law: all the torsion when its order
-    reaches the sieve's bound.  Elsewhere it matches the square-divisor search."""
+    reaches a six-prime bound.  Elsewhere it matches the square-divisor search."""
     curves = _kubert_curves()
     assert len(curves) == 503
     shapes = set()
@@ -543,7 +556,7 @@ def test_lift_matches_kubert_tate_normal_forms_of_every_order():
         origin = _carry(minimal_transformation(E)[1], Point(0, 0))
         assert _reference_point_order(m, origin) == n
         group = _span(m, [origin] + [_unscaled(m, X, 0) for X in _reference_cubic_roots(A, B)])
-        if len(group) == _torsion_sieve(m)[0]:
+        if len(group) == _six_prime_bound(m):
             keys = [_scaled(m, q)[:2] for q in group if not q.infinity]
             expected = {(int(X), int(Y)): _scaled_multiples(int(X), int(Y), A, B) for X, Y in keys}
         else:
@@ -883,6 +896,66 @@ def test_lifts_run_at_prime_power_orders_once_per_cyclic_factor(monkeypatch):
         assert kept == _primary_factor_count(shape), (curve.ai(), shape, lifted)
         shapes[shape] += 1
     assert shapes["Z/2xZ/6"] and shapes["Z/12"] and shapes["Z/8"]
+
+
+def _family_grid_curves():
+    """The family curves of small parameters: normalized three-torsion
+    (|a|, b <= 12), two-torsion (|a|, |b| <= 10) and four-torsion
+    (s, |t| <= 10), each model as the family builds it."""
+    curves = []
+    for a, b in itertools.product(range(-12, 13), range(1, 13)):
+        try:
+            curves.append(ThreeTorsionNormalForm(a, b).curve)
+        except ValueError:
+            continue
+    for a, b in itertools.product(range(-10, 11), range(-10, 11)):
+        if b and math.gcd(a, b) == 1 and a * a != 4 * b:
+            curves.append(two_torsion_curve(a, b))
+    for s, t in itertools.product(range(1, 11), range(-10, 11)):
+        if t and 16 * s + t and math.gcd(s, t) == 1:
+            curves.append(four_torsion_curve(s, t))
+    return curves
+
+
+def test_no_lift_runs_once_the_group_fills_the_sieve_bound(monkeypatch):
+    """The points found form a subgroup of the torsion group T, and |T|
+    divides the sieve's bound, so once they and O number the bound they are
+    T: no seed is lifted after that, on the fixtures and the family grids."""
+    lift, extend, events = torsion._lifted_x, torsion._extend, []
+
+    def lifted(*args):
+        events.append("lift")
+        return lift(*args)
+
+    def extended(found, *args):
+        extend(found, *args)
+        events.append(len(found) + 1)
+
+    monkeypatch.setattr(torsion, "_lifted_x", lifted)
+    monkeypatch.setattr(torsion, "_extend", extended)
+    filled = 0
+    for curve in _fixture_and_two_six_curves() + _family_grid_curves():
+        events.clear()
+        found = _torsion_points(curve)
+        bound = _torsion_sieve(curve)[0]
+        order = 1
+        for event in events:
+            if event == "lift":
+                assert order < bound, (curve.ai(), events)
+            else:
+                order = event
+        assert order == len(found) + 1
+        filled += order == bound > 1
+    assert filled > 100
+
+
+def test_point_of_order_refuses_an_order_that_does_not_divide():
+    curve = WeierstrassCurve(1, 0, 1, -19, 26)
+    point = Point(1, 2)
+    assert point_order(curve, point) == 6
+    assert torsion._point_of_order(curve, point, 3) == Point(4, 2)
+    with pytest.raises(ValueError, match="has no multiple of order 5"):
+        torsion._point_of_order(curve, point, 5)
 
 
 @pytest.mark.parametrize(

@@ -294,6 +294,16 @@ def test_three_torsion_form_of_roundtrip():
         three_torsion_form_of(WeierstrassCurve(0, 1, 0, -1, 0), (Fraction(0), Fraction(0)))
 
 
+@pytest.mark.parametrize(
+    "point, match",
+    [((1, 1), "point is not on the curve"), ((0, 0), "point does not have order 3")],
+)
+def test_three_torsion_form_of_refuses_a_point_off_the_curve_or_not_of_order_3(point, match):
+    # on 37a1, (0, 0) generates the Mordell-Weil group: it has infinite order
+    with pytest.raises(ValueError, match=match):
+        three_torsion_form_of(WeierstrassCurve(0, 0, 1, -1, 0), tuple(map(Fraction, point)))
+
+
 def test_three_torsion_form_of_refuses_a_non_integral_point():
     # 5 (0, 0) on 37a1, a point of infinite order; no point of order 3 on an
     # integral model has a denominator
