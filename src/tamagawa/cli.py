@@ -201,7 +201,10 @@ def _run(argv) -> int:
                 if value is not None and value < 1:
                     raise ValueError(f"{flag} must be a positive integer, got {value}")
             preset = PRESETS[args.preset]
-            report = preset.run(fixtures, args.jobs, args.bound)
+            if preset.bound is None and args.bound is not None:
+                raise ValueError(f"--preset {args.preset} scans a fixed set of curves: no --bound")
+            bound = preset.bound if args.bound is None else args.bound
+            report = preset.run(fixtures, args.jobs, bound)
             if args.summary:
                 _emit(report.summary(), args.pretty)
             else:

@@ -6,9 +6,11 @@ formulas live here once: `invariants` and `change_coordinates` act on bare
 coefficient tuples, so Tate's algorithm in `reduction` runs on them too.
 Global minimization follows Laska-Kraus-Connell: shrink (c4,c6) by the
 largest admissible u, whose exponent at each prime is `minimal_exponent`,
-then rebuild the unique reduced model from (c4,c6).  `minimal_model` returns
-that model and u; `minimal_transformation` also solves for the r, s, t of
-the coordinate change, which no analysis needs.
+then rebuild the unique reduced model from (c4,c6); that the rebuilt model
+has exactly these invariants is the one validity check.  `minimal_model`
+returns that model and u, and checks a given factorization of the
+discriminant, which every analysis hands it; `minimal_transformation` also
+solves for the r, s, t of the coordinate change, which no analysis needs.
 """
 
 from __future__ import annotations
@@ -204,28 +206,21 @@ def curve_from_c4c6(c4: int, c6: int) -> WeierstrassCurve:
     """The unique reduced integral model with the given invariants.
 
     Reduced means a1, a3 in {0,1} and a2 in {-1,0,1}; raises ValueError if
-    no integral model has these invariants (Kraus's conditions fail).
+    no integral model has these invariants (Kraus's conditions fail).  The
+    closing comparison of c4 and c6 is the one check: the function returns
+    only a model with exactly these invariants, and when one exists every
+    division below is exact, as b2 = a1^2 mod 4 on an integral model, so
+    b2^3 = b2 and c6 = -b2 mod 12 fix the reduced b2.
     """
     bad = ValueError(f"invalid invariant pair ({c4}, {c6})")
-    if (c4**3 - c6 * c6) % 1728 != 0:
-        raise bad
     b2 = (-c6) % 12
     if b2 > 6:
         b2 -= 12
     a1 = b2 % 2
-    if (b2 - a1) % 4 != 0:
-        raise bad
     a2 = (b2 - a1) // 4
-    if (b2 * b2 - c4) % 24 != 0:
-        raise bad
     b4 = (b2 * b2 - c4) // 24
-    num = -(b2**3) + 36 * b2 * b4 - c6
-    if num % 216 != 0:
-        raise bad
-    b6 = num // 216
+    b6 = (-(b2**3) + 36 * b2 * b4 - c6) // 216
     a3 = b6 % 2
-    if (b4 - a1 * a3) % 2 != 0 or (b6 - a3) % 4 != 0:
-        raise bad
     a4 = (b4 - a1 * a3) // 2
     a6 = (b6 - a3) // 4
     try:
@@ -245,15 +240,19 @@ def minimal_model(
     ord_p(disc) is minimal at every prime, and curve.c4 = u^4 minimal.c4,
     curve.c6 = u^6 minimal.c6, curve.disc = u^12 minimal.disc.  Given the
     factored discriminant, the candidates are its primes with exponent >= 12
-    (u^12 divides it); otherwise gcd(c4, c6) is factored.  ord_p(u) at each
-    candidate p is `minimal_exponent`.  `minimal_transformation` gives the
-    whole coordinate change.
+    (u^12 divides it), and one that does not multiply out to curve.disc
+    raises ValueError, as its exponents would pick the wrong u; otherwise
+    gcd(c4, c6) is factored.  ord_p(u) at each candidate p is
+    `minimal_exponent`.  `minimal_transformation` gives the whole coordinate
+    change.
     """
     c4, c6 = curve.c4, curve.c6
     if disc is None:
         exponents = [
             (p, _int_valuation(curve.disc, p)) for p in factor(math.gcd(c4, c6)).primes()
         ]
+    elif disc.value != curve.disc:
+        raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
     else:
         exponents = [(p, e) for p, e in disc.factors if e >= 12]
 
@@ -302,13 +301,12 @@ class CurveAnalysis(NamedTuple):
         """Analysis of curve from a factorization of its discriminant.
 
         Without one the discriminant is factored at factor's default rho
-        budget; another budget is passed as factor(curve.disc, budget).  A
-        supplied factorization must multiply out to the discriminant.
+        budget; another budget is passed as factor(curve.disc, budget).  Every
+        factorization goes through `minimal_model`, which raises ValueError
+        on one that does not multiply out to the discriminant.
         """
         if disc is None:
             disc = factor(curve.disc)
-        elif disc.value != curve.disc:
-            raise ValueError(f"factorization {disc} is not the discriminant of {curve}")
         minimal, u = minimal_model(curve, disc)
         if u == 1:
             # the model is already minimal: its discriminant's factorization is disc_min

@@ -709,10 +709,15 @@ NEGATIVE_T_EXPECTED = frozenset({KEY_15A8, KEY_21A4, KEY_24A4})
 
 
 class Preset(NamedTuple):
-    """One scan of PRESETS: run(fixtures, jobs, bound) and the verdict it must reach."""
+    """One scan of PRESETS: run(fixtures, jobs, bound) and the verdict it must reach.
+
+    bound is the default of `tamagawa scan --bound`; None for a scan of a
+    fixed set of curves, which refuses the flag.
+    """
 
     run: Callable
     expected: Callable[[ScanReport], bool]
+    bound: Optional[int] = None
 
     def validate(self, report: ScanReport) -> bool:
         """Every curve was analysed and the scan found what the statement expects."""
@@ -753,8 +758,9 @@ PRESETS = {
     ),
     # Z/2xZ/6 family, all t = a/b up to the bound
     "prop2.2": Preset(
-        lambda fixtures, jobs, bound: scan_two_six(bound or 30, fixtures, jobs),
+        lambda fixtures, jobs, bound: scan_two_six(bound, fixtures, jobs),
         lambda rep: not rep.exceptions,
+        30,
     ),
     # semi-stable 2-torsion enumeration region
     "prop2.4": Preset(
@@ -763,19 +769,20 @@ PRESETS = {
     ),
     # 3 | c(E) whenever the normalized cubic has b > 1
     "three-torsion-nonunit-b": Preset(
-        lambda fixtures, jobs, bound: scan_three_torsion_nonunits(bound or 40, jobs),
+        lambda fixtures, jobs, bound: scan_three_torsion_nonunits(bound, jobs),
         lambda rep: not rep.mismatches,
+        40,
     ),
     # Tate output versus the three-torsion reduction-type table
     "kozuma-table": Preset(
-        lambda fixtures, jobs, bound: reduction_table_cross_check(bound or 40, jobs),
+        lambda fixtures, jobs, bound: reduction_table_cross_check(bound, jobs),
         lambda rep: not rep.mismatches,
+        40,
     ),
     # quotient identities, split primes, and the Tamagawa-ratio ledger
     "dual-ledger": Preset(
-        lambda fixtures, jobs, bound: scan_dual_curves(
-            range(-(bound or 100), (bound or 100) + 1), jobs
-        ),
+        lambda fixtures, jobs, bound: scan_dual_curves(range(-bound, bound + 1), jobs),
         lambda rep: not rep.mismatches,
+        100,
     ),
 }

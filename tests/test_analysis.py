@@ -106,6 +106,22 @@ def test_wrong_exponent_is_rejected():
         CurveAnalysis.of(curve, Factorization(-1, disc.factors))
 
 
+def test_every_entry_point_refuses_a_factorization_of_another_discriminant():
+    # 37a1 scaled by 5, disc = 5^12 * 37: trusted, factor(37) would leave it unminimized at 5
+    curve = WeierstrassCurve(0, 0, 125, -625, 0)
+    assert curve.disc == 5**12 * 37
+    assert minimal_model(curve) == (WeierstrassCurve(0, 0, 1, -1, 0), 5)
+    calls = {
+        "minimal_model": lambda disc: minimal_model(curve, disc),
+        "CurveAnalysis.of": lambda disc: CurveAnalysis.of(curve, disc),
+        "local_data": lambda disc: local_data(curve, disc=disc),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="not the discriminant"):
+            call(factor(37))
+        assert call(factor(curve.disc)), name
+
+
 def test_a_minimal_model_keeps_the_given_factorization():
     # u = 1: disc_min is the very factorization given, not an equal copy
     curve, disc = four_torsion_curve(3, 1), four_torsion_disc(3, 1)

@@ -403,6 +403,27 @@ def test_scan_bound_below_one_is_a_usage_error(bound, monkeypatch, capsys):
     assert "--bound" in json.loads(err)["error"]
 
 
+def test_scan_refuses_bound_on_a_preset_without_one(monkeypatch, capsys):
+    """--bound is a usage error on the three presets that scan a fixed set of
+    curves, rather than a flag they ignore, and is used by the other four."""
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    refused = []
+    for name in sorted(cli.PRESETS):
+        code = cli.main(["scan", "--preset", name, "--bound", "2", "--jobs", "1", "--summary"])
+        out, err = capsys.readouterr()
+        if code == cli.EXIT_USAGE:
+            assert out == "", name
+            error = json.loads(err)["error"]
+            assert "--bound" in error and name in error, error
+            refused.append(name)
+        else:
+            assert code == cli.EXIT_OK and err == "", name
+            assert json.loads(out)["curves"] > 0, name
+    assert refused == ["prop2.1-negative-t", "prop2.1-random", "prop2.4"]
+
+
 def test_four_torsion_rejects_a_rational_t(monkeypatch, capsys):
     from tamagawa import cli
 

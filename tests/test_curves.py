@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -274,6 +275,30 @@ def test_curve_from_c4c6_refuses_the_singular_pair_0_0():
     with pytest.raises(ValueError, match=r"invalid invariant pair \(0, 0\)") as excinfo:
         curve_from_c4c6(0, 0)
     assert isinstance(excinfo.value.__context__, SingularCurveError)
+
+
+def test_curve_from_c4c6_against_every_reduced_model_in_a_box():
+    """Each pair with |c4| <= 60 and |c6| <= 600 gives the reduced model listed for it,
+    or is refused.  A reduced model has |b2| <= 5, so one in the box has |b4| <= 3 and
+    |b6| <= 5, hence |a4| <= 2 and |a6| <= 1: the list below holds every one of them."""
+    listed = {}
+    for ai in itertools.product((0, 1), (-1, 0, 1), (0, 1), range(-3, 4), range(-3, 4)):
+        try:
+            E = WeierstrassCurve(*ai)
+        except SingularCurveError:
+            continue
+        assert (E.c4, E.c6) not in listed  # the reduced model is unique
+        listed[E.c4, E.c6] = E
+    valid = 0
+    for c4 in range(-60, 61):
+        for c6 in range(-600, 601):
+            try:
+                got = curve_from_c4c6(c4, c6)
+            except ValueError as e:
+                got = str(e)
+            assert got == listed.get((c4, c6), f"invalid invariant pair ({c4}, {c6})")
+            valid += (c4, c6) in listed
+    assert valid == 26
 
 
 def _largest_integral_scaling(c4, c6, e, p):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tamagawa.curves import Transformation, WeierstrassCurve
+from tamagawa.curves import Transformation, WeierstrassCurve, curve_from_c4c6
 from tamagawa.families import three_torsion_normalize, two_six_curve, two_six_disc
 from tamagawa.reduction import local_root_number
 from tamagawa.torsion import Point
@@ -76,6 +76,7 @@ FLOAT_CALLS = {
     "two_six_curve": lambda: two_six_curve(0.1),
     "two_six_disc": lambda: two_six_disc(0.1),
     "Transformation": lambda: Transformation(0.5, 0, 0, 0),
+    "curve_from_c4c6": lambda: curve_from_c4c6(0.5, 0.25),
     "three_torsion_normalize": lambda: three_torsion_normalize(0.5, 0.25),
     "local_root_number": lambda: local_root_number(WeierstrassCurve(0, 1, 1, -9, -15), 2.5),
 }

@@ -131,10 +131,10 @@ RECORDS = {
         "semistable_only=True)",
     ),
     "Preset": (
+        lambda: Preset("run", "expected", 30),
+        lambda: Preset("run", "expected", 30),
         lambda: Preset("run", "expected"),
-        lambda: Preset("run", "expected"),
-        lambda: Preset("run", "other"),
-        "Preset(run='run', expected='expected')",
+        "Preset(run='run', expected='expected', bound=30)",
     ),
     "Point": (
         lambda: Point(Fraction(-1, 4), 2),

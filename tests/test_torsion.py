@@ -405,6 +405,47 @@ def test_lift_seeds_same_on_cold_and_warm_cache():
     assert {m for seeds in cold for _, m in seeds} == set(torsion._LIFTED_ORDERS)
 
 
+def _seeds_from_division_polynomials(a, b, q, bound):
+    """_lift_seeds by another route: x has order 2 when it is a root of f_2, and
+    otherwise order m when f_m(x) = 0 and X^3 + aX + b is a square at x, with the
+    points of order 4 taken out of f_8's roots and those of order 3 out of f_9's."""
+    orders = [m for m in torsion._LIFTED_ORDERS if bound % m == 0]
+    squares = {y * y % q for y in range(1, q)}
+    seeds = []
+    for x in range(q):
+        rhs = (x * x * x + a * x + b) % q
+        if rhs == 0:
+            seeds += [(x, 2) for m in orders if m == 2]
+        elif rhs in squares:
+            seeds += [
+                (x, m)
+                for m in orders
+                if m > 2
+                and _division_value(m, x, a, b, q)[0] == 0
+                and not (m == 8 and _division_value(4, x, a, b, q)[0] == 0)
+                and not (m == 9 and _division_value(3, x, a, b, q)[0] == 0)
+            ]
+    return tuple(sorted(seeds, key=lambda seed: -seed[1]))
+
+
+def test_lift_seeds_are_the_points_of_each_lifted_order():
+    """On every key with 5 <= q <= 31: a nonsingular (a, b) mod q and a bound that
+    divides #E'(F_q) and is prime to q, _lift_seeds lists exactly the x of each
+    lifted order, and no x of another order."""
+    keys = 0
+    for q in (p for p in range(5, 32) if is_prime(p)):
+        for a, b in itertools.product(range(q), repeat=2):
+            if (4 * a**3 + 27 * b * b) % q == 0:
+                continue
+            count = _point_count(a, b, q)
+            for bound in range(1, count + 1):
+                if count % bound == 0 and bound % q:
+                    expected = _seeds_from_division_polynomials(a, b, q, bound)
+                    assert _lift_seeds(a, b, q, bound) == expected, (a, b, q, bound)
+                    keys += 1
+    assert keys == 16190
+
+
 @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
 def test_point_count_matches_the_listed_points(p):
     """The count from the table of square-root counts is one more than the
