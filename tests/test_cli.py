@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamagawa.families import (
     FAMILIES,
@@ -495,3 +497,92 @@ def test_scan_jobs_below_one_is_a_usage_error(jobs, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--jobs" in json.loads(err)["error"]
+
+
+# flat params over the families' parameter names, with every kind of value a
+# params dict can hold, and labels that spell the key the sort looks for
+_PARAM_VALUES = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions().map(str),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+_PARAMS = st.dictionaries(st.sampled_from(["a", "b", "s", "t", "semistable"]), _PARAM_VALUES)
+_LABELS = st.one_of(
+    st.none(),
+    st.text(),
+    st.sampled_from(['"params":{', '"params":', '"params', 'x"params":{"a":1}']),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_PARAMS, _LABELS), max_size=12))
+def test_scan_lines_sort_as_json_dumps_of_their_params(items):
+    from tamagawa import cli
+    from tamagawa.verify import VerdictReport
+
+    reports = [VerdictReport(label=label, params=params) for params, label in items]
+    ordered = cli._in_params_order(reports)
+    keys = [json.dumps(r.params, sort_keys=True) for _, r in ordered]
+    assert keys == sorted(json.dumps(r.params, sort_keys=True) for r in reports)
+    for line, r in ordered:
+        assert line == json.dumps(r.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def test_compact_scan_encodes_each_report_once(monkeypatch, capsys):
+    from tamagawa import cli
+
+    encoded = []
+    real = json.JSONEncoder.iterencode
+
+    def counting(self, o, _one_shot=False):
+        encoded.append(o)
+        return real(self, o, _one_shot)
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting)
+    assert cli.main(["scan", "--preset", "prop2.4", "--jobs", "1"]) == cli.EXIT_OK
+    # prop2.4 has 23 curves: one encoding each, and one for the summary
+    assert len(capsys.readouterr().out.splitlines()) == 24
+    assert len(encoded) == 24
+
+
+def test_scan_report_without_params_is_an_error_not_a_usage_error(monkeypatch, capsys):
+    from tamagawa import cli
+    from tamagawa.verify import Preset, ScanReport, VerdictReport
+
+    stray = VerdictReport(label='"params":{', divides=True)
+    reports = [VerdictReport(params={"a": 1}), stray]
+    preset = Preset(
+        lambda fixtures, jobs, bound: ScanReport("stray", reports, {}, []), lambda rep: True
+    )
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    monkeypatch.setitem(cli.PRESETS, "prop2.4", preset)
+    with pytest.raises(RuntimeError, match="scan report without params") as raised:
+        cli.main(["scan", "--preset", "prop2.4"])
+    assert repr(stray) in str(raised.value)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "args", [["--preset", "prop2.4"], ["--preset", "dual-ledger", "--bound", "5"]]
+)
+def test_pretty_scan_indents_the_compact_lines_in_their_order(args, monkeypatch, capsys):
+    # the golden digests are of compact output; these are --pretty's bytes
+    from tamagawa import cli
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    assert cli.main(["scan", *args, "--jobs", "1"]) == cli.EXIT_OK
+    compact = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert cli.main(["scan", *args, "--jobs", "1", "--pretty"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    decoder, at, pretty = json.JSONDecoder(), 0, []
+    while at < len(out):
+        obj, end = decoder.raw_decode(out, at)
+        assert out[at:end] == json.dumps(obj, indent=2, sort_keys=True)
+        assert out[end] == "\n"
+        pretty.append(obj)
+        at = end + 1
+    assert len(pretty) > 1
+    assert pretty == compact
