@@ -287,12 +287,13 @@ class CurveAnalysis(NamedTuple):
 
     Holds the global minimal model and its factored discriminant, whose
     exponents are the model's minus 12 ord_p(u) for `minimal_model`'s
-    scaling u; when u = 1 it is the given factorization itself.  Bad primes,
-    Tate's algorithm and fixture keys all read this instead of minimizing or
-    factoring again; torsion needs none of it.
+    scaling u; when u = 1 it is the given factorization itself.  The model
+    it was made from is not kept, so an analysis is a function of the
+    isomorphism class: two models of one curve over Q give equal analyses.
+    Bad primes, Tate's algorithm and fixture keys all read this instead of
+    minimizing or factoring again; torsion needs none of it.
     """
 
-    curve: WeierstrassCurve
     minimal: WeierstrassCurve
     disc_min: Factorization
 
@@ -310,11 +311,11 @@ class CurveAnalysis(NamedTuple):
         minimal, u = minimal_model(curve, disc)
         if u == 1:
             # the model is already minimal: its discriminant's factorization is disc_min
-            return cls(curve, minimal, disc)
+            return cls(minimal, disc)
         # ord_p(u) = minimal_exponent(..., e, p) <= e // 12, so it is 0 where e < 12
         exponents = [(p, e - 12 * _int_valuation(u, p) if e >= 12 else e) for p, e in disc.factors]
         factors = tuple((p, e) for p, e in exponents if e)
-        return cls(curve, minimal, Factorization(disc.sign, factors))
+        return cls(minimal, Factorization(disc.sign, factors))
 
     @property
     def bad_primes(self) -> tuple[int, ...]:

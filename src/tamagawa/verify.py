@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .arith import Factorization, IncompleteFactorizationError, _int_valuation, factor, is_prime
+from .arith import IncompleteFactorizationError, _int_valuation, factor, is_prime
 from .curves import (
     CurveAnalysis,
     SingularCurveError,
@@ -27,6 +27,7 @@ from .curves import (
 )
 from .families import (
     FAMILIES,
+    IsogenyPair,
     ThreeTorsionNormalForm,
     hadano_quotient,
     quotient_split_prime,
@@ -279,35 +280,28 @@ def three_torsion_form_of(
     return three_torsion_normalize(a1, a3)
 
 
-def _local_facts(
-    curve: WeierstrassCurve, disc: Optional[Factorization], fixtures: Optional[FixtureTable]
-) -> tuple[WeierstrassCurve, tuple[int, int], list[LocalDatum], int, int, Optional[FixtureCurve]]:
-    """(minimal model, key, local data, c(E), c_inf, fixture record) of curve,
-    each computed once, from disc, its discriminant's factorization, if given."""
-    analysis = CurveAnalysis.of(curve, disc)
-    m = analysis.minimal
-    # disc_min was checked when the analysis built it, so tate trusts each (p, e) as is
-    data = [tate(m, p, e) for p, e in analysis.disc_min.factors]
-    rec = fixtures.by_key.get(analysis.key) if fixtures else None
-    return m, analysis.key, data, math.prod(d.tamagawa for d in data), c_infinity(m), rec
-
-
 def check_divisibility(
     curve: WeierstrassCurve, fixtures: Optional[FixtureTable] = None
 ) -> VerdictReport:
     """Exact divisibility verdict for one curve, fixture-matched when possible."""
     try:
-        m, key, data, c, c_inf, rec = _local_facts(curve, None, fixtures)
+        analysis = CurveAnalysis.of(curve)
+        m = analysis.minimal
+        # disc_min was checked when the analysis built it, so tate trusts each (p, e) as is
+        data = [tate(m, p, e) for p, e in analysis.disc_min.factors]
+        c = math.prod(d.tamagawa for d in data)
         c_factors = factor(c).factors
     except IncompleteFactorizationError:
         return VerdictReport(incomplete=True)
+    rec = fixtures.by_key.get(analysis.key) if fixtures else None
+    c_inf = c_infinity(m)
     tors = torsion_subgroup(m)
     classification = None
     # j = c4^3 / disc and c4^3 - c6^2 = 1728 disc: j = 0 iff c4 = 0, j = 1728 iff c6 = 0
     if tors.order % 3 == 0 and m.c4 and m.c6:
         classification = _classify_three_torsion(m, data, c, tors, rec)
     return VerdictReport(
-        m.ai(), key, tors, c_inf, c, c_factors, (c_inf * c) % tors.order == 0,
+        m.ai(), analysis.key, tors, c_inf, c, c_factors, (c_inf * c) % tors.order == 0,
         rec.label if rec else None, rec, classification,
     )
 
@@ -415,59 +409,103 @@ class ScanReport(NamedTuple):
         }
 
 
-def _scan_item(item: tuple[Callable, dict]) -> tuple[VerdictReport, bool, list]:
-    """check(params) on a copy of one item's params: (report, exception, mismatches).
+# Curves a scan hands each check at once, the unit of its stages and of the
+# --jobs pool.  The prop2.1-random, prop2.2, three-torsion-nonunit-b,
+# kozuma-table and dual-ledger presets together, in one process on a 2-core
+# machine (medians of 9 runs): chunks of 1, 8, 16, 32, 64, 128 and 1,024
+# took 233, 196, 189, 182, 183, 183 and 186 ms; 32 is the smallest at the floor.
+CHUNK = 32
 
-    A curve whose factoring budget runs out comes back marked incomplete
-    with only its parameters; it never aborts the scan.
+
+def _scan(name: str, check: Callable, params: list[dict], jobs: int) -> ScanReport:
+    """The one scan loop: check(chunk) on every CHUNK consecutive params, on up to jobs processes.
+
+    A check is a top-level function, bare or bound with functools.partial, so
+    that it pickles.  It runs stage by stage over its chunk: it builds every
+    curve, factors every discriminant, analyses every curve, runs `tate` at
+    every (p, e) of every curve, and then builds the reports.  It returns one
+    entry per params, in order: the curve's report, whether the curve joins
+    the exception class of its minimal (c4, c6), and the mismatches it
+    found; a check may add keys to the params its report carries.
+
+    The factoring stage catches IncompleteFactorizationError curve by curve
+    (`_budgeted`), and the entry of a curve whose budget ran out is None:
+    that curve is reported incomplete with only its params.  Its neighbours
+    in the chunk are untouched, no discriminant is factored twice, and the
+    scan never aborts.
+
+    Why stages: they make the same calls with the same arguments as one
+    curve at a time, only in another order.  One scan_four_torsion of the
+    benchmark's 2,000 seed-1 four-torsion-wide pairs took, in medians of 9
+    runs in each of 5 alternating processes on a 2-core machine, 116-134 ms
+    one curve at a time and 110-143 ms in chunks whose check still ran each
+    curve start to finish, so fewer calls alone gain nothing; stage by stage
+    it took 90-100 ms.  The mechanism is not verified; most likely each
+    stage's code and caches stay warm in the interpreter.
     """
-    check, params = item
-    try:
-        return check(dict(params))
-    except IncompleteFactorizationError:
-        return VerdictReport(params=params, incomplete=True), False, []
+    chunks = [params[i : i + CHUNK] for i in range(0, len(params), CHUNK)]
+    reports, exceptions, found = [], {}, []
+    for chunk, results in zip(chunks, _parallel_map(check, chunks, jobs)):
+        for given, result in zip(chunk, results):
+            if result is None:
+                reports.append(VerdictReport(params=given, incomplete=True))
+                continue
+            r, exception, mismatches = result
+            reports.append(r)
+            found.extend(mismatches)
+            if exception:
+                cls = exceptions.get(r.key)
+                if cls is None:
+                    cls = exceptions[r.key] = ExceptionClass(r.key, r.minimal_ai, [], r.label)
+                cls.witnesses.append(dict(r.params))
+    return ScanReport(name, reports, exceptions, found)
 
 
-def _family_check(
-    name: str, fixtures: Optional[FixtureTable], params: dict
-) -> tuple[VerdictReport, bool, list]:
-    """Minimal model, c(E), c_inf and the family's claim of one curve, analysed once.
+def _budgeted(fn: Callable, items: list) -> list:
+    """[fn(x) for x in items], with None for each x whose factoring budget ran out."""
+    out = []
+    for x in items:
+        try:
+            out.append(fn(x))
+        except IncompleteFactorizationError:
+            out.append(None)
+    return out
 
-    The report is labelled from fixtures.  In a family whose claim is
+
+def _family_check(name: str, fixtures: Optional[FixtureTable], chunk: list[dict]) -> list:
+    """Minimal model, c(E), c_inf and the family's claim of every curve of chunk, in stages.
+
+    A report is labelled from fixtures.  In a family whose claim is
     semistable_only, a curve with additive reduction gets params["semistable"]
     = False; a semi-stable one failing the claim is an exception.
     """
     family = FAMILIES[name]
-    m, key, data, c, c_inf, rec = _local_facts(family.curve(params), family.disc(params), fixtures)
+    curves = [family.curve(params) for params in chunk]
+    discs = _budgeted(family.disc, chunk)
+    analyses = [None if d is None else CurveAnalysis.of(c, d) for c, d in zip(curves, discs)]
+    # disc_min was checked when the analysis built it, so tate trusts each (p, e) as is
+    local = [
+        None if a is None else [tate(a.minimal, p, e) for p, e in a.disc_min.factors]
+        for a in analyses
+    ]
     n, with_c_inf = family.claim
-    divides = c * (c_inf if with_c_inf else 1) % n == 0
-    if family.semistable_only and any(d.reduction_class == ADDITIVE for d in data):
-        params["semistable"] = False
-    report = VerdictReport(
-        m.ai(), key, None, c_inf, c, None, divides, rec.label if rec else None,
-        params=params,
-    )
-    return report, not divides and "semistable" not in params, []
-
-
-def _scan(name: str, check: Callable, params: list[dict], jobs: int) -> ScanReport:
-    """The one scan loop: _scan_item((check, p)) for every params p, on up to jobs processes.
-
-    A check is a top-level function, bare or bound with functools.partial, so
-    that it pickles.  It builds one curve's report from its params and
-    returns it with whether the curve joins the exception class of its
-    minimal (c4, c6) and the mismatches it found.
-    """
-    reports, exceptions, found = [], {}, []
-    for r, exception, mismatches in _parallel_map(_scan_item, [(check, p) for p in params], jobs):
-        reports.append(r)
-        found.extend(mismatches)
-        if exception:
-            cls = exceptions.get(r.key)
-            if cls is None:
-                cls = exceptions[r.key] = ExceptionClass(r.key, r.minimal_ai, [], r.label)
-            cls.witnesses.append(dict(r.params))
-    return ScanReport(name, reports, exceptions, found)
+    by_key = fixtures.by_key if fixtures else {}
+    results = []
+    for params, analysis, data in zip(chunk, analyses, local):
+        if analysis is None:
+            results.append(None)
+            continue
+        m, key = analysis.minimal, analysis.key
+        c, c_inf = math.prod(d.tamagawa for d in data), c_infinity(m)
+        divides = c * (c_inf if with_c_inf else 1) % n == 0
+        if family.semistable_only and any(d.reduction_class == ADDITIVE for d in data):
+            params["semistable"] = False
+        rec = by_key.get(key)
+        report = VerdictReport(
+            m.ai(), key, None, c_inf, c, None, divides, rec.label if rec else None, params=params
+        )
+        results.append((report, not divides and "semistable" not in params, []))
+    return results
 
 
 def _parallel_map(fn: Callable, items: list, jobs: int) -> list:
@@ -478,8 +516,9 @@ def _parallel_map(fn: Callable, items: list, jobs: int) -> list:
     took about 40% of a fresh `import tamagawa` plus fixture load (about
     20 ms) while `check`, `localdata`, `torsion`, `dual3` and every scan at
     the default --jobs 1 never start a pool.  The pool gets no more workers
-    than there are items or CPUs: a pool started by fork launches all its
-    workers at the first submit, so --jobs 5000 would otherwise fork 5000.
+    than there are items (a scan's chunks) or CPUs: a pool started by fork
+    launches all its workers at the first submit, so --jobs 5000 would
+    otherwise fork 5000.
     """
     if jobs <= 1:
         return [fn(it) for it in items]
@@ -552,24 +591,38 @@ def scan_three_torsion_nonunits(bound: int = 40, jobs: int = 1) -> ScanReport:
     return _scan("three-torsion-nonunit-b", _nonunit_check, params, jobs)
 
 
-def _nonunit_check(params: dict) -> tuple[VerdictReport, bool, list]:
-    """c(E) of one normal form and the family's claim on it; nothing else is reported."""
-    c = math.prod(d.tamagawa for d in _three_torsion_local(params))
-    divides = c % FAMILIES["three-torsion"].claim[0] == 0
-    report = VerdictReport(tamagawa=c, divides=divides, params=params)
-    if divides:
-        return report, False, []
-    mismatch = {"a": params["a"], "b": params["b"], "c": c, "error": "3 does not divide c"}
-    return report, False, [mismatch]
+def _nonunit_check(chunk: list[dict]) -> list:
+    """c(E) of every normal form of chunk and the family's claim on it; nothing else is reported."""
+    n = FAMILIES["three-torsion"].claim[0]
+    results = []
+    for params, local in zip(chunk, _three_torsion_local(chunk)):
+        if local is None:
+            results.append(None)
+            continue
+        _, data = local
+        c = math.prod(d.tamagawa for d in data)
+        divides = c % n == 0
+        report = VerdictReport(tamagawa=c, divides=divides, params=params)
+        if divides:
+            results.append((report, False, []))
+            continue
+        mismatch = {"a": params["a"], "b": params["b"], "c": c, "error": "3 does not divide c"}
+        results.append((report, False, [mismatch]))
+    return results
 
 
-def _three_torsion_local(params: dict) -> list[LocalDatum]:
-    """Local data of the (a, b) normal form at every prime of its discriminant b^3 (a^3 - 27 b).
+def _three_torsion_local(chunk: list[dict]) -> list:
+    """(factored discriminant, local data) of every (a, b) normal form of chunk, in stages.
 
-    The c_p multiply to c(E): tate minimizes at p itself, and c_p = 1 at a good prime.
+    Every discriminant b^3 (a^3 - 27 b) is factored before any data are
+    read at its primes; the entry of a curve whose factoring budget ran out
+    is None.  The c_p multiply to c(E): tate minimizes at p itself, and
+    c_p = 1 at a good prime.
     """
     family = FAMILIES["three-torsion"]
-    return local_data(family.curve(params), disc=family.disc(params))
+    curves = [family.curve(params) for params in chunk]
+    discs = _budgeted(family.disc, chunk)
+    return [None if d is None else (d, local_data(c, disc=d)) for c, d in zip(curves, discs)]
 
 
 def _normalized_three_torsion_range(bound: int):
@@ -593,52 +646,61 @@ def reduction_table_cross_check(bound: int = 40, jobs: int = 1) -> ScanReport:
     return _scan("reduction-table", _cross_check, params, jobs)
 
 
-def _cross_check(params: dict) -> tuple[VerdictReport, bool, list]:
-    """Mismatches against the table at every prime of the discriminant."""
-    a, b = params["a"], params["b"]
-    data = _three_torsion_local(params)
-    D = a**3 - 27 * b
-    mismatches = []
-    for datum in data:
-        kind, symbol, cp, cls = _expected_row(a, b, D, datum.prime)
-        symbols = symbol if isinstance(symbol, tuple) else (symbol,)
-        ok = (
-            datum.kodaira.symbol in symbols
-            and (cp is None or datum.tamagawa == cp)
-            and (cls is None or datum.reduction_class == cls)
-        )
-        if not ok:
-            mismatches.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "p": datum.prime,
-                    "expected": {"row": kind, "kodaira": symbol, "cp": cp, "class": cls},
-                    "got": datum.to_json(),
-                }
+def _cross_check(chunk: list[dict]) -> list:
+    """Mismatches against the table at every prime of every discriminant of chunk."""
+    results = []
+    for params, local in zip(chunk, _three_torsion_local(chunk)):
+        if local is None:
+            results.append(None)
+            continue
+        a, b = params["a"], params["b"]
+        disc, data = local
+        mismatches = []
+        for (p, e), datum in zip(disc.factors, data):
+            kind, symbol, cp, cls = _expected_row(a, b, p, e)
+            symbols = symbol if isinstance(symbol, tuple) else (symbol,)
+            ok = (
+                datum.kodaira.symbol in symbols
+                and (cp is None or datum.tamagawa == cp)
+                and (cls is None or datum.reduction_class == cls)
             )
-    return VerdictReport(params=params), False, mismatches
+            if not ok:
+                mismatches.append(
+                    {
+                        "a": a,
+                        "b": b,
+                        "p": datum.prime,
+                        "expected": {"row": kind, "kodaira": symbol, "cp": cp, "class": cls},
+                        "got": datum.to_json(),
+                    }
+                )
+        results.append((VerdictReport(params=params), False, mismatches))
+    return results
 
 
-def _expected_row(a: int, b: int, D: int, p: int):
+def _expected_row(a: int, b: int, p: int, e: int):
     """(row name, symbol(s), cp or None, class or None) of the table at p.
 
-    p is a prime factor of the discriminant b^3 D, so it is not re-proved
-    prime; b and D are nonzero on a nonsingular normal form, and no q has
-    q | a and q^3 | b.  Every such p has a row:
+    p is a prime factor of the discriminant b^3 D, D = a^3 - 27 b, with
+    exponent e, so it is not re-proved prime and ord_p D = e - 3 ord_p b.
+    b and D are nonzero on a nonsingular normal form, and no q has q | a and
+    q^3 | b.  3 ord_p a is set against ord_p b by residues of a, so a = 0
+    needs no valuation.  Every such p has a row:
     - 3 ord_p a = ord_p b only when both are 0 (else p | a and p^3 | b), and
       then p | D;
     - 3 ord_p a > ord_p b means p | a, so ord_p b <= 2, and ord_p b = 0 forces
       p = 3, since D = -27b (mod p) and p divides b^3 D but not b.
     """
-    va = _int_valuation(a, p)
     vb = _int_valuation(b, p)
-    if 3 * va < vb:
+    # 3 ord_p a < ord_p b iff p^k does not divide a, for k = ceil(ord_p b / 3)
+    k = -(-vb // 3)
+    if a % p**k:
         return ("split-I3vb", f"I{3 * vb}", 3 * vb, SPLIT)
-    if 3 * va == vb:
-        return ("I-vD", f"I{_int_valuation(D, p)}", None, None)
+    vD = e - 3 * vb
+    # 3 ord_p a = ord_p b iff 3 | ord_p b and p^(k + 1) does not divide a
+    if vb % 3 == 0 and a % p ** (k + 1):
+        return ("I-vD", f"I{vD}", None, None)
     if vb == 0:
-        vD = _int_valuation(D, 3)
         if vD == 3:
             return ("three-ambiguous", ("II", "III"), None, ADDITIVE)
         if vD == 4:
@@ -660,10 +722,23 @@ def scan_dual_curves(a_values: Iterable[int], jobs: int = 1) -> ScanReport:
     return _scan("three-torsion-dual", _dual_check, params, jobs)
 
 
-def _dual_check(params: dict) -> tuple[VerdictReport, bool, list]:
-    """Mismatches of the b = 1 normal form at a against its 3-isogeny quotient."""
-    a = params["a"]
-    pair = hadano_quotient(ThreeTorsionNormalForm(a, 1))
+def _dual_check(chunk: list[dict]) -> list:
+    """Mismatches of every b = 1 normal form of chunk against its 3-isogeny quotient, in stages.
+
+    hadano_quotient factors a^3 - 27 and runs tate on both curves, so it is
+    the stage that factors.
+    """
+    forms = [ThreeTorsionNormalForm(params["a"], 1) for params in chunk]
+    pairs = _budgeted(hadano_quotient, forms)
+    return [
+        None if pair is None else (VerdictReport(params=params), False, _dual_mismatches(pair))
+        for params, pair in zip(chunk, pairs)
+    ]
+
+
+def _dual_mismatches(pair: IsogenyPair) -> list[dict]:
+    """The split-prime claim and the ledger rules checked on one source and quotient."""
+    a = pair.source.a
     mismatches = []
     # q divides a^2 + 3a + 9, a factor of a^3 - 27, so pair.local covers it
     local = {src.prime: (src, quo) for src, quo in pair.local}
@@ -688,7 +763,7 @@ def _dual_check(params: dict) -> tuple[VerdictReport, bool, list]:
             mismatches.append({"a": a, "p": p, "error": f"unexpected class {cls} away from 3"})
         elif e != (1 if cls == SPLIT else 0):
             mismatches.append({"a": a, "p": p, "error": f"ledger entry {e} for class {cls}"})
-    return VerdictReport(params=params), False, mismatches
+    return mismatches
 
 
 # --- presets -----------------------------------------------------------------

@@ -142,6 +142,17 @@ def test_scaled_model_drops_twelve_per_power_of_u():
     assert analysis.bad_primes == (19,)
 
 
+def test_an_analysis_is_a_function_of_the_isomorphism_class():
+    """A fixture and its model scaled by u = 2 (a_i times 2^i) give equal analyses."""
+    double = Transformation(Fraction(1, 2), 0, 0, 0)
+    for rec in ingest_fixtures(FIXTURES).records:
+        scaled = apply_transformation(rec.curve, double)
+        assert scaled.disc == 2**12 * rec.curve.disc
+        analysis = CurveAnalysis.of(rec.curve)
+        assert CurveAnalysis.of(scaled) == analysis, rec.label
+        assert CurveAnalysis.of(scaled, factor(scaled.disc)) == analysis, rec.label
+
+
 def _family_grid_curves():
     """Every curve of the four families' small-parameter grids: three-torsion
     |a|, b <= 12, two-torsion and four-torsion entries up to 10, two-six t = a/b

@@ -242,7 +242,7 @@ def test_scan_runs_in_one_process_without_jobs(monkeypatch, capsys):
 def test_scan_pool_has_no_more_workers_than_curves_or_cpus(cpus, workers, monkeypatch, capsys):
     import concurrent.futures
 
-    from tamagawa import cli
+    from tamagawa import cli, verify
 
     pools = []
 
@@ -263,14 +263,16 @@ def test_scan_pool_has_no_more_workers_than_curves_or_cpus(cpus, workers, monkey
             self.items, self.chunksize = len(items), chunksize
             return map(fn, items)
 
+    scan = ["scan", "--preset", "dual-ledger", "--bound", "360", "--summary", "--jobs"]
     monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
-    assert cli.main(["scan", "--preset", "prop2.4", "--summary", "--jobs", "1"]) == 0
+    assert cli.main([*scan, "1"]) == 0
     serial = capsys.readouterr().out
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert cli.main(["scan", "--preset", "prop2.4", "--summary", "--jobs", "5000"]) == 0
+    assert cli.main([*scan, "5000"]) == 0
     assert capsys.readouterr().out == serial
-    # prop2.4 has 23 curves
+    # the pool maps chunks: 720 curves, a from -360 to 360 but 3, in 23 chunks of up to 32
+    assert verify.CHUNK == 32
     [pool] = pools
     assert (pool.items, pool.max_workers) == (23, workers)
     assert pool.chunksize == max(1, 23 // (4 * workers))

@@ -102,9 +102,8 @@ RECORDS = {
     "CurveAnalysis": (
         lambda: CurveAnalysis.of(WeierstrassCurve(0, 0, 0, -64, 0)),
         lambda: CurveAnalysis.of(WeierstrassCurve(0, 0, 0, -64, 0), factor(2**24)),
-        lambda: CurveAnalysis.of(WeierstrassCurve(0, 0, 0, -4, 0)),
-        "CurveAnalysis(curve=WeierstrassCurve(a1=0, a2=0, a3=0, a4=-64, a6=0), "
-        "minimal=WeierstrassCurve(a1=0, a2=0, a3=0, a4=-4, a6=0), "
+        lambda: CurveAnalysis.of(WeierstrassCurve(0, 0, 0, -1, 0)),
+        "CurveAnalysis(minimal=WeierstrassCurve(a1=0, a2=0, a3=0, a4=-4, a6=0), "
         "disc_min=Factorization(sign=1, factors=((2, 12),)))",
     ),
     "ThreeTorsionNormalForm": (

@@ -1,4 +1,5 @@
 import collections
+import functools
 import inspect
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import cli, curves, verify
+from tamagawa import cli, curves, families, verify
 from tamagawa.arith import IncompleteFactorizationError
 from tamagawa.curves import WeierstrassCurve, change_coordinates, transform_coefficients
 from tamagawa.families import ThreeTorsionNormalForm, three_torsion_normalize
@@ -47,8 +48,9 @@ from tamagawa.verify import (
     scan_two_torsion,
     three_torsion_form_of,
     _cross_check,
+    _family_check,
     _nonunit_check,
-    _scan_item,
+    _scan,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures.json"
@@ -523,16 +525,27 @@ def test_scan_marks_budget_exhausted_curve_incomplete(cap_rho):
     assert not PRESETS["prop2.1-random"].validate(rep)
 
 
-def test_scan_item_returns_a_fresh_report_when_the_budget_runs_out():
-    """A check stopped by its budget leaves nothing it changed in the report."""
+def test_the_factoring_stage_reports_a_run_out_curve_with_its_params_alone(monkeypatch):
+    """A check's entry for a curve whose budget runs out is None, its
+    neighbours in the chunk keep their entries, and the scan reports that
+    curve incomplete with only the params it was given."""
+    chunk = [{"a": 1, "b": 2}, {"a": -1, "b": 2}, {"a": 3, "b": 4}]
+    expected = _family_check("two-torsion", None, [dict(p) for p in chunk])
+    real = families.two_torsion_disc
 
-    def stuck(params):
-        params["semistable"] = False
-        raise IncompleteFactorizationError(1, [(2, 1)], 10403)
+    def disc(a, b):
+        if (a, b) == (-1, 2):
+            raise IncompleteFactorizationError(1, [(2, 1)], 10403)
+        return real(a, b)
 
-    report, exception, mismatches = _scan_item((stuck, {"a": 1, "b": 2}))
-    assert report == VerdictReport(params={"a": 1, "b": 2}, incomplete=True)
-    assert (exception, mismatches) == (False, [])
+    monkeypatch.setattr(families, "two_torsion_disc", disc)
+    assert _family_check("two-torsion", None, [dict(p) for p in chunk]) == [
+        expected[0], None, expected[2]
+    ]
+    check = functools.partial(_family_check, "two-torsion", None)
+    rep = _scan("two-torsion", check, chunk, 1)
+    assert rep.reports[1] == VerdictReport(params={"a": -1, "b": 2}, incomplete=True)
+    assert [r.incomplete for r in rep.reports] == [False, True, False]
 
 
 def test_incomplete_curve_survives_the_process_pool(cap_rho):
@@ -557,9 +570,12 @@ def test_dual_scan_marks_a_curve_incomplete_and_keeps_going(cap_rho):
 def test_three_torsion_checks_report_a_run_out_as_incomplete(cap_rho, check):
     # a^3 - 27 b = (-553)^3 - 54 = -10753 * 15727, past one rho iteration
     cap_rho(1)
-    report, exception, mismatches = _scan_item((check, {"a": -553, "b": 2}))
-    assert report == VerdictReport(params={"a": -553, "b": 2}, incomplete=True)
-    assert (exception, mismatches) == (False, [])
+    chunk = [{"a": 1, "b": 2}, {"a": -553, "b": 2}]
+    done, stuck = check([dict(p) for p in chunk])
+    assert stuck is None and not done[0].incomplete
+    rep = _scan("three-torsion", check, chunk, 1)
+    assert rep.reports[1] == VerdictReport(params={"a": -553, "b": 2}, incomplete=True)
+    assert rep.mismatches == [] and not rep.exceptions
 
 
 def _guard_fires(preset: str, bound: int, capsys) -> list[dict]:
@@ -577,11 +593,13 @@ def _guard_fires(preset: str, bound: int, capsys) -> list[dict]:
 
 
 def _falsify_three_torsion_local(monkeypatch, **fields):
-    """verify._three_torsion_local with the given fields replaced in every datum."""
+    """verify._three_torsion_local with the given fields replaced in every datum of every curve."""
     real = verify._three_torsion_local
-    monkeypatch.setattr(
-        verify, "_three_torsion_local", lambda params: [d._replace(**fields) for d in real(params)]
-    )
+
+    def falsified(chunk):
+        return [(disc, [d._replace(**fields) for d in data]) for disc, data in real(chunk)]
+
+    monkeypatch.setattr(verify, "_three_torsion_local", falsified)
 
 
 def test_nonunit_guard_reports_a_c_that_3_does_not_divide(monkeypatch, capsys):
