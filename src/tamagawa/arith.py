@@ -373,28 +373,28 @@ def as_fraction(value: Union[Rational, str]) -> Fraction:
     raise TypeError(f"expected an int, a Fraction or a str, got {value!r}")
 
 
-def valuation(x: Rational, p: int) -> Union[int, float]:
-    """ord_p(x) for a rational x; math.inf for x = 0.
+def valuation(x: Rational, p: int) -> int:
+    """ord_p(x) for a nonzero rational x.
 
     p must be prime (checked): the case splits downstream compare valuations
-    and a composite p would corrupt them silently.  Raises TypeError for an x
-    that is neither an int nor a Fraction, and for a p that is not an int.
+    and a composite p would corrupt them silently.  Raises ValueError for
+    x = 0, as factor(0) does: ord_p(0) has no finite value.  Raises TypeError
+    for an x that is neither an int nor a Fraction, and for a p that is not
+    an int.
     """
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"valuation expects an int or a Fraction, got {x!r}")
     if p < 2 or not is_prime(p):
         raise ValueError(f"valuation requires a prime, got {p}")
-    if x == 0:
-        return math.inf
     if isinstance(x, Fraction):
         return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
     return _int_valuation(x, p)
 
 
-def _int_valuation(n: int, p: int) -> Union[int, float]:
-    """ord_p(n) for an integer n; math.inf for n = 0.  p is not checked prime."""
+def _int_valuation(n: int, p: int) -> int:
+    """ord_p(n) for a nonzero integer n; ValueError for n = 0.  p is not checked prime."""
     if n == 0:
-        return math.inf
+        raise ValueError("ord_p(0) has no finite value")
     n = abs(n)
     v = 0
     while n % p == 0:

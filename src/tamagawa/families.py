@@ -137,8 +137,8 @@ def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:
     den_primes = set(factor(c.denominator).primes()) | set(factor(d.denominator).primes())
     u = 1
     for q in sorted(den_primes):
-        ec = max(0, -valuation(c, q))
-        ed = max(0, -valuation(d, q))
+        ec = valuation(c.denominator, q)
+        ed = valuation(d.denominator, q)
         u *= q ** max(ec, -(-ed // 3))
     c, d = c * u, d * u**3
     if c.denominator != 1 or d.denominator != 1:
@@ -146,13 +146,14 @@ def three_torsion_normalize(c: Rational, d: Rational) -> ThreeTorsionNormalForm:
     ci, di = int(c), int(d)
     if di < 0:
         ci, di = -ci, -di
-    # strip primes with q | a and q^3 | b; a = 0 has valuation inf and gcd(0, b) = b
+    # strip each q with q | a and q^3 | b, by residues: a = 0 takes no
+    # valuation, and gcd(0, b) = b
     g = math.gcd(ci, di)
     if g > 1:
         for q in factor(g).primes():
-            n_q = min(valuation(ci, q), valuation(di, q) // 3)
-            ci //= q**n_q
-            di //= q ** (3 * n_q)
+            while ci % q == 0 and di % q**3 == 0:
+                ci //= q
+                di //= q**3
     return ThreeTorsionNormalForm(ci, di)
 
 

@@ -486,7 +486,7 @@ def local_root_number(curve: WeierstrassCurve, place) -> RootNumberDatum:
     reduction are out of scope, but every other place still reports.  A
     finite place is an int; any other place raises TypeError.
     """
-    if place in ("infinity", "inf", "oo"):
+    if place == "infinity":
         return RootNumberDatum("infinity", -1)
     if not isinstance(place, int):
         raise TypeError(f"a finite place is an int, got {place!r}")

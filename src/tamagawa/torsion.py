@@ -54,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .arith import as_fraction, is_prime
 from .curves import WeierstrassCurve
@@ -260,8 +260,8 @@ def _multiples(curve: WeierstrassCurve, point: Point) -> Optional[list[tuple[int
     return _scaled_multiples(X, Y, -27 * curve.c4, -54 * curve.c6)
 
 
-def point_order(curve: WeierstrassCurve, point: Point) -> Union[int, float]:
-    """Exact order (at most 12 over Q) or math.inf for non-torsion points.
+def point_order(curve: WeierstrassCurve, point: Point) -> Optional[int]:
+    """Exact order (at most 12 over Q), or None for a point of infinite order.
 
     Certified in integers on curve's scaled model Y^2 = X^3 - 27c4 X - 54c6,
     an integral model where every torsion point and all its multiples are
@@ -272,7 +272,7 @@ def point_order(curve: WeierstrassCurve, point: Point) -> Union[int, float]:
     if point.infinity:
         return 1
     multiples = _multiples(curve, point)
-    return math.inf if multiples is None else len(multiples) + 1
+    return None if multiples is None else len(multiples) + 1
 
 
 def _point_of_order(curve: WeierstrassCurve, point: Point, d: int) -> Point:

@@ -509,22 +509,24 @@ def _family_check(name: str, fixtures: Optional[FixtureTable], chunk: list[dict]
 
 
 def _parallel_map(fn: Callable, items: list, jobs: int) -> list:
-    """[fn(it) for it in items], in one process when jobs <= 1, else over a pool.
+    """[fn(it) for it in items], over a pool of min(jobs, items, CPUs) workers.
 
-    The pool module is imported here, only when jobs >= 2: at import it
-    loads multiprocessing, logging, subprocess, socket and pickle, which
-    took about 40% of a fresh `import tamagawa` plus fixture load (about
-    20 ms) while `check`, `localdata`, `torsion`, `dual3` and every scan at
-    the default --jobs 1 never start a pool.  The pool gets no more workers
-    than there are items (a scan's chunks) or CPUs: a pool started by fork
-    launches all its workers at the first submit, so --jobs 5000 would
-    otherwise fork 5000.
+    The pool gets no more workers than there are items (a scan's chunks) or
+    CPUs: a pool started by fork launches all its workers at the first
+    submit, so --jobs 5000 would otherwise fork 5000.  With fewer than two
+    workers the items run in this process, as a lone worker would only add
+    a fork: a scan of at most CHUNK curves is one chunk.  The pool module is
+    imported only when a pool starts: at import it loads multiprocessing,
+    logging, subprocess, socket and pickle, which took about 40% of a fresh
+    `import tamagawa` plus fixture load (about 20 ms) while `check`,
+    `localdata`, `torsion`, `dual3` and every scan at the default --jobs 1
+    never start a pool.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers < 2:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = max(1, min(jobs, len(items), os.cpu_count() or 1))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 

@@ -4,7 +4,6 @@ Each test prints a single PASS line when its criterion holds at the stated
 tolerance (all checks here are exact); run with `pytest -s` to see them.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -251,7 +250,7 @@ def test_criterion_10_torsion_soundness():
         assert t.order % designed == 0, (family, E.ai(), t.shape)
         for g in t.generators:
             k = point_order(E, g)
-            assert k != math.inf
+            assert k is not None
             # certified by explicit group-law multiplication
             assert multiply(E, k, g).infinity
             if k % 2 == 0:

@@ -59,9 +59,13 @@ def test_valuation_examples():
     assert valuation(3969, 3) == 4  # 3969 = 3^4 * 7^2
     assert valuation(1, 7) == 0
     assert valuation(Fraction(8, 9), 3) == -2
-    assert valuation(0, 5) == math.inf
+    # ord_p(0) has no finite value: both refuse it, as factor(0) does
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            valuation(zero, 5)
     # the unchecked valuation of Tate's algorithm and minimal_model agrees
-    assert _int_valuation(0, 5) == math.inf
+    with pytest.raises(ValueError):
+        _int_valuation(0, 5)
     assert _int_valuation(-3969, 3) == 4
 
 

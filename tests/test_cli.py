@@ -232,10 +232,31 @@ def test_scan_runs_in_one_process_without_jobs(monkeypatch, capsys):
 
     monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert cli.main(["scan", "--preset", "prop2.1-negative-t", "--summary"]) == 0
-    # the patch sits where a pool is made: --jobs 2 reaches it
+    # the patch sits where a pool is made: --jobs 2 reaches it on a scan of
+    # 1,000 curves, 32 chunks
     with pytest.raises(AssertionError, match="started a process pool"):
-        cli.main(["scan", "--preset", "prop2.1-negative-t", "--summary", "--jobs", "2"])
+        cli.main(["scan", "--preset", "prop2.1-random", "--summary", "--jobs", "2"])
+
+
+def test_a_one_chunk_scan_starts_no_pool(monkeypatch, capsys):
+    """prop2.4's 23 curves are one chunk: --jobs 2 runs them in this process,
+    as a pool of one worker would only add a fork, and prints the same bytes."""
+    import concurrent.futures
+
+    from tamagawa import cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk scan started a process pool")
+
+    monkeypatch.delenv("TAMAGAWA_FIXTURES", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.main(["scan", "--preset", "prop2.4", "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert cli.main(["scan", "--preset", "prop2.4", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
 
 
 @pytest.mark.parametrize("cpus, workers", [(64, 23), (3, 3), (None, 1)])
@@ -273,6 +294,9 @@ def test_scan_pool_has_no_more_workers_than_curves_or_cpus(cpus, workers, monkey
     assert capsys.readouterr().out == serial
     # the pool maps chunks: 720 curves, a from -360 to 360 but 3, in 23 chunks of up to 32
     assert verify.CHUNK == 32
+    if workers == 1:
+        assert pools == []  # a lone worker would only add a fork: no pool starts
+        return
     [pool] = pools
     assert (pool.items, pool.max_workers) == (23, workers)
     assert pool.chunksize == max(1, 23 // (4 * workers))

@@ -1,9 +1,9 @@
 """The package keeps its "exact, no floating point" promise.
 
 Walks the syntax tree of every module under src/tamagawa and fails on a
-float literal, a float(...) call, or a use of the math module beyond the
-exact integer helpers and the infinity that marks ord_p(0).  Also checks
-that the entry points taking rationals refuse a float argument.
+float literal, a float(...) call, an annotation naming float, or a use of
+the math module beyond the exact integer helpers gcd, isqrt and prod.  Also
+checks that the entry points taking rationals refuse a float argument.
 """
 
 import ast
@@ -18,7 +18,7 @@ from tamagawa.reduction import local_root_number
 from tamagawa.torsion import Point
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tamagawa"
-EXACT_MATH = {"gcd", "isqrt", "prod", "inf"}
+EXACT_MATH = {"gcd", "isqrt", "prod"}
 
 
 def _inexact_uses(tree: ast.AST) -> list[str]:
@@ -33,6 +33,12 @@ def _inexact_uses(tree: ast.AST) -> list[str]:
             and node.func.id == "float"
         ):
             found.append(f"{where}: float(...) call")
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            annotation = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if annotation is not None and any(
+                isinstance(n, ast.Name) and n.id == "float" for n in ast.walk(annotation)
+            ):
+                found.append(f"{where}: float annotation")
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
@@ -58,9 +64,13 @@ def test_the_walk_finds_each_kind_of_float():
     code = (
         "import math\nx = 0.5\ny = float(3)\n"
         "z = math.sqrt(2) + math.gcd(4, 6)\nfrom math import log\n"
+        "def f(x: float, n: int) -> Union[int, float]:\n    w: float = n\n"
     )
     found = _inexact_uses(ast.parse(code))
     assert sorted(f.split(": ", 1)[1] for f in found) == [
+        "float annotation",
+        "float annotation",
+        "float annotation",
         "float literal 0.5",
         "float(...) call",
         "from math import log",

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -135,9 +136,68 @@ def test_normalize_examples():
     [(64, (0, 1)), (Fraction(1, 8), (0, 1)), (16, (0, 2)), (-27, (0, 1)), (Fraction(5, 54), (0, 20))],
 )
 def test_normalize_with_c_zero(d, expected):
-    """c = 0 needs no case of its own: ord_q(0) is inf and gcd(0, d) = d."""
+    """c = 0 needs no case of its own: 0 is divisible by every q, and gcd(0, d) = d."""
     f = three_torsion_normalize(0, d)
     assert (f.a, f.b) == expected
+
+
+def _ord(x, q):
+    """ord_q of a rational by repeated division, inf at 0."""
+    if x == 0:
+        return math.inf
+    n, m, v = x.numerator, x.denominator, 0
+    while n % q == 0:
+        n, v = n // q, v + 1
+    while m % q == 0:
+        m, v = m // q, v - 1
+    return v
+
+
+def _reference_normalize(c, d):
+    """(a, b) by valuations, ord_q(0) infinite: scale by the least u making u c
+    and u^3 d integral, flip signs so b > 0, then divide out q^n and q^(3n),
+    n = min(ord_q a, floor(ord_q b / 3)), at each prime q of gcd(a, b)."""
+    c, d = Fraction(c), Fraction(d)
+    if d == 0 or c**3 == 27 * d:
+        raise SingularCurveError(f"(c={c}, d={d}) defines a singular curve")
+    u = 1
+    for q in factor(c.denominator * d.denominator).primes():
+        u *= q ** max(0, -_ord(c, q), -(_ord(d, q) // 3))
+    a, b = c * u, d * u**3
+    assert a.denominator == b.denominator == 1
+    a, b = (int(a), int(b)) if b > 0 else (-int(a), -int(b))
+    if math.gcd(a, b) > 1:
+        for q in factor(math.gcd(a, b)).primes():
+            n = min(_ord(a, q), _ord(b, q) // 3)
+            a, b = a // q**n, b // q ** (3 * n)
+    return ThreeTorsionNormalForm(a, b)
+
+
+def _outcome(normalize, c, d):
+    try:
+        return normalize(c, d)
+    except (SingularCurveError, ValueError) as e:
+        return type(e)
+
+
+def test_normalize_matches_the_valuation_reference_on_a_rational_grid():
+    """60,000 seeded (c, d) with numerators |n| <= 40 over denominators whose
+    primes are 2 and 3, and every d at c = 0: the same form or the same error
+    as the reference, which takes ord_q(0) = inf where the function strips by
+    residues."""
+    rng = random.Random(7)
+    dens = (1, 2, 3, 4, 8, 9, 12, 16, 27)
+    grid = [Fraction(n, m) for n in range(-40, 41) for m in dens]
+
+    pairs = [(rng.choice(grid), rng.choice(grid)) for _ in range(60_000)]
+    pairs += [(Fraction(0), d) for d in sorted(set(grid))]
+    outcomes = Counter()
+    for c, d in pairs:
+        expected = _outcome(_reference_normalize, c, d)
+        assert _outcome(three_torsion_normalize, c, d) == expected, (c, d)
+        outcomes[c == 0, expected is SingularCurveError] += 1
+    # (c == 0, singular): c = 0 and c != 0 each give both forms and singular errors
+    assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}, outcomes
 
 
 def test_normalize_preserves_isomorphism_class():

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tamagawa import reduction
-from tamagawa.arith import _int_valuation, factor, is_prime, valuation
+from tamagawa.arith import factor, is_prime, valuation
 from tamagawa.curves import (
     CurveAnalysis,
     SingularCurveError,
@@ -35,6 +35,7 @@ from tamagawa.reduction import (
     bad_primes,
     c_infinity,
     conductor,
+    conductor_exponent,
     global_root_number_semistable,
     global_tamagawa,
     local_data,
@@ -257,6 +258,13 @@ def test_root_numbers():
         local_root_number(WeierstrassCurve(0, 0, 1, 0, 0), 3)  # j = 0
 
 
+@pytest.mark.parametrize("place", ["inf", "oo", "Infinity", "19", None])
+def test_local_root_number_takes_an_int_place_or_infinity(place):
+    # the places "inf" and "oo" are not aliases of "infinity"
+    with pytest.raises(TypeError):
+        local_root_number(WeierstrassCurve(0, 1, 1, -9, -15), place)
+
+
 @pytest.mark.parametrize(
     "ai", [(0, 0, 1, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, -1, 0), (0, 0, 0, 4, 0)]
 )
@@ -326,6 +334,20 @@ def test_conductor_is_the_fixture_label_prefix():
     assert len(records) == 24
     for rec in records:
         assert conductor(rec.curve) == int(re.match(r"\d+", rec.label).group()), rec.label
+
+
+def test_conductor_exponent_is_0_at_good_primes():
+    # the good branch of Ogg's formula, at each small prime not dividing the
+    # conductor that the fixture's label starts with
+    good = 0
+    for rec in ingest_fixtures(FIXTURES).records:
+        n = int(re.match(r"\d+", rec.label).group())
+        for p in (2, 3, 5, 7, 11, 13):
+            if n % p:
+                d = tate(rec.curve, p)
+                assert d.kodaira.is_good and conductor_exponent(d) == 0, (rec.label, p)
+                good += 1
+    assert good == 110  # of the 24 fixtures × 6 primes
 
 
 def test_additive_type_coverage():
@@ -621,6 +643,18 @@ def test_quadratic_at_a_large_prime_from_its_factors(A, r, s):
         assert _quadratic(A, 0, A * r * r, p) == (False, None)
 
 
+def _ord(n, p):
+    """ord_p(n) by repeated division, and inf at n = 0, where the steps below
+    compare it: the reference's own valuation, sharing no code with `tate`."""
+    if n == 0:
+        return math.inf
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def _reference_tate(curve, p):
     """(symbol, c_p, class, v(disc_min)) by Tate's steps, at any prime.
 
@@ -632,7 +666,7 @@ def _reference_tate(curve, p):
     step runs.
     """
     while True:
-        n = _int_valuation(curve.disc, p)
+        n = _ord(curve.disc, p)
         if n == 0:
             return "I0", 1, GOOD, 0
         if curve.c4 % p:
@@ -654,12 +688,12 @@ def _reference_tate(curve, p):
         ai = change_coordinates(curve.ai(), r, 0, t)
         a1, a2, a3, a4, a6 = ai
         assert a3 % p == a4 % p == a6 % p == 0, "singular point translation failed"
-        if _int_valuation(a6, p) < 2:
+        if _ord(a6, p) < 2:
             return "II", 1, ADDITIVE, n
         _, _, b6t, b8t, _, _, _ = invariants(ai)
-        if _int_valuation(b8t, p) < 3:
+        if _ord(b8t, p) < 3:
             return "III", 2, ADDITIVE, n
-        if _int_valuation(b6t, p) < 3:
+        if _ord(b6t, p) < 3:
             has_root, root = _quadratic(1, a3 // p, -(a6 // p**2), p)
             assert root is None, "type IV quadratic is inseparable"
             return "IV", 3 if has_root else 1, ADDITIVE, n
@@ -706,9 +740,9 @@ def _reference_tate(curve, p):
             return "IV*", 3 if has_root else 1, ADDITIVE, n
         ai = change_coordinates(ai, 0, 0, p * p * root)
         a1, a2, a3, a4, a6 = ai
-        if _int_valuation(a4, p) < 4:
+        if _ord(a4, p) < 4:
             return "III*", 2, ADDITIVE, n
-        if _int_valuation(a6, p) < 6:
+        if _ord(a6, p) < 6:
             return "II*", 1, ADDITIVE, n
         assert a1 % p == a2 % p**2 == a3 % p**3 == a4 % p**4 == a6 % p**6 == 0, "rescale"
         curve = WeierstrassCurve(a1 // p, a2 // p**2, a3 // p**3, a4 // p**4, a6 // p**6)

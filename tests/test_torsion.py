@@ -78,7 +78,7 @@ def multiply(curve, n, point):
 
 
 def _reference_point_order(curve, point):
-    """Order (at most 12 over Q) or math.inf, by repeated Fraction addition."""
+    """Order (at most 12 over Q), or None for infinite order, by repeated Fraction addition."""
     if not on_curve(curve, point):
         raise ValueError(f"point {point} is not on {curve}")
     if point.infinity:
@@ -89,13 +89,13 @@ def _reference_point_order(curve, point):
         if current.infinity:
             return k
         current = group_law_add(curve, current, point)
-    return math.inf
+    return None
 
 
 def _scaled_order(X, Y, A, B):
-    """The order _scaled_multiples certifies for (X, Y), or math.inf."""
+    """The order _scaled_multiples certifies for (X, Y), or None for infinite order."""
     multiples = _scaled_multiples(X, Y, A, B)
-    return math.inf if multiples is None else len(multiples) + 1
+    return None if multiples is None else len(multiples) + 1
 
 
 def test_identity_and_inverse():
@@ -120,7 +120,7 @@ def test_point_orders():
     assert point_order(E4, Point.at_infinity()) == 1
     # (0, 0) on y^2 + y = x^3 - x generates a rank-one group
     E = WeierstrassCurve(0, 0, 1, -1, 0)
-    assert point_order(E, Point(0, 0)) == math.inf
+    assert point_order(E, Point(0, 0)) is None
 
 
 def test_off_curve_rejected():
@@ -344,7 +344,7 @@ def test_sieve_matches_unsieved_search_on_two_six_grid():
     orders = set()
     for t in TWO_SIX_GRID:
         orders |= _assert_sieve_agrees_with_reference(two_six_curve(t))
-    assert math.inf in orders  # candidates of infinite order are compared too
+    assert None in orders  # candidates of infinite order are compared too
 
 
 def test_torsion_sieve_same_on_cold_and_warm_cache():
@@ -713,7 +713,7 @@ def test_scaled_order_stops_at_the_first_non_integral_multiple():
     E = WeierstrassCurve(0, 0, 1, -1, 0)
     P = Point(0, 0)
     X, Y, A, B = _scaled(E, P)
-    assert _scaled_order(int(X), int(Y), A, B) == math.inf
+    assert _scaled_order(int(X), int(Y), A, B) is None
     # 5P = (1/4, -5/8) is already non-integral on E, but on the scaled model
     # 8P is the first multiple that is not integral
     for k in range(1, 9):
@@ -857,7 +857,7 @@ def test_integer_image_reaches_denominators_in_and_out_of_36():
             q = _carry(tr, point)
             model = apply_transformation(curve, tr)
             _assert_integer_image_matches(model, q)
-            assert point_order(model, q) == math.inf
+            assert point_order(model, q) is None
             seen.add(q.x.denominator)
     assert {1, 4, 9, 25, 36} <= seen
 
@@ -865,7 +865,7 @@ def test_integer_image_reaches_denominators_in_and_out_of_36():
 def test_integer_order_of_non_torsion_points():
     E = WeierstrassCurve(0, 0, 1, -1, 0)  # rank one, trivial torsion
     for k in range(1, 10):
-        assert point_order(E, multiply(E, k, Point(0, 0))) == math.inf
+        assert point_order(E, multiply(E, k, Point(0, 0))) is None
     assert point_order(E, Point.at_infinity()) == 1
 
 
@@ -883,7 +883,7 @@ def test_scaled_multiples_match_the_fraction_law(curve, data):
     X, Y, A, B = _scaled(m, P)
     multiples = _scaled_multiples(int(X), int(Y), A, B)
     n = _reference_point_order(m, P)
-    assert (multiples is None) == (n == math.inf)
+    assert (multiples is None) == (n is None)
     if multiples is not None:
         assert len(multiples) == n - 1
         for k, q in enumerate(multiples, 1):
